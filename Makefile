@@ -54,14 +54,15 @@ analyze: vet
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH)' -benchmem -benchtime=$(BENCHTIME) -json . | tee $(BENCH_OUT)
 
-# Paper-scale pipeline smoke under the race detector: a small sharded
-# data set through the streaming builder, replay and spill protocols
-# both, plus the builder equivalence/seed-stability suite. Fast enough
-# for CI; the full-size run is bench-scale below.
+# Paper-scale pipeline smoke under the race detector: the stream
+# builder's oracle-equivalence suite (seed data sets included) and the
+# scale generator's seed-stability suite, then a small sharded data set
+# through the streaming builder's replay protocol. Fast enough for CI;
+# the full-size run is bench-scale below.
 scale-smoke:
-	$(GO) test -race -run 'TestStreamBuilder|TestGenerateScale' ./internal/graph/ ./internal/synth/
-	$(GO) run ./cmd/synthgen -dataset scale -scale 0.1 -workers 4 -shards 8 \
-		-spill-dir $${TMPDIR:-/tmp} -out $${TMPDIR:-/tmp}/gpc-scale-smoke -v
+	$(GO) test -race -run 'TestStreamBuilder|TestBuilderMatchesOracle|TestGenerateScale' ./internal/graph/ ./internal/synth/
+	$(GO) run ./cmd/synthgen -experiments=scale-pipeline -dataset scale -scale 0.1 \
+		-workers 4 -shards 8 -out $${TMPDIR:-/tmp}/gpc-scale-smoke -v
 
 # Record the paper-scale pipeline benchmark. By default the data set is
 # floor-sized; GPC_SCALE=full selects the >=3M-vertex / >=50M-edge
@@ -70,7 +71,7 @@ scale-smoke:
 # `circlebench compare` against future runs.
 SCALE_BENCH_OUT ?= BENCH_$(DATE)-scale.json
 bench-scale:
-	$(GO) test -run='^$$' -bench='ScalePipeline|LegacyBuilderBuild|StreamBuilder' \
+	$(GO) test -run='^$$' -bench='ScalePipeline|StreamBuilder' \
 		-benchmem -benchtime=$(BENCHTIME) -timeout=120m -json . | tee $(SCALE_BENCH_OUT)
 
 # Record the triangle-kernel benchmarks: the oriented-DAG kernel (serial
@@ -108,13 +109,19 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target): the Builder's
-# messy-edge handling and the Overlay's exact-degree fill are the two
-# inputs-from-outside surfaces of the graph core.
+# Coverage-guided fuzz smoke (FUZZTIME per target) over every fuzz
+# target: the graph core's inputs from outside (Builder edge soup,
+# Overlay exact-degree fill, the binary CSR reader), the sweep-cut
+# kernel, and the SNAP text parsers.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzBuilder -fuzztime=$(FUZZTIME) ./internal/graph/
-	$(GO) test -run='^$$' -fuzz=FuzzOverlayFillFromEdges -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzBuilder$$' -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzOverlayFillFromEdges$$' -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz='^FuzzSweepCut$$' -fuzztime=$(FUZZTIME) ./internal/graphalgo/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadEgoCircles$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 
 # Coverage floor for the serving layer: internal/serve carries the
 # backpressure/coalescing/drain state machine and must stay >= 80%.

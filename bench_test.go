@@ -15,6 +15,7 @@ package gpluscircles_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -631,7 +632,7 @@ func BenchmarkRunAllSerial(b *testing.B) {
 	s := runAllBenchSuite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.RunAll(s, io.Discard); err != nil {
+		if err := s.RunAllCtx(context.Background(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -643,7 +644,7 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	s := runAllBenchSuite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.RunAllParallel(s, io.Discard, 0); err != nil {
+		if err := s.RunAllParallelCtx(context.Background(), io.Discard, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -776,8 +777,7 @@ func TestMain(m *testing.M) {
 }
 
 // benchDensePairs extracts the gplus edge multiset as dense vertex
-// indices — the identical input both CSR builders accept, so the
-// legacy/streaming pair below is an apples-to-apples comparison.
+// indices, the input of the stream builder's dense mode.
 func benchDensePairs(b *testing.B) ([][2]int64, int64) {
 	b.Helper()
 	s := suite(b)
@@ -791,20 +791,6 @@ func benchDensePairs(b *testing.B) ([][2]int64, int64) {
 		return true
 	})
 	return pairs, int64(gp.Graph.NumVertices())
-}
-
-// BenchmarkLegacyBuilderBuild is the EdgeList-materializing baseline for
-// the streaming builder: same edges, same graph out, O(m) intermediate
-// storage. Compare B/op against BenchmarkStreamBuilderBuild.
-func BenchmarkLegacyBuilderBuild(b *testing.B) {
-	pairs, _ := benchDensePairs(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.FromEdges(true, pairs); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkStreamBuilderBuild measures the two-pass replay protocol:
@@ -823,28 +809,6 @@ func BenchmarkStreamBuilderBuild(b *testing.B) {
 			sb.AddEdge(p[0], p[1])
 		}
 		if err := sb.Rewind(); err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pairs {
-			sb.AddEdge(p[0], p[1])
-		}
-		if _, err := sb.Finish(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamBuilderSpill measures the file-backed variant: pass 1
-// spills 8-byte records to disk and Finish replays them, trading I/O
-// for not re-running the producer.
-func BenchmarkStreamBuilderSpill(b *testing.B) {
-	pairs, n := benchDensePairs(b)
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb, err := graph.NewStreamBuilder(true, graph.StreamOptions{DenseVertices: n, SpillDir: dir})
-		if err != nil {
 			b.Fatal(err)
 		}
 		for _, p := range pairs {

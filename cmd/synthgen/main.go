@@ -10,9 +10,13 @@
 //
 // The additional "scale" dataset (not part of "all") is the paper-scale
 // community set built through the streaming pipeline; it honors
-// -vertices, -shards, -spill-dir and -workers, e.g.
+// -vertices, -shards and -workers, e.g.
 //
-//	synthgen -experiments=scale-pipeline -dataset scale -vertices 3000000 -spill-dir /tmp -v -out data
+//	synthgen -experiments=scale-pipeline -dataset scale -vertices 3000000 -v -out data
+//
+// The generator streams every edge twice into the graph builder (once to
+// count degrees, once to fill the adjacency) rather than holding an edge
+// list in memory.
 //
 // The scale dataset is experimental and must be opted into with
 // -experiments=scale-pipeline; experimental surfaces carry no
@@ -49,7 +53,6 @@ func run() error {
 		verbose  = cliflag.Verbose(flag.CommandLine)
 		workers  = cliflag.Workers(flag.CommandLine)
 		shards   = cliflag.Shards(flag.CommandLine)
-		spillDir = cliflag.SpillDir(flag.CommandLine)
 		vertices = cliflag.Vertices(flag.CommandLine)
 		out      = flag.String("out", ".", "output directory")
 		which    = flag.String("dataset", "all", "gplus|twitter|livejournal|orkut|crawl|scale|all")
@@ -74,7 +77,7 @@ func run() error {
 		}
 		return runScale(scaleRun{
 			scale: *scale, seed: *seed, verbose: *verbose,
-			workers: *workers, shards: *shards, spillDir: *spillDir,
+			workers: *workers, shards: *shards,
 			vertices: *vertices, out: *out, binary: *binary,
 		})
 	}
@@ -132,7 +135,6 @@ type scaleRun struct {
 	seed            int64
 	verbose         bool
 	workers, shards int
-	spillDir        string
 	vertices        int64
 	out             string
 	binary          bool
@@ -162,13 +164,12 @@ func runScale(r scaleRun) error {
 
 	rec := obs.NewRecorder()
 	if r.verbose {
-		fmt.Fprintf(os.Stderr, "synthgen: generating scale dataset: %d vertices, %d communities, seed %d, spill=%q\n",
-			cfg.NumVertices, cfg.NumCommunities, cfg.Seed, r.spillDir)
+		fmt.Fprintf(os.Stderr, "synthgen: generating scale dataset: %d vertices, %d communities, seed %d\n",
+			cfg.NumVertices, cfg.NumCommunities, cfg.Seed)
 	}
 	start := obs.Now()
 	ds, err := synth.GenerateScale("Scale", cfg, synth.ScaleOptions{
 		Workers:  r.workers,
-		SpillDir: r.spillDir,
 		Recorder: rec,
 	})
 	if err != nil {
@@ -179,9 +180,8 @@ func runScale(r scaleRun) error {
 		snap := rec.Snapshot()
 		edges := snap.Counters["synth.scale.pass1.edges"]
 		rate := float64(edges) / elapsed.Seconds()
-		fmt.Fprintf(os.Stderr, "synthgen: streamed %d raw edges in %s (%.0f edges/sec), spill %d bytes, builder peak %d bytes\n",
-			edges, elapsed.Round(time.Millisecond), rate,
-			snap.Gauges["synth.scale.spill.bytes"], snap.Gauges["synth.scale.builder.peak.bytes"])
+		fmt.Fprintf(os.Stderr, "synthgen: streamed %d raw edges in %s (%.0f edges/sec), builder peak %d bytes\n",
+			edges, elapsed.Round(time.Millisecond), rate, snap.Gauges["synth.scale.builder.peak.bytes"])
 		for _, name := range []string{"synth.scale.members", "synth.scale.pass1", "synth.scale.pass2", "synth.scale.finish"} {
 			if ts, ok := snap.Timers[name]; ok {
 				fmt.Fprintf(os.Stderr, "synthgen: %-24s %s\n", name,

@@ -43,13 +43,6 @@ func Shards(fs *flag.FlagSet) *int {
 	return fs.Int("shards", 0, "work-unit batches for sharded generation (0 = one per worker; never changes output)")
 }
 
-// SpillDir registers the shared -spill-dir flag selecting the streaming
-// builder's file-backed edge spill. Empty keeps the in-memory replay
-// protocol.
-func SpillDir(fs *flag.FlagSet) *string {
-	return fs.String("spill-dir", "", "directory for temporary edge-spill files (empty = regenerate edges for the fill pass)")
-}
-
 // Vertices registers the shared -vertices flag overriding a generator's
 // vertex count directly; 0 keeps the config/scale-derived default.
 func Vertices(fs *flag.FlagSet) *int64 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -419,7 +420,7 @@ func TestRunAllRenders(t *testing.T) {
 	}
 	s := testSuite()
 	var buf bytes.Buffer
-	if err := RunAll(s, &buf); err != nil {
+	if err := s.RunAllCtx(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -429,7 +430,7 @@ func TestRunAllRenders(t *testing.T) {
 		"Google+", "Twitter", "LiveJournal", "Orkut",
 	} {
 		if !strings.Contains(strings.ToLower(out), strings.ToLower(want)) {
-			t.Errorf("RunAll output missing %q", want)
+			t.Errorf("RunAllCtx output missing %q", want)
 		}
 	}
 }

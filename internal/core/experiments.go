@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -118,13 +117,6 @@ func ExperimentByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("%w: %q", ErrUnknownExperiment, id)
-}
-
-// RunAll executes every registered experiment in order. It is
-// Suite.RunAllCtx with a background context — use the Ctx form when the
-// caller wants cancellation.
-func RunAll(s *Suite, w io.Writer) error {
-	return s.RunAllCtx(context.Background(), w)
 }
 
 func runTable2(s *Suite, w io.Writer) error {

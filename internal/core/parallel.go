@@ -9,13 +9,6 @@ import (
 	"sync"
 )
 
-// RunAllParallel executes every registered experiment like RunAll, but
-// fans the experiments out over a bounded worker pool. It is
-// Suite.RunAllParallelCtx with a background context.
-func RunAllParallel(s *Suite, w io.Writer, workers int) error {
-	return s.RunAllParallelCtx(context.Background(), w, workers)
-}
-
 // RunAllParallelCtx executes every registered experiment over a bounded
 // worker pool of the given size (workers <= 0 selects GOMAXPROCS;
 // workers == 1 falls back to the serial RunAllCtx). Each experiment
@@ -34,7 +27,7 @@ func RunAllParallel(s *Suite, w io.Writer, workers int) error {
 // the atomic unit). The emitted report then holds the completed prefix
 // in registry order followed by the wrapped ctx error.
 //
-// Error semantics mirror RunAll: the first failing experiment in
+// Error semantics mirror RunAllCtx: the first failing experiment in
 // registry order aborts the report after its (possibly partial) section
 // has been written; later sections are discarded.
 func (s *Suite) RunAllParallelCtx(ctx context.Context, w io.Writer, workers int) error {

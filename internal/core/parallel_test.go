@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -34,11 +35,11 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	serialOpts.Recorder = obs.NewRecorder()
 
 	var serial, parallel bytes.Buffer
-	if err := RunAll(NewSuite(serialOpts), &serial); err != nil {
-		t.Fatalf("serial RunAll: %v", err)
+	if err := NewSuite(serialOpts).RunAllCtx(context.Background(), &serial); err != nil {
+		t.Fatalf("serial RunAllCtx: %v", err)
 	}
-	if err := RunAllParallel(NewSuite(parallelTestOptions()), &parallel, 4); err != nil {
-		t.Fatalf("RunAllParallel: %v", err)
+	if err := NewSuite(parallelTestOptions()).RunAllParallelCtx(context.Background(), &parallel, 4); err != nil {
+		t.Fatalf("RunAllParallelCtx: %v", err)
 	}
 
 	// A full run's manifest must carry one experiment span per registry
@@ -90,7 +91,7 @@ func TestRunAllParallelSingleWorkerIsSerial(t *testing.T) {
 		t.Skip("full report run in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := RunAllParallel(NewSuite(parallelTestOptions()), &buf, 1); err != nil {
+	if err := NewSuite(parallelTestOptions()).RunAllParallelCtx(context.Background(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
@@ -227,7 +228,7 @@ func TestRunAllParallelPartialFailure(t *testing.T) {
 	// written.
 	s := NewSuite(SuiteOptions{Scale: 0.15, Seed: 5, DistanceSources: 4, ClusteringSamples: 50})
 	var buf bytes.Buffer
-	err := RunAllParallel(s, io.MultiWriter(&buf), 3)
+	err := s.RunAllParallelCtx(context.Background(), io.MultiWriter(&buf), 3)
 	if err != nil {
 		// A failure is acceptable only if it names an experiment, like
 		// the serial path does.

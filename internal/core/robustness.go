@@ -156,7 +156,7 @@ func renderRobustness(res *RobustnessResult, scale float64, w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "\nClaims that failed on some seed:"); err != nil {
 		return fmt.Errorf("robustness note: %w", err)
 	}
-	// Sorted for deterministic output (RunAllParallel asserts the report
+	// Sorted for deterministic output (RunAllParallelCtx asserts the report
 	// is byte-identical to the serial run).
 	ids := make([]string, 0, len(res.FailuresByClaim))
 	for id := range res.FailuresByClaim {

@@ -21,7 +21,7 @@ type Claim struct {
 
 // Scorecard evaluates every headline claim of the paper programmatically
 // and returns the checklist. This is the one-stop verification the
-// integration tests assert piecewise; RunAll renders it last.
+// integration tests assert piecewise; RunAllCtx renders it last.
 func Scorecard(s *Suite) ([]Claim, error) {
 	var claims []Claim
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/score"
 )
 
@@ -49,18 +50,9 @@ func ConductanceSweep(g *graph.Graph, seed graph.VID, opts SweepOptions) (score.
 	internal := cut.Internal
 	boundary := cut.Boundary
 
-	conductanceOf := func(internal, boundary int64) float64 {
-		// Emptiness test in the integer domain (floateq): the
-		// denominator is zero exactly when both counts are.
-		if internal == 0 && boundary == 0 {
-			return 1
-		}
-		return float64(boundary) / (2*float64(internal) + float64(boundary))
-	}
-
 	order := []graph.VID{seed}
 	bestPrefix := 1
-	bestCond := conductanceOf(internal, boundary)
+	bestCond := graphalgo.SweepConductance(internal, boundary)
 
 	// frontier holds candidate vertices adjacent to the set.
 	inFrontier := graph.NewSet(g.NumVertices())
@@ -118,7 +110,7 @@ func ConductanceSweep(g *graph.Graph, seed graph.VID, opts SweepOptions) (score.
 			if di == 0 {
 				continue // only attached vertices qualify
 			}
-			c := conductanceOf(internal+di, boundary+db)
+			c := graphalgo.SweepConductance(internal+di, boundary+db)
 			//lint:ignore floateq deterministic tie-break: equal conductance falls through to the smaller vertex id
 			if c < bestNewCond || (c == bestNewCond && (best == -1 || w < best)) {
 				best, bestNewCond = w, c
@@ -133,7 +125,7 @@ func ConductanceSweep(g *graph.Graph, seed graph.VID, opts SweepOptions) (score.
 		internal += bestDI
 		boundary += bestDB
 		addFrontier(best)
-		if c := conductanceOf(internal, boundary); c < bestCond && set.Len() >= opts.MinSize {
+		if c := graphalgo.SweepConductance(internal, boundary); c < bestCond && set.Len() >= opts.MinSize {
 			bestCond = c
 			bestPrefix = set.Len()
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/score"
 )
 
@@ -87,6 +88,34 @@ func TestSweepConductanceMatchesScore(t *testing.T) {
 	check := score.Evaluate(ctx, grp.Members, []score.Func{score.Conductance()})["conductance"]
 	if math.Abs(check-cond) > 1e-12 {
 		t.Errorf("incremental conductance %v != scored %v", cond, check)
+	}
+}
+
+// TestSweepConductanceEdgelessSet pins the one input on which the sweep
+// formula and score.Conductance differ: a set with no incident edge
+// scores 1, the worst, in a sweep but 0 under score.Conductance.
+func TestSweepConductanceEdgelessSet(t *testing.T) {
+	b := graph.NewBuilder(false)
+	b.AddEdge(1, 2)
+	b.AddVertex(3)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := graphalgo.SweepConductance(0, 0); got != 1 {
+		t.Fatalf("SweepConductance(0, 0) = %v, want 1", got)
+	}
+	isolated, _ := g.Lookup(3)
+	grp, cond, err := ConductanceSweep(g, isolated, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(grp.Members) != 1 || cond != 1 {
+		t.Fatalf("sweep from an isolated seed = (%v, %v), want ([%d], 1)", grp.Members, cond, isolated)
+	}
+	scored := score.Evaluate(score.NewContext(g), grp.Members, []score.Func{score.Conductance()})["conductance"]
+	if scored != 0 {
+		t.Fatalf("score.Conductance of an edgeless set = %v, want 0", scored)
 	}
 }
 

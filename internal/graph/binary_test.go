@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -89,6 +91,54 @@ func TestReadBinaryValidatesInvariants(t *testing.T) {
 	}
 	if _, err := ReadBinary(&buf); !errors.Is(err, ErrBadBinary) {
 		t.Errorf("err = %v, want ErrBadBinary", err)
+	}
+
+	// Hand-made DTOs, each breaking one invariant of the directed path
+	// 0->1->2 (IDs 10, 20, 30) or of its undirected counterpart.
+	path := func() binaryGraph {
+		return binaryGraph{
+			Version: binaryVersion, Directed: true, IDs: []int64{10, 20, 30},
+			OutOff: []int64{0, 1, 2, 2}, OutAdj: []VID{1, 2},
+			InOff: []int64{0, 0, 1, 2}, InAdj: []VID{0, 1}, M: 2,
+		}
+	}
+	cases := map[string]func(*binaryGraph){
+		"in-offsets past the adjacency": func(d *binaryGraph) { d.InOff = []int64{0, 0, 9, 2} },
+		"in-offsets not from zero":      func(d *binaryGraph) { d.InOff = []int64{1, 1, 1, 2} },
+		"in-rows not transposed":        func(d *binaryGraph) { d.InAdj = []VID{1, 0} },
+		"self-loop":                     func(d *binaryGraph) { d.OutAdj = []VID{0, 2} },
+		"unsorted row": func(d *binaryGraph) {
+			d.OutOff, d.OutAdj = []int64{0, 2, 2, 2}, []VID{2, 1}
+			d.InOff, d.InAdj = []int64{0, 0, 1, 2}, []VID{0, 0}
+		},
+		"asymmetric undirected": func(d *binaryGraph) {
+			d.Directed, d.InOff, d.InAdj, d.M = false, nil, nil, 1
+		},
+		"overflowing edge count": func(d *binaryGraph) {
+			// The undirected edge 10-20, stored symmetrically, with an M
+			// whose doubling wraps around to the arc count 2.
+			d.Directed, d.InOff, d.InAdj, d.M = false, nil, nil, 1+math.MinInt64
+			d.OutAdj = []VID{1, 0}
+		},
+	}
+	for name, corrupt := range cases {
+		dto := path()
+		corrupt(&dto)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadBinary(&buf); !errors.Is(err, ErrBadBinary) {
+			t.Errorf("%s: err = %v, want ErrBadBinary", name, err)
+		}
+	}
+	valid := path()
+	var ok bytes.Buffer
+	if err := gob.NewEncoder(&ok).Encode(valid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&ok); err != nil {
+		t.Errorf("valid hand-made graph rejected: %v", err)
 	}
 }
 

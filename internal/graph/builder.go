@@ -1,32 +1,25 @@
 package graph
 
-import (
-	"errors"
-	"sort"
-)
+import "errors"
 
 // ErrEmptyGraph is returned by Build when no vertices were added.
 var ErrEmptyGraph = errors.New("graph: build of empty graph")
 
 // Builder accumulates vertices and edges identified by external int64 IDs
-// and produces an immutable Graph. Duplicate edges and self-loops are
-// dropped at Build time. The zero Builder is not valid; use NewBuilder.
+// and produces an immutable Graph. It is a thin façade over a sparse-mode
+// StreamBuilder: it buffers the isolated IDs and the non-loop edges, and
+// Build replays them as the stream builder's two passes. Duplicate edges
+// and self-loops are dropped. The zero Builder is not valid; use
+// NewBuilder.
 type Builder struct {
 	directed bool
-	vertices map[int64]struct{}
-	edges    []rawEdge
-}
-
-type rawEdge struct {
-	u, v int64
+	vertices []int64
+	edges    [][2]int64
 }
 
 // NewBuilder returns a Builder for a directed or undirected graph.
 func NewBuilder(directed bool) *Builder {
-	return &Builder{
-		directed: directed,
-		vertices: make(map[int64]struct{}),
-	}
+	return &Builder{directed: directed}
 }
 
 // Directed reports the edge type the Builder was created with.
@@ -36,137 +29,39 @@ func (b *Builder) Directed() bool { return b.directed }
 // are registered implicitly; AddVertex is only needed for degree-0
 // vertices.
 func (b *Builder) AddVertex(id int64) {
-	b.vertices[id] = struct{}{}
+	b.vertices = append(b.vertices, id)
 }
 
 // AddEdge registers the arc (u,v) (directed) or edge {u,v} (undirected).
 // Self-loops are ignored. Duplicates are deduplicated at Build time.
 func (b *Builder) AddEdge(u, v int64) {
-	if u == v {
-		return
+	if u != v {
+		b.edges = append(b.edges, [2]int64{u, v})
 	}
-	b.vertices[u] = struct{}{}
-	b.vertices[v] = struct{}{}
-	if !b.directed && u > v {
-		u, v = v, u // normalize undirected edges for dedup
-	}
-	b.edges = append(b.edges, rawEdge{u: u, v: v})
 }
-
-// NumPendingEdges returns the number of edges added so far, before
-// deduplication.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
-// NumPendingVertices returns the number of distinct vertices added so far.
-func (b *Builder) NumPendingVertices() int { return len(b.vertices) }
 
 // Build constructs the immutable Graph. External IDs are assigned dense
 // indices in ascending ID order, so construction is deterministic for a
 // given edge multiset regardless of insertion order.
 func (b *Builder) Build() (*Graph, error) {
-	if len(b.vertices) == 0 {
-		return nil, ErrEmptyGraph
+	sb, err := NewStreamBuilder(b.directed, StreamOptions{})
+	if err != nil {
+		return nil, err
 	}
-
-	ids := make([]int64, 0, len(b.vertices))
-	for id := range b.vertices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	index := make(map[int64]VID, len(ids))
-	for i, id := range ids {
-		index[id] = VID(i)
-	}
-
-	// Translate, sort and deduplicate edges on dense indices.
-	dense := make([]Edge, len(b.edges))
-	for i, e := range b.edges {
-		dense[i] = Edge{From: index[e.u], To: index[e.v]}
-	}
-	sort.Slice(dense, func(i, j int) bool {
-		if dense[i].From != dense[j].From {
-			return dense[i].From < dense[j].From
+	stream := func() {
+		for _, id := range b.vertices {
+			sb.AddVertex(id)
 		}
-		return dense[i].To < dense[j].To
-	})
-	dense = dedupEdges(dense)
-
-	g := &Graph{
-		directed: b.directed,
-		ids:      ids,
-		index:    index,
-		m:        int64(len(dense)),
-	}
-	n := len(ids)
-
-	if b.directed {
-		g.outOff, g.outAdj = buildCSR(n, dense, false)
-		g.inOff, g.inAdj = buildCSR(n, dense, true)
-		return g, nil
-	}
-
-	// Undirected: store each edge in both rows; adjacency is symmetric so
-	// the reverse CSR aliases the forward one.
-	sym := make([]Edge, 0, 2*len(dense))
-	for _, e := range dense {
-		sym = append(sym, e, Edge{From: e.To, To: e.From})
-	}
-	sort.Slice(sym, func(i, j int) bool {
-		if sym[i].From != sym[j].From {
-			return sym[i].From < sym[j].From
-		}
-		return sym[i].To < sym[j].To
-	})
-	g.outOff, g.outAdj = buildCSR(n, sym, false)
-	g.inOff, g.inAdj = g.outOff, g.outAdj
-	return g, nil
-}
-
-// dedupEdges removes adjacent duplicates from a sorted edge slice in place.
-func dedupEdges(es []Edge) []Edge {
-	if len(es) == 0 {
-		return es
-	}
-	w := 1
-	for i := 1; i < len(es); i++ {
-		if es[i] != es[w-1] {
-			es[w] = es[i]
-			w++
+		for _, e := range b.edges {
+			sb.AddEdge(e[0], e[1])
 		}
 	}
-	return es[:w]
-}
-
-// buildCSR lays out the (already sorted by From, then To) edges as CSR
-// rows. When reverse is true the roles of From and To are swapped and the
-// input is re-sorted accordingly.
-func buildCSR(n int, edges []Edge, reverse bool) ([]int64, []VID) {
-	src := edges
-	if reverse {
-		src = make([]Edge, len(edges))
-		for i, e := range edges {
-			src[i] = Edge{From: e.To, To: e.From}
-		}
-		sort.Slice(src, func(i, j int) bool {
-			if src[i].From != src[j].From {
-				return src[i].From < src[j].From
-			}
-			return src[i].To < src[j].To
-		})
+	stream()
+	if err := sb.Rewind(); err != nil {
+		return nil, err
 	}
-	off := make([]int64, n+1)
-	for _, e := range src {
-		off[e.From+1]++
-	}
-	for i := 1; i <= n; i++ {
-		off[i] += off[i-1]
-	}
-	adj := make([]VID, len(src))
-	for i, e := range src {
-		adj[i] = e.To
-	}
-	return off, adj
+	stream()
+	return sb.Finish()
 }
 
 // FromEdges is a convenience constructor building a graph directly from a

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -29,31 +30,47 @@ func edgeFingerprint(g *Graph) string {
 }
 
 // FuzzBuilder feeds the Builder arbitrary edge soup — duplicates,
-// self-loops, unordered endpoints — and checks the built graph upholds
-// every structural invariant, then round-trips it through an
-// identity-rewired Overlay and Materialize back to an equal graph.
+// self-loops, unordered endpoints — and checks the built graph against
+// the naive oracle and every structural invariant, checks the stream
+// builder's dense mode against the oracle too, then round-trips the graph
+// through an identity-rewired Overlay and Materialize back to an equal
+// graph.
 func FuzzBuilder(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 1}, false)
 	f.Add([]byte{0, 0, 1, 1, 2, 2}, true)       // all self-loops
 	f.Add([]byte{1, 2, 2, 1, 1, 2, 2, 1}, true) // duplicates both ways
 	f.Add([]byte{7, 3, 3, 7, 5, 5, 0, 7}, false)
 	f.Fuzz(func(t *testing.T, data []byte, directed bool) {
-		pairs := decodePairs(data, 16)
+		const mod = 16
+		pairs := decodePairs(data, mod)
+		want, wantErr := oracleBuild(directed, nil, pairs)
 		g, err := FromEdges(directed, pairs)
-		if err != nil {
-			// Only the empty graph is rejected.
-			if len(pairs) > 0 {
-				nonLoop := false
-				for _, p := range pairs {
-					if p[0] != p[1] {
-						nonLoop = true
-					}
-				}
-				if nonLoop {
-					t.Fatalf("build rejected non-empty input: %v", err)
-				}
+		if wantErr != nil {
+			// Input without a non-loop edge is rejected as ErrEmptyGraph.
+			if !errors.Is(err, ErrEmptyGraph) {
+				t.Fatalf("oracle rejects the input (%v) but Builder returned %v", wantErr, err)
 			}
 			return
+		}
+		if err != nil {
+			t.Fatalf("build rejected non-empty input: %v", err)
+		}
+		if got, want := edgeFingerprint(g), edgeFingerprint(want); got != want {
+			t.Fatalf("Builder diverged from the oracle:\n got %s\nwant %s", got, want)
+		}
+
+		// The dense mode over the whole ID range [0, mod).
+		sb, err := NewStreamBuilder(directed, StreamOptions{DenseVertices: mod})
+		if err != nil {
+			t.Fatalf("NewStreamBuilder: %v", err)
+		}
+		dg, err := streamReplay(sb, pairs)
+		if err != nil {
+			t.Fatalf("dense stream build rejected the input: %v", err)
+		}
+		dwant := mustOracle(t, directed, denseIDs(mod), pairs)
+		if got, want := edgeFingerprint(dg), edgeFingerprint(dwant); got != want {
+			t.Fatalf("dense stream builder diverged from the oracle:\n got %s\nwant %s", got, want)
 		}
 
 		// Structural invariants: no self-loops, rows sorted and
@@ -73,20 +90,6 @@ func FuzzBuilder(f *testing.F) {
 		}
 		if degSum != 2*g.NumEdges() {
 			t.Fatalf("degree sum %d != 2m %d", degSum, 2*g.NumEdges())
-		}
-
-		// The streaming two-pass builder must reproduce Builder's output
-		// bit-for-bit on the same edge soup (sparse interning mode).
-		sb, err := NewStreamBuilder(directed, StreamOptions{})
-		if err != nil {
-			t.Fatalf("NewStreamBuilder: %v", err)
-		}
-		sg, err := streamReplay(sb, pairs)
-		if err != nil {
-			t.Fatalf("stream build rejected input the Builder accepted: %v", err)
-		}
-		if got, want := edgeFingerprint(sg), edgeFingerprint(g); got != want {
-			t.Fatalf("stream builder diverged from Builder:\n got %s\nwant %s", got, want)
 		}
 
 		// Round-trip: identity overlay -> Materialize must reproduce the
@@ -171,6 +174,62 @@ func FuzzOverlayFillFromEdges(f *testing.F) {
 					t.Fatalf("overlay not reusable after fill error %v: row %d differs", fillErr, v)
 				}
 			}
+		}
+	})
+}
+
+// FuzzReadBinary feeds ReadBinary arbitrary bytes. It must never panic,
+// and any graph it accepts must be well formed — equal to the oracle
+// rebuilt from its own IDs and out-rows — and must re-encode through
+// WriteBinary to bytes that read back and re-encode identically.
+func FuzzReadBinary(f *testing.F) {
+	for _, directed := range []bool{false, true} {
+		g, err := FromEdges(directed, [][2]int64{{1, 2}, {2, 3}, {3, 1}, {-4, 1}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte("not a gob stream"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		ids := g.ExternalIDs()
+		var pairs [][2]int64
+		for v := range ids {
+			for _, w := range g.OutNeighbors(VID(v)) {
+				pairs = append(pairs, [2]int64{ids[v], ids[w]})
+			}
+		}
+		want, err := oracleBuild(g.Directed(), ids, pairs)
+		if err != nil {
+			if g.NumVertices() != 0 || g.NumEdges() != 0 {
+				t.Fatalf("oracle rejected an accepted non-empty graph: %v", err)
+			}
+		} else if got, want := edgeFingerprint(g), edgeFingerprint(want); got != want {
+			t.Fatalf("accepted graph is malformed:\n got %s\nwant %s", got, want)
+		}
+
+		var enc bytes.Buffer
+		if err := WriteBinary(&enc, g); err != nil {
+			t.Fatalf("WriteBinary: %v", err)
+		}
+		back, err := ReadBinary(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded graph rejected: %v", err)
+		}
+		var again bytes.Buffer
+		if err := WriteBinary(&again, back); err != nil {
+			t.Fatalf("WriteBinary: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), enc.Bytes()) {
+			t.Fatal("re-encoding is not stable")
 		}
 	})
 }

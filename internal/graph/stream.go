@@ -1,13 +1,9 @@
 package graph
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -32,19 +28,11 @@ type StreamOptions struct {
 	// IDs are exactly [0, DenseVertices), every vertex exists (AddVertex
 	// is unnecessary), no interning map is built, and AddEdge is safe for
 	// concurrent use from multiple goroutines. 0 selects the sparse mode:
-	// arbitrary int64 IDs interned exactly like Builder, single-goroutine
-	// streaming only.
+	// arbitrary int64 IDs interned in ascending order, single-goroutine
+	// streaming only. Builder is a façade over the sparse mode.
 	DenseVertices int64
-	// SpillDir, when non-empty, buffers the pass-1 edge stream in
-	// temporary files under that directory and Finish replays them
-	// internally — the caller streams every edge once. Empty selects the
-	// replay protocol: the caller streams the edges, calls Rewind, and
-	// streams the identical edge multiset again before Finish. Replay
-	// suits regenerable streams (deterministic generators); spill suits
-	// streams that are expensive or impossible to reproduce.
-	SpillDir string
 	// Workers bounds the parallelism of the finishing phase (per-row
-	// sort/dedup, compaction, spill replay). 0 selects GOMAXPROCS.
+	// sort/dedup). 0 selects GOMAXPROCS.
 	Workers int
 }
 
@@ -52,12 +40,12 @@ type StreamOptions struct {
 // edge stream without ever materializing the edge list: pass 1 counts
 // per-vertex degrees, pass 2 writes endpoints straight into the final
 // CSR adjacency. Peak memory is O(n + m·sizeof(VID)) — the offsets,
-// cursors, and the adjacency the Graph keeps anyway — instead of
-// Builder's O(m·16B) raw-edge slice plus vertex-map overhead. For the
-// same edge multiset it produces a Graph bit-identical to Builder's
-// (same dedup, self-loop, ordering, and ID-interning semantics).
+// cursors, and the adjacency the Graph keeps anyway. It is the package's
+// only CSR construction algorithm: duplicates and self-loops are dropped
+// and sparse-mode IDs get dense indices in ascending external-ID order.
 //
-// Protocol (replay mode):
+// Protocol (replay): the caller streams the edges, calls Rewind, and
+// streams the identical edge multiset again before Finish.
 //
 //	sb, _ := NewStreamBuilder(directed, StreamOptions{DenseVertices: n})
 //	stream(sb.AddEdge)     // pass 1: counting
@@ -65,11 +53,8 @@ type StreamOptions struct {
 //	stream(sb.AddEdge)     // pass 2: identical multiset, any order
 //	g, err := sb.Finish()
 //
-// Protocol (spill mode): stream once, then Finish; the builder replays
-// its spill files itself. In dense mode concurrent producers either call
-// AddEdge directly (replay mode) or hold one EdgeSink each (spill mode,
-// so spill writes stay unsynchronized). Rewind and Finish must not be
-// called concurrently with AddEdge.
+// In dense mode concurrent producers may call AddEdge directly. Rewind
+// and Finish must not be called concurrently with AddEdge.
 type StreamBuilder struct {
 	directed bool
 	dense    bool
@@ -91,23 +76,14 @@ type StreamBuilder struct {
 	outNext, inNext []int64 // pass-2 fill cursors, advanced atomically
 	outAdj, inAdj   []VID
 
-	spillDir   string
-	spillWide  bool // spill records are 2×int64 instead of 2×uint32
-	spillBytes atomic.Int64
-
-	mu          sync.Mutex
-	sinks       []*EdgeSink
-	spills      []string
-	defaultSink *EdgeSink
-
 	err atomic.Pointer[error]
 
 	mPass1, mPass2 *obs.Counter
-	gSpill, gPeak  *obs.Gauge
+	gPeak          *obs.Gauge
 }
 
 // NewStreamBuilder returns a StreamBuilder for a directed or undirected
-// graph. See StreamOptions for the dense/sparse and spill/replay modes.
+// graph. See StreamOptions for the dense and sparse modes.
 func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error) {
 	if opts.DenseVertices < 0 || opts.DenseVertices > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: DenseVertices %d outside [0, %d]",
@@ -121,7 +97,6 @@ func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error)
 		directed: directed,
 		workers:  workers,
 		pass:     1,
-		spillDir: opts.SpillDir,
 	}
 	if opts.DenseVertices > 0 {
 		sb.dense = true
@@ -130,21 +105,18 @@ func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error)
 		if directed {
 			sb.inCnt = make([]int64, sb.n)
 		}
-		// Dense IDs fit in uint32, so spill records are half-width.
-		sb.spillWide = false
 	} else {
 		sb.index = make(map[int64]VID)
-		sb.spillWide = true
 	}
 	return sb, nil
 }
 
 // Instrument attaches observability handles: edge counters for each pass
-// plus gauges for spill bytes written and the builder's peak working-set
-// estimate. All handles may be nil (no-ops); call before streaming.
-func (sb *StreamBuilder) Instrument(pass1, pass2 *obs.Counter, spillBytes, peakBytes *obs.Gauge) {
+// plus a gauge for the builder's peak working-set estimate. All handles
+// may be nil (no-ops); call before streaming.
+func (sb *StreamBuilder) Instrument(pass1, pass2 *obs.Counter, peakBytes *obs.Gauge) {
 	sb.mPass1, sb.mPass2 = pass1, pass2
-	sb.gSpill, sb.gPeak = spillBytes, peakBytes
+	sb.gPeak = peakBytes
 }
 
 // setErr records the first error; later ones are dropped.
@@ -161,7 +133,7 @@ func (sb *StreamBuilder) takeErr() error {
 
 // AddVertex registers an isolated vertex. In dense mode every vertex in
 // [0, DenseVertices) already exists, so this only validates the range.
-// Sparse mode interns the ID during pass 1 exactly like Builder.
+// Sparse mode interns the ID during pass 1.
 func (sb *StreamBuilder) AddVertex(id int64) {
 	if sb.dense {
 		if id < 0 || id >= sb.n {
@@ -179,38 +151,10 @@ func (sb *StreamBuilder) AddVertex(id int64) {
 }
 
 // AddEdge streams the arc (u,v) (directed) or edge {u,v} (undirected).
-// Self-loops are ignored; duplicates are deduplicated at Finish, matching
-// Builder. In dense replay mode AddEdge is safe for concurrent use; in
-// spill mode concurrent producers must write through per-goroutine
-// EdgeSinks instead. Errors (range violations, pass-2 mismatches) are
-// latched and reported by Finish.
+// Self-loops are ignored; duplicates are deduplicated at Finish. In
+// dense mode AddEdge is safe for concurrent use. Errors (range
+// violations, pass-2 mismatches) are latched and reported by Finish.
 func (sb *StreamBuilder) AddEdge(u, v int64) {
-	if sb.spillDir != "" && sb.pass == 1 {
-		sb.sharedSink().AddEdge(u, v)
-		return
-	}
-	sb.addEdge(u, v, nil)
-}
-
-// sharedSink lazily creates the sink backing plain AddEdge calls in
-// spill mode (serial producers only; concurrent producers use NewSink).
-func (sb *StreamBuilder) sharedSink() *EdgeSink {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if sb.defaultSink == nil {
-		s, err := sb.newSinkLocked()
-		if err != nil {
-			sb.setErr(err)
-			s = &EdgeSink{sb: sb} // degraded: counts but cannot spill
-		}
-		sb.defaultSink = s
-	}
-	return sb.defaultSink
-}
-
-// addEdge is the shared pass-dispatching core. sink is non-nil when the
-// caller holds an EdgeSink whose spill file should receive the edge.
-func (sb *StreamBuilder) addEdge(u, v int64, sink *EdgeSink) {
 	if u == v {
 		return
 	}
@@ -236,9 +180,6 @@ func (sb *StreamBuilder) addEdge(u, v int64, sink *EdgeSink) {
 			}
 		}
 		sb.mPass1.Inc()
-		if sink != nil {
-			sink.spill(u, v)
-		}
 		return
 	}
 
@@ -317,11 +258,7 @@ func (sb *StreamBuilder) intern(id int64) VID {
 
 // Rewind ends the counting pass and prepares the fill pass: the caller
 // must then stream the identical edge multiset (any order) and Finish.
-// In spill mode Rewind is invalid — Finish replays the spill itself.
 func (sb *StreamBuilder) Rewind() error {
-	if sb.spillDir != "" {
-		return fmt.Errorf("%w: Rewind in spill mode (Finish replays the spill)", ErrStreamPass)
-	}
 	if sb.pass != 1 {
 		return fmt.Errorf("%w: Rewind outside pass 1", ErrStreamPass)
 	}
@@ -335,7 +272,7 @@ func (sb *StreamBuilder) Rewind() error {
 
 // finalizeCounts turns the pass-1 degree counts into CSR offsets, fill
 // cursors and adjacency storage. Sparse mode first re-ranks vertices
-// into ascending external-ID order, matching Builder's interning.
+// into ascending external-ID order.
 func (sb *StreamBuilder) finalizeCounts() {
 	n := int(sb.n)
 	if !sb.dense && n > 0 {
@@ -395,30 +332,21 @@ func startCursors(off []int64) []int64 {
 	return next
 }
 
-// Finish completes the build: in spill mode it first replays the spilled
-// stream as pass 2, then sorts and deduplicates every CSR row in
-// parallel, compacts the adjacency, and assembles the Graph. Spill files
-// are always removed. Matching Builder, an empty vertex set returns
-// ErrEmptyGraph.
+// Finish completes the build: it sorts and deduplicates every CSR row in
+// parallel, compacts the adjacency, and assembles the Graph. A build
+// without edges may Finish straight from pass 1. An empty vertex set
+// returns ErrEmptyGraph.
 func (sb *StreamBuilder) Finish() (*Graph, error) {
-	defer sb.cleanup()
-	if err := sb.closeSinks(); err != nil {
-		sb.setErr(err)
-	}
 	if sb.pass == 1 {
 		sb.finalizeCounts()
 		sb.pass = 2
-		switch {
-		case len(sb.spills) > 0:
-			sb.replaySpills()
-		case sb.totalCounted() != 0:
+		if sb.totalCounted() != 0 {
 			return nil, fmt.Errorf("%w: Finish before the pass-2 replay (call Rewind and re-stream)", ErrStreamPass)
 		}
 	}
 	if err := sb.takeErr(); err != nil {
 		return nil, err
 	}
-	sb.gSpill.Set(sb.spillBytes.Load())
 
 	n := int(sb.n)
 	if n == 0 {
@@ -555,172 +483,4 @@ func parallelRows(n, workers int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// EdgeSink is a per-producer handle for spill-mode streaming: each
-// concurrent producer holds its own sink so spill writes stay buffered
-// and unsynchronized. Close flushes the sink; the StreamBuilder replays
-// and deletes the files during Finish.
-type EdgeSink struct {
-	sb      *StreamBuilder
-	f       *os.File
-	bw      *bufio.Writer
-	written int64
-	scratch [16]byte
-}
-
-// NewSink registers a new producer sink. In replay mode (no SpillDir)
-// the sink simply forwards to AddEdge.
-func (sb *StreamBuilder) NewSink() (*EdgeSink, error) {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.newSinkLocked()
-}
-
-func (sb *StreamBuilder) newSinkLocked() (*EdgeSink, error) {
-	s := &EdgeSink{sb: sb}
-	if sb.spillDir != "" && sb.pass == 1 {
-		f, err := os.CreateTemp(sb.spillDir, "gpc-edges-*.spill")
-		if err != nil {
-			return nil, fmt.Errorf("graph: create spill file: %w", err)
-		}
-		s.f = f
-		s.bw = bufio.NewWriterSize(f, 1<<16)
-		sb.spills = append(sb.spills, f.Name())
-	}
-	sb.sinks = append(sb.sinks, s)
-	return s, nil
-}
-
-// AddEdge streams one edge through this sink.
-func (s *EdgeSink) AddEdge(u, v int64) {
-	s.sb.addEdge(u, v, s)
-}
-
-// spill appends one validated edge to the sink's spill file.
-func (s *EdgeSink) spill(u, v int64) {
-	if s.bw == nil {
-		return
-	}
-	rec := s.scratch[:8]
-	if s.sb.spillWide {
-		rec = s.scratch[:16]
-		binary.LittleEndian.PutUint64(rec[0:8], uint64(u))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(v))
-	} else {
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(u))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(v))
-	}
-	if _, err := s.bw.Write(rec); err != nil {
-		s.sb.setErr(fmt.Errorf("graph: spill write: %w", err))
-		return
-	}
-	s.written += int64(len(rec))
-}
-
-// Close flushes and closes the sink's spill file. Safe to call more than
-// once; the builder closes any still-open sinks during Finish.
-func (s *EdgeSink) Close() error {
-	if s.f == nil {
-		return nil
-	}
-	var err error
-	if ferr := s.bw.Flush(); ferr != nil {
-		err = fmt.Errorf("graph: spill flush: %w", ferr)
-	}
-	if cerr := s.f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("graph: spill close: %w", cerr)
-	}
-	s.f, s.bw = nil, nil
-	s.sb.spillBytes.Add(s.written)
-	s.written = 0
-	return err
-}
-
-// closeSinks flushes every registered sink, returning the first error.
-func (sb *StreamBuilder) closeSinks() error {
-	sb.mu.Lock()
-	sinks := sb.sinks
-	sb.sinks = nil
-	sb.defaultSink = nil
-	sb.mu.Unlock()
-	var first error
-	for _, s := range sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// replaySpills streams every spill file back through the pass-2 fill,
-// one worker per file up to the configured bound.
-func (sb *StreamBuilder) replaySpills() {
-	workers := sb.workers
-	if workers > len(sb.spills) {
-		workers = len(sb.spills)
-	}
-	if workers <= 1 {
-		for _, path := range sb.spills {
-			sb.replayOne(path)
-		}
-		return
-	}
-	paths := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for path := range paths {
-				sb.replayOne(path)
-			}
-		}()
-	}
-	for _, path := range sb.spills {
-		paths <- path
-	}
-	close(paths)
-	wg.Wait()
-}
-
-// replayOne feeds one spill file's edges into pass 2.
-func (sb *StreamBuilder) replayOne(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		sb.setErr(fmt.Errorf("graph: reopen spill: %w", err))
-		return
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	recSize := 8
-	if sb.spillWide {
-		recSize = 16
-	}
-	var rec [16]byte
-	for {
-		if _, err := io.ReadFull(br, rec[:recSize]); err != nil {
-			if err != io.EOF {
-				sb.setErr(fmt.Errorf("graph: spill read: %w", err))
-			}
-			return
-		}
-		var u, v int64
-		if sb.spillWide {
-			u = int64(binary.LittleEndian.Uint64(rec[0:8]))
-			v = int64(binary.LittleEndian.Uint64(rec[8:16]))
-		} else {
-			u = int64(binary.LittleEndian.Uint32(rec[0:4]))
-			v = int64(binary.LittleEndian.Uint32(rec[4:8]))
-		}
-		sb.addEdge(u, v, nil)
-	}
-}
-
-// cleanup removes every spill file.
-func (sb *StreamBuilder) cleanup() {
-	for _, path := range sb.spills {
-		os.Remove(path)
-	}
-	sb.spills = nil
 }

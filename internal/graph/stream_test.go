@@ -3,8 +3,9 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
-	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,26 +24,89 @@ func binaryBytes(t *testing.T, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// streamFromPairs builds a graph from the pair list via StreamBuilder,
-// using the replay protocol (no SpillDir) or the spill protocol.
+// oracleBuild is the naive reference every CSR construction test checks
+// against: one adjacency set per external ID, then sorted rows. It shares
+// no code with StreamBuilder.
+func oracleBuild(directed bool, vertices []int64, pairs [][2]int64) (*Graph, error) {
+	out, in := map[int64]map[int64]bool{}, map[int64]map[int64]bool{}
+	touch := func(id int64) {
+		if out[id] == nil {
+			out[id], in[id] = map[int64]bool{}, map[int64]bool{}
+		}
+	}
+	for _, id := range vertices {
+		touch(id)
+	}
+	for _, p := range pairs {
+		if u, v := p[0], p[1]; u != v {
+			touch(u)
+			touch(v)
+			out[u][v], in[v][u] = true, true
+			if !directed {
+				out[v][u], in[u][v] = true, true
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil, ErrEmptyGraph
+	}
+	g := &Graph{directed: directed, index: map[int64]VID{}}
+	for id := range out {
+		g.ids = append(g.ids, id)
+	}
+	slices.Sort(g.ids)
+	for i, id := range g.ids {
+		g.index[id] = VID(i)
+	}
+	rows := func(adj map[int64]map[int64]bool) ([]int64, []VID) {
+		off, flat := []int64{0}, []VID{}
+		for _, id := range g.ids {
+			row := []VID{}
+			for w := range adj[id] {
+				row = append(row, g.index[w])
+			}
+			slices.Sort(row)
+			flat = append(flat, row...)
+			off = append(off, int64(len(flat)))
+		}
+		return off, flat
+	}
+	g.outOff, g.outAdj = rows(out)
+	g.inOff, g.inAdj = rows(in)
+	if g.m = int64(len(g.outAdj)); !directed {
+		g.m /= 2
+	}
+	return g, nil
+}
+
+// mustOracle is oracleBuild for inputs known to be non-empty.
+func mustOracle(t *testing.T, directed bool, vertices []int64, pairs [][2]int64) *Graph {
+	t.Helper()
+	g, err := oracleBuild(directed, vertices, pairs)
+	if err != nil {
+		t.Fatalf("oracle build: %v", err)
+	}
+	return g
+}
+
+// denseIDs returns the IDs 0..n-1.
+func denseIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return ids
+}
+
+// streamFromPairs builds a graph from the pair list via StreamBuilder's
+// replay protocol.
 func streamFromPairs(t *testing.T, directed bool, pairs [][2]int64, opts StreamOptions) (*Graph, error) {
 	t.Helper()
 	sb, err := NewStreamBuilder(directed, opts)
 	if err != nil {
 		t.Fatalf("NewStreamBuilder: %v", err)
 	}
-	for _, p := range pairs {
-		sb.AddEdge(p[0], p[1])
-	}
-	if opts.SpillDir == "" {
-		if err := sb.Rewind(); err != nil {
-			return nil, err
-		}
-		for _, p := range pairs {
-			sb.AddEdge(p[0], p[1])
-		}
-	}
-	return sb.Finish()
+	return streamReplay(sb, pairs)
 }
 
 // randomPairs draws edge soup over [0, n): duplicates, self-loops and
@@ -55,173 +119,141 @@ func randomPairs(rng *rand.Rand, n, count int) [][2]int64 {
 	return pairs
 }
 
+// TestStreamBuilderMatchesBuilderDense checks the dense mode against the
+// oracle and against Builder, which drives the sparse mode.
 func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(42))
 		for trial := 0; trial < 20; trial++ {
 			n := 2 + rng.Intn(40)
 			pairs := randomPairs(rng, n, rng.Intn(200))
-
-			legacy := NewBuilder(directed)
-			for v := 0; v < n; v++ {
-				legacy.AddVertex(int64(v))
-			}
-			for _, p := range pairs {
-				legacy.AddEdge(p[0], p[1])
-			}
-			want, err := legacy.Build()
-			if err != nil {
-				t.Fatalf("legacy build: %v", err)
-			}
+			want := binaryBytes(t, mustOracle(t, directed, denseIDs(n), pairs))
 
 			got, err := streamFromPairs(t, directed, pairs, StreamOptions{DenseVertices: int64(n)})
 			if err != nil {
 				t.Fatalf("stream build (directed=%v trial=%d): %v", directed, trial, err)
 			}
-			if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-				t.Fatalf("directed=%v trial=%d: stream CSR differs from legacy:\n got %s\nwant %s",
-					directed, trial, edgeFingerprint(got), edgeFingerprint(want))
+			if !bytes.Equal(binaryBytes(t, got), want) {
+				t.Fatalf("directed=%v trial=%d: stream CSR differs from oracle:\n got %s",
+					directed, trial, edgeFingerprint(got))
 			}
-		}
-	}
-}
 
-func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
-	// Arbitrary external IDs, including negatives and wide gaps, interned
-	// in ascending order exactly like Builder.
-	pairs := [][2]int64{
-		{100, -7}, {-7, 100}, {5, 5}, {1 << 40, 100}, {3, 1 << 40},
-		{-7, 3}, {100, -7}, {3, -7},
-	}
-	for _, directed := range []bool{false, true} {
-		legacy := NewBuilder(directed)
-		legacy.AddVertex(999) // isolated vertex
-		for _, p := range pairs {
-			legacy.AddEdge(p[0], p[1])
-		}
-		want, err := legacy.Build()
-		if err != nil {
-			t.Fatalf("legacy build: %v", err)
-		}
-
-		sb, err := NewStreamBuilder(directed, StreamOptions{})
-		if err != nil {
-			t.Fatalf("NewStreamBuilder: %v", err)
-		}
-		sb.AddVertex(999)
-		for _, p := range pairs {
-			sb.AddEdge(p[0], p[1])
-		}
-		if err := sb.Rewind(); err != nil {
-			t.Fatalf("Rewind: %v", err)
-		}
-		// Pass 2 may replay the multiset in any order.
-		for i := len(pairs) - 1; i >= 0; i-- {
-			sb.AddEdge(pairs[i][0], pairs[i][1])
-		}
-		got, err := sb.Finish()
-		if err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-			t.Fatalf("directed=%v: sparse stream differs:\n got %s\nwant %s",
-				directed, edgeFingerprint(got), edgeFingerprint(want))
-		}
-		// Sparse graphs keep the interning map; spot-check it.
-		if v, ok := got.Lookup(1 << 40); !ok || got.ExternalID(v) != 1<<40 {
-			t.Fatalf("Lookup(1<<40) = (%d,%v)", v, ok)
-		}
-	}
-}
-
-func TestStreamBuilderSpill(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		for _, dense := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(7))
-			n := 30
-			pairs := randomPairs(rng, n, 300)
-
-			want, err := streamFromPairs(t, directed, pairs, StreamOptions{DenseVertices: int64(n)})
+			b := NewBuilder(directed)
+			for v := 0; v < n; v++ {
+				b.AddVertex(int64(v))
+			}
+			for _, p := range pairs {
+				b.AddEdge(p[0], p[1])
+			}
+			viaBuilder, err := b.Build()
 			if err != nil {
-				t.Fatalf("replay build: %v", err)
+				t.Fatalf("Builder: %v", err)
+			}
+			if !bytes.Equal(binaryBytes(t, viaBuilder), want) {
+				t.Fatalf("directed=%v trial=%d: Builder differs from oracle:\n got %s",
+					directed, trial, edgeFingerprint(viaBuilder))
+			}
+		}
+	}
+}
+
+// TestStreamBuilderMatchesBuilderSparse covers the sparse interning mode,
+// directly and through the Builder façade, on edge cases of the ID space
+// and of the input: every case must match the oracle, including its
+// ErrEmptyGraph verdict.
+func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
+	cases := []struct {
+		name     string
+		vertices []int64
+		pairs    [][2]int64
+	}{
+		{
+			// Negatives and wide gaps, interned in ascending order.
+			name:     "mixed IDs",
+			vertices: []int64{999},
+			pairs: [][2]int64{
+				{100, -7}, {-7, 100}, {5, 5}, {1 << 40, 100}, {3, 1 << 40},
+				{-7, 3}, {100, -7}, {3, -7},
+			},
+		},
+		{name: "duplicate AddVertex", vertices: []int64{4, 4, 2, 4}, pairs: [][2]int64{{2, 9}}},
+		{name: "isolated only", vertices: []int64{7, -3, 1 << 40}},
+		{name: "self-loops only", pairs: [][2]int64{{1, 1}, {-5, -5}}},
+		{name: "extreme IDs", pairs: [][2]int64{{-1 << 40, 1 << 40}, {math.MinInt64, math.MaxInt64}, {-1, 0}}},
+		{name: "empty"},
+	}
+	for _, tc := range cases {
+		for _, directed := range []bool{false, true} {
+			want, wantErr := oracleBuild(directed, tc.vertices, tc.pairs)
+			check := func(how string, got *Graph, err error) {
+				t.Helper()
+				if wantErr != nil {
+					if !errors.Is(err, wantErr) {
+						t.Fatalf("%s directed=%v %s: err %v, want %v", tc.name, directed, how, err, wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s directed=%v %s: %v", tc.name, directed, how, err)
+				}
+				if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
+					t.Fatalf("%s directed=%v %s differs from oracle:\n got %s\nwant %s",
+						tc.name, directed, how, edgeFingerprint(got), edgeFingerprint(want))
+				}
+				// Sparse graphs keep the interning map; every ID resolves.
+				for v, id := range want.ExternalIDs() {
+					if got, ok := got.Lookup(id); !ok || got != VID(v) {
+						t.Fatalf("%s %s: Lookup(%d) = (%d,%v)", tc.name, how, id, got, ok)
+					}
+				}
 			}
 
-			dir := t.TempDir()
-			opts := StreamOptions{SpillDir: dir}
-			if dense {
-				opts.DenseVertices = int64(n)
+			b := NewBuilder(directed)
+			for _, id := range tc.vertices {
+				b.AddVertex(id)
 			}
-			sb, err := NewStreamBuilder(directed, opts)
+			for _, p := range tc.pairs {
+				b.AddEdge(p[0], p[1])
+			}
+			g, err := b.Build()
+			check("Builder", g, err)
+
+			sb, err := NewStreamBuilder(directed, StreamOptions{})
 			if err != nil {
 				t.Fatalf("NewStreamBuilder: %v", err)
 			}
-			if !dense {
-				for v := 0; v < n; v++ {
-					sb.AddVertex(int64(v))
-				}
+			for _, id := range tc.vertices {
+				sb.AddVertex(id)
 			}
-			spill := obs.NewRecorder().Gauge("spill")
-			sb.Instrument(nil, nil, spill, nil)
-			for _, p := range pairs {
+			for _, p := range tc.pairs {
 				sb.AddEdge(p[0], p[1])
 			}
-			got, err := sb.Finish()
-			if err != nil {
-				t.Fatalf("spill build (directed=%v dense=%v): %v", directed, dense, err)
+			if err := sb.Rewind(); err != nil {
+				t.Fatalf("Rewind: %v", err)
 			}
-			if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-				t.Fatalf("directed=%v dense=%v: spill build differs from replay build", directed, dense)
+			// Pass 2 may replay the multiset in any order.
+			for i := len(tc.pairs) - 1; i >= 0; i-- {
+				sb.AddEdge(tc.pairs[i][0], tc.pairs[i][1])
 			}
-			wantBytes := int64(len(pairs)-countSelfLoops(pairs)) * 16
-			if dense {
-				wantBytes /= 2
-			}
-			if spill.Value() != wantBytes {
-				t.Fatalf("spill gauge = %d, want %d", spill.Value(), wantBytes)
-			}
-			// Spill files are cleaned up by Finish.
-			left, err := filepath.Glob(filepath.Join(dir, "gpc-edges-*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(left) != 0 {
-				t.Fatalf("spill files left behind: %v", left)
-			}
+			g, err = sb.Finish()
+			check("StreamBuilder", g, err)
 		}
 	}
 }
 
-func countSelfLoops(pairs [][2]int64) int {
-	c := 0
-	for _, p := range pairs {
-		if p[0] == p[1] {
-			c++
-		}
-	}
-	return c
-}
-
-// TestStreamBuilderConcurrent exercises the atomic count/fill paths (and
-// per-producer spill sinks) from multiple goroutines; run under -race.
+// TestStreamBuilderConcurrent exercises the atomic count/fill paths from
+// multiple goroutines; run under -race.
 func TestStreamBuilderConcurrent(t *testing.T) {
 	const n, producers, perProducer = 64, 4, 500
 	// Deterministic per-producer edge sets.
 	edgeSets := make([][][2]int64, producers)
-	legacy := NewBuilder(false)
-	for v := 0; v < n; v++ {
-		legacy.AddVertex(int64(v))
-	}
+	var all [][2]int64
 	for p := range edgeSets {
 		rng := rand.New(rand.NewSource(int64(100 + p)))
 		edgeSets[p] = randomPairs(rng, n, perProducer)
-		for _, e := range edgeSets[p] {
-			legacy.AddEdge(e[0], e[1])
-		}
+		all = append(all, edgeSets[p]...)
 	}
-	want, err := legacy.Build()
-	if err != nil {
-		t.Fatalf("legacy build: %v", err)
-	}
+	want := mustOracle(t, false, denseIDs(n), all)
 
 	t.Run("replay", func(t *testing.T) {
 		sb, err := NewStreamBuilder(false, StreamOptions{DenseVertices: n, Workers: producers})
@@ -251,41 +283,7 @@ func TestStreamBuilderConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-			t.Fatal("concurrent replay build differs from legacy")
-		}
-	})
-
-	t.Run("spill", func(t *testing.T) {
-		sb, err := NewStreamBuilder(false, StreamOptions{
-			DenseVertices: n, Workers: producers, SpillDir: t.TempDir(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			sink, err := sb.NewSink()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(1)
-			go func(p int, sink *EdgeSink) {
-				defer wg.Done()
-				for _, e := range edgeSets[p] {
-					sink.AddEdge(e[0], e[1])
-				}
-				if err := sink.Close(); err != nil {
-					t.Error(err)
-				}
-			}(p, sink)
-		}
-		wg.Wait()
-		got, err := sb.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-			t.Fatal("concurrent spill build differs from legacy")
+			t.Fatal("concurrent replay build differs from the oracle")
 		}
 	})
 }
@@ -307,12 +305,6 @@ func TestStreamBuilderErrors(t *testing.T) {
 		sb, _ := NewStreamBuilder(false, StreamOptions{DenseVertices: 4})
 		sb.AddEdge(0, 1)
 		if _, err := sb.Finish(); !errors.Is(err, ErrStreamPass) {
-			t.Fatalf("got %v, want ErrStreamPass", err)
-		}
-	})
-	t.Run("rewind in spill mode", func(t *testing.T) {
-		sb, _ := NewStreamBuilder(false, StreamOptions{DenseVertices: 4, SpillDir: t.TempDir()})
-		if err := sb.Rewind(); !errors.Is(err, ErrStreamPass) {
 			t.Fatalf("got %v, want ErrStreamPass", err)
 		}
 	})
@@ -400,7 +392,7 @@ func TestStreamBuilderInstrument(t *testing.T) {
 	p1 := rec.Counter("pass1")
 	p2 := rec.Counter("pass2")
 	peak := rec.Gauge("peak")
-	sb.Instrument(p1, p2, nil, peak)
+	sb.Instrument(p1, p2, peak)
 	pairs := [][2]int64{{0, 1}, {1, 2}, {2, 2}, {1, 0}}
 	if _, err := streamReplay(sb, pairs); err != nil {
 		t.Fatal(err)

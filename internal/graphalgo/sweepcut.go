@@ -42,11 +42,13 @@ func NewSweepCutter(n int) *SweepCutter {
 	return &SweepCutter{inSet: make([]bool, n)}
 }
 
-// sweepConductance is the paper's Eq. 3 on raw cut integers, the exact
-// formula of detect.ConductanceSweep: the emptiness test stays in the
-// integer domain (floateq), and an edgeless prefix scores 1 — the worst
-// conductance — matching graph.Cut-based scoring of the same set.
-func sweepConductance(internal, boundary int64) float64 {
+// SweepConductance is the paper's Eq. 3 on raw cut integers, shared by
+// every sweep (this kernel, detect.ConductanceSweep and the ncp overlay
+// points). The emptiness test stays in the integer domain (floateq). An
+// edgeless set scores 1, the worst conductance, so a sweep never prefers
+// it. This differs from score.Conductance, which returns 0 for an
+// edgeless set.
+func SweepConductance(internal, boundary int64) float64 {
 	if internal == 0 && boundary == 0 {
 		return 1
 	}
@@ -63,7 +65,8 @@ func sweepConductance(internal, boundary int64) float64 {
 // For directed views a prefix's internal count is arcs with both
 // endpoints inside and its boundary is arcs crossing in either
 // direction, the graph.Cut convention, so sweeping a directed graph and
-// scoring the chosen prefix with score.Conductance agree exactly.
+// scoring the chosen prefix with score.Conductance agree exactly on any
+// prefix with at least one incident arc (see SweepConductance).
 func (sc *SweepCutter) Conductances(g graph.View, order []graph.VID, dst []float64) ([]float64, error) {
 	n := g.NumVertices()
 	if len(sc.inSet) < n {
@@ -100,7 +103,7 @@ func (sc *SweepCutter) Conductances(g graph.View, order []graph.VID, dst []float
 		sc.inSet[w] = true
 		internal += linksIn
 		boundary += int64(g.Degree(w)) - 2*linksIn
-		dst = append(dst, sweepConductance(internal, boundary))
+		dst = append(dst, SweepConductance(internal, boundary))
 	}
 	sc.unmark(order)
 	return dst, nil

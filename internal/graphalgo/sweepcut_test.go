@@ -16,7 +16,7 @@ func bruteSweep(g graph.View, order []graph.VID) []float64 {
 	for _, w := range order {
 		set.Add(w)
 		st := graph.Cut(g, set)
-		out = append(out, sweepConductance(st.Internal, st.Boundary))
+		out = append(out, SweepConductance(st.Internal, st.Boundary))
 	}
 	return out
 }
@@ -99,7 +99,7 @@ func TestSweepCutMonotoneInvariants(t *testing.T) {
 					t.Fatalf("prefix %d: volume identity broken: deg=%d internal=%d boundary=%d",
 						i, st.DegreeSum, st.Internal, st.Boundary)
 				}
-				c := sweepConductance(st.Internal, st.Boundary)
+				c := SweepConductance(st.Internal, st.Boundary)
 				if c < 0 || c > 1 {
 					t.Fatalf("prefix %d: conductance %v outside [0,1]", i, c)
 				}

@@ -6,6 +6,7 @@ import (
 
 	"gpluscircles/internal/core"
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/report"
 	"gpluscircles/internal/synth"
 )
@@ -36,15 +37,11 @@ func Experiment(opts ExperimentOptions) core.Experiment {
 	}
 }
 
-// groupConductance scores one group with the paper's Eq. 3 from raw cut
-// counts — the same arithmetic the sweep kernel uses, so curve and
-// overlay points are directly comparable.
+// groupConductance scores one group with the sweep kernel's Eq. 3, so
+// curve and overlay points are directly comparable.
 func groupConductance(g graph.View, members []graph.VID) float64 {
 	st := graph.Cut(g, graph.SetOf(g, members))
-	if st.Internal == 0 && st.Boundary == 0 {
-		return 1
-	}
-	return float64(st.Boundary) / (2*float64(st.Internal) + float64(st.Boundary))
+	return graphalgo.SweepConductance(st.Internal, st.Boundary)
 }
 
 func runNCP(s *core.Suite, w io.Writer, opts ExperimentOptions) error {

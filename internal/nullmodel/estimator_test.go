@@ -104,18 +104,22 @@ func TestEstimatorMatchesRewireReference(t *testing.T) {
 	}
 }
 
-// TestEstimatorClosureMatchesReference covers the legacy closure entry
-// point (EmpiricalExpectationWorkers) against the reference too, since
-// score.Context consumers install it directly.
+// TestEstimatorClosureMatchesReference covers the closure form
+// (Estimator.Func) against the reference too, since score.Context
+// consumers install it directly.
 func TestEstimatorClosureMatchesReference(t *testing.T) {
 	g := randomConnectedGraph(t, 21, 40, 120, true)
 	ref := referenceExpectation(t, g, 4, 2, 77)
-	est, err := EmpiricalExpectationWorkers(g, 4, 2, rand.New(rand.NewSource(77)), 2)
+	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
+		Samples: 4, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(77)), Workers: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer est.Close()
+	closure := est.Func()
 	for si, set := range testSets(g, 9) {
-		if got, want := est(set), ref(set); got != want {
+		if got, want := closure(set), ref(set); got != want {
 			t.Errorf("set %d: closure %v != reference %v", si, got, want)
 		}
 	}

@@ -551,41 +551,3 @@ func (e *Estimator) Close() {
 	}
 	e.overlays = e.overlays[:0]
 }
-
-// EmpiricalExpectation generates `samples` degree-preserving random
-// overlays and returns an estimator of E(m_C): the mean internal edge
-// count of a vertex set across the samples. This is the empirical
-// counterpart of Context.ChungLuExpectation and plugs directly into
-// score.Context.NullExpectation.
-//
-// Deprecated: use NewEmpiricalEstimator with EstimatorOptions, which
-// also exposes the estimator's Close for arena reuse and a Recorder for
-// instrumentation. This wrapper remains for positional-argument callers
-// and leaks its overlays (no Close handle).
-func EmpiricalExpectation(g *graph.Graph, samples int, swapsPerEdge float64, rng *rand.Rand) (func(set *graph.Set) float64, error) {
-	return EmpiricalExpectationWorkers(g, samples, swapsPerEdge, rng, 0)
-}
-
-// EmpiricalExpectationWorkers is EmpiricalExpectation with an explicit
-// worker-pool size (workers <= 0 selects GOMAXPROCS).
-//
-// Deprecated: use NewEmpiricalEstimator with EstimatorOptions; see
-// EmpiricalExpectation.
-func EmpiricalExpectationWorkers(g *graph.Graph, samples int, swapsPerEdge float64, rng *rand.Rand, workers int) (func(set *graph.Set) float64, error) {
-	if rng == nil {
-		return nil, ErrNoRNG
-	}
-	if samples < 1 {
-		return nil, errors.New("nullmodel: need at least one sample")
-	}
-	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
-		Samples:      samples,
-		SwapsPerEdge: swapsPerEdge,
-		RNG:          rng,
-		Workers:      workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return est.Func(), nil
-}

@@ -156,11 +156,13 @@ func TestHavelHakimiNotGraphical(t *testing.T) {
 
 func TestEmpiricalExpectationApproachesAnalytic(t *testing.T) {
 	g := randomConnectedGraph(t, 10, 60, 400, false)
-	rng := rand.New(rand.NewSource(11))
-	est, err := EmpiricalExpectation(g, 20, 8, rng)
+	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
+		Samples: 20, SwapsPerEdge: 8, RNG: rand.New(rand.NewSource(11)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer est.Close()
 	ctx := score.NewContext(g)
 	// A random half of the vertices.
 	var members []graph.VID
@@ -168,7 +170,7 @@ func TestEmpiricalExpectationApproachesAnalytic(t *testing.T) {
 		members = append(members, graph.VID(v))
 	}
 	set := graph.SetOf(g, members)
-	emp := est(set)
+	emp := est.Expectation(set)
 	ana := ctx.ChungLuExpectation(set)
 	// The Chung–Lu expectation ignores simplicity constraints; agreement
 	// within 30% relative error is expected at this density.
@@ -180,13 +182,34 @@ func TestEmpiricalExpectationApproachesAnalytic(t *testing.T) {
 	}
 }
 
+// TestEmpiricalExpectationValidation pins the estimator's input
+// handling: an arena pooling another graph is rejected, zero Samples
+// selects the documented 32, and a nil RNG selects a private stream
+// seeded with Seed.
 func TestEmpiricalExpectationValidation(t *testing.T) {
 	g := randomConnectedGraph(t, 12, 10, 10, false)
-	if _, err := EmpiricalExpectation(g, 0, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("samples=0 accepted")
+	other := randomConnectedGraph(t, 13, 10, 10, false)
+	if _, err := NewEmpiricalEstimator(g, EstimatorOptions{Arena: graph.NewOverlayArena(other)}); err == nil {
+		t.Error("arena of a different graph accepted")
 	}
-	if _, err := EmpiricalExpectation(g, 1, 1, nil); !errors.Is(err, ErrNoRNG) {
-		t.Errorf("err = %v, want ErrNoRNG", err)
+	est, err := NewEmpiricalEstimator(g, EstimatorOptions{SwapsPerEdge: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer est.Close()
+	if len(est.overlays) != 32 {
+		t.Errorf("samples = %d, want the default 32", len(est.overlays))
+	}
+	ref, err := NewEmpiricalEstimator(g, EstimatorOptions{
+		Samples: 32, SwapsPerEdge: 1, RNG: rand.New(rand.NewSource(5)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	set := graph.SetOf(g, []graph.VID{0, 2, 4, 6, 8})
+	if got, want := est.Expectation(set), ref.Expectation(set); got != want {
+		t.Errorf("nil-RNG estimate %v, want %v from an RNG seeded with Seed", got, want)
 	}
 }
 
@@ -250,14 +273,17 @@ func TestEmpiricalExpectationWorkersDeterministic(t *testing.T) {
 
 	var baseline []float64
 	for _, workers := range []int{1, 2, 8} {
-		est, err := EmpiricalExpectationWorkers(g, 6, 2, rand.New(rand.NewSource(123)), workers)
+		est, err := NewEmpiricalEstimator(g, EstimatorOptions{
+			Samples: 6, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(123)), Workers: workers,
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		vals := make([]float64, len(sets))
 		for i, set := range sets {
-			vals[i] = est(set)
+			vals[i] = est.Expectation(set)
 		}
+		est.Close()
 		if baseline == nil {
 			baseline = vals
 			continue
@@ -274,20 +300,23 @@ func TestEmpiricalExpectationWorkersDeterministic(t *testing.T) {
 // estimator from multiple goroutines under -race.
 func TestEmpiricalExpectationEstimatorConcurrent(t *testing.T) {
 	g := randomConnectedGraph(t, 32, 60, 160, false)
-	est, err := EmpiricalExpectation(g, 4, 2, rand.New(rand.NewSource(7)))
+	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
+		Samples: 4, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(7)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer est.Close()
 	members := make([]graph.VID, 10)
 	for i := range members {
 		members[i] = graph.VID(i * 3)
 	}
 	set := graph.SetOf(g, members)
-	want := est(set)
+	want := est.Expectation(set)
 
 	done := make(chan float64, 6)
 	for i := 0; i < 6; i++ {
-		go func() { done <- est(set) }()
+		go func() { done <- est.Expectation(set) }()
 	}
 	for i := 0; i < 6; i++ {
 		if got := <-done; got != want {

@@ -62,12 +62,6 @@ type ScaleConfig struct {
 type ScaleOptions struct {
 	// Workers bounds generation parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// SpillDir, when non-empty, switches the streaming builder to its
-	// file-backed spill mode: edges are generated once and buffered on
-	// disk instead of being regenerated for the fill pass. Replay
-	// (regenerate) is pure CPU; spill trades sequential disk I/O for
-	// half the generation work.
-	SpillDir string
 	// Recorder receives generation counters and timers; nil disables.
 	Recorder *obs.Recorder
 }
@@ -241,9 +235,10 @@ func GenerateScale(name string, cfg ScaleConfig, opts ScaleOptions) (*Dataset, e
 	stopMembers()
 
 	// Phase B+C: stream community and background edges into the builder.
+	// Generation is deterministic, so the fill pass simply regenerates
+	// the edges (the stream builder's replay protocol).
 	sb, err := graph.NewStreamBuilder(false, graph.StreamOptions{
 		DenseVertices: cfg.NumVertices,
-		SpillDir:      opts.SpillDir,
 		Workers:       workers,
 	})
 	if err != nil {
@@ -252,41 +247,18 @@ func GenerateScale(name string, cfg ScaleConfig, opts ScaleOptions) (*Dataset, e
 	sb.Instrument(
 		rec.Counter("synth.scale.pass1.edges"),
 		rec.Counter("synth.scale.pass2.edges"),
-		rec.Gauge("synth.scale.spill.bytes"),
 		rec.Gauge("synth.scale.builder.peak.bytes"),
 	)
-
-	if opts.SpillDir != "" {
-		stop := rec.Timer("synth.scale.pass1").Stopwatch()
-		err = gen.streamAll(workers, func() (func(u, v int64), func() error) {
-			sink, serr := sb.NewSink()
-			if serr != nil {
-				return func(u, v int64) {}, func() error { return serr }
-			}
-			return sink.AddEdge, sink.Close
-		})
-		stop()
-		if err != nil {
-			return nil, fmt.Errorf("scale generator: %w", err)
-		}
-	} else {
-		pass := func(tag string) error {
-			stop := rec.Timer("synth.scale." + tag).Stopwatch()
-			defer stop()
-			return gen.streamAll(workers, func() (func(u, v int64), func() error) {
-				return sb.AddEdge, nil
-			})
-		}
-		if err := pass("pass1"); err != nil {
-			return nil, fmt.Errorf("scale generator: %w", err)
-		}
-		if err := sb.Rewind(); err != nil {
-			return nil, fmt.Errorf("scale generator: %w", err)
-		}
-		if err := pass("pass2"); err != nil {
-			return nil, fmt.Errorf("scale generator: %w", err)
-		}
+	pass := func(tag string) {
+		stop := rec.Timer("synth.scale." + tag).Stopwatch()
+		defer stop()
+		gen.streamAll(workers, sb.AddEdge)
 	}
+	pass("pass1")
+	if err := sb.Rewind(); err != nil {
+		return nil, fmt.Errorf("scale generator: %w", err)
+	}
+	pass("pass2")
 
 	stopFinish := rec.Timer("synth.scale.finish").Stopwatch()
 	g, err := sb.Finish()
@@ -407,38 +379,26 @@ func (gen *scaleGen) forEachVertexRange(workers int, fn func(lo, hi int64)) {
 	wg.Wait()
 }
 
-// streamAll runs every shard through a worker pool. emitFor supplies a
-// per-worker edge consumer and an optional closer (spill sinks need
-// both); the edges each shard emits are fixed by the config, so which
+// streamAll runs every shard through a worker pool, emitting each edge
+// to emit. The edges each shard emits are fixed by the config, so which
 // worker runs which shard never matters.
-func (gen *scaleGen) streamAll(workers int, emitFor func() (func(u, v int64), func() error)) error {
+func (gen *scaleGen) streamAll(workers int, emit func(u, v int64)) {
 	shardCh := make(chan int)
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			emit, closer := emitFor()
 			for s := range shardCh {
 				gen.emitShard(s, emit)
 			}
-			if closer != nil {
-				errs[w] = closer()
-			}
-		}(w)
+		}()
 	}
 	for s := 0; s < gen.shards; s++ {
 		shardCh <- s
 	}
 	close(shardCh)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // emitShard generates shard s's work units: every community and every

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gpluscircles/internal/graph"
-	"gpluscircles/internal/obs"
 )
 
 // testScaleConfig is small enough for -race CI runs but large enough to
@@ -74,36 +73,6 @@ func TestGenerateScaleSeedStable(t *testing.T) {
 	}
 }
 
-// TestGenerateScaleSpillMatchesReplay checks the two streaming protocols
-// build the same graph.
-func TestGenerateScaleSpillMatchesReplay(t *testing.T) {
-	cfg := testScaleConfig()
-	replay, err := GenerateScale("Scale", cfg, ScaleOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewRecorder()
-	spill, err := GenerateScale("Scale", cfg, ScaleOptions{
-		Workers: 2, SpillDir: t.TempDir(), Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(graphBytes(t, replay.Graph), graphBytes(t, spill.Graph)) {
-		t.Fatal("spill-mode graph differs from replay-mode graph")
-	}
-	snap := rec.Snapshot()
-	pass1 := snap.Counters["synth.scale.pass1.edges"]
-	spillBytes := snap.Gauges["synth.scale.spill.bytes"]
-	if pass1 == 0 {
-		t.Fatal("pass1 edge counter not recorded")
-	}
-	// Dense spill records are 8 bytes each.
-	if spillBytes != 8*pass1 {
-		t.Fatalf("spill bytes %d != 8 * %d pass-1 edges", spillBytes, pass1)
-	}
-}
-
 // TestGenerateScaleStructure sanity-checks the generated dataset.
 func TestGenerateScaleStructure(t *testing.T) {
 	cfg := testScaleConfig()
@@ -163,55 +132,6 @@ func TestScaleConfigValidate(t *testing.T) {
 		mutate(&cfg)
 		if _, err := GenerateScale("Scale", cfg, ScaleOptions{}); !errors.Is(err, errBadConfig) {
 			t.Fatalf("case %d: got %v, want errBadConfig", i, err)
-		}
-	}
-}
-
-// TestStreamBuilderMatchesBuilderOnSeedDatasets re-streams every seed
-// data set's edges through the streaming builder (sparse interning mode,
-// replay protocol) and requires the bit-identical binary serialization —
-// the ISSUE's cross-builder equivalence suite at dataset scale.
-func TestStreamBuilderMatchesBuilderOnSeedDatasets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("seed-dataset equivalence is slow; run without -short")
-	}
-	datasets := map[string]func() (*Dataset, error){
-		"gplus":       func() (*Dataset, error) { return GenerateEgo(DefaultEgoConfig()) },
-		"twitter":     func() (*Dataset, error) { return GenerateFollower(DefaultFollowerConfig()) },
-		"livejournal": func() (*Dataset, error) { return GenerateAGM("LiveJournal", DefaultLiveJournalConfig()) },
-		"orkut":       func() (*Dataset, error) { return GenerateAGM("Orkut", DefaultOrkutConfig()) },
-		"crawl":       func() (*Dataset, error) { return GenerateCrawl(DefaultCrawlConfig()) },
-	}
-	for _, name := range []string{"gplus", "twitter", "livejournal", "orkut", "crawl"} {
-		ds, err := datasets[name]()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		g := ds.Graph
-		sb, err := graph.NewStreamBuilder(g.Directed(), graph.StreamOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		stream := func() {
-			for _, id := range g.ExternalIDs() {
-				sb.AddVertex(id)
-			}
-			g.Edges(func(e graph.Edge) bool {
-				sb.AddEdge(g.ExternalID(e.From), g.ExternalID(e.To))
-				return true
-			})
-		}
-		stream()
-		if err := sb.Rewind(); err != nil {
-			t.Fatalf("%s: Rewind: %v", name, err)
-		}
-		stream()
-		got, err := sb.Finish()
-		if err != nil {
-			t.Fatalf("%s: Finish: %v", name, err)
-		}
-		if !bytes.Equal(graphBytes(t, got), graphBytes(t, g)) {
-			t.Fatalf("%s: streaming rebuild is not bit-identical to the Builder graph", name)
 		}
 	}
 }
