@@ -7,13 +7,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 )
 
 // updateGolden regenerates the checked-in report bytes:
 //
-//	go test ./internal/core/ -run TestGoldenFig5Fig6 -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden fig5/fig6 report bytes")
+//	go test ./internal/core/ -run 'TestGoldenFig5Fig6|TestGoldenFig3Table2' -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden report bytes")
 
 // goldenOptions freezes the suite configuration behind the golden file.
 // Changing any of these values changes the report bytes and requires a
@@ -45,23 +47,34 @@ func extractSection(t *testing.T, report []byte, id string) []byte {
 	return report[start : at+len(marker)+end]
 }
 
-// TestGoldenFig5Fig6 pins the bytes of the paper's two headline score
-// comparisons (Fig. 5, Fig. 6) at a frozen seed: the parallel engine's
-// report must reproduce them exactly, and the serial single-experiment
-// path must agree with the parallel sections byte for byte. Any
-// unintended change to scoring, sampling order, or report formatting
-// shows up here as a diff against the checked-in file.
-func TestGoldenFig5Fig6(t *testing.T) {
+// goldenReport runs the parallel report at goldenOptions once per test
+// binary; every golden test slices its sections out of the same bytes.
+var goldenReport = sync.OnceValues(func() ([]byte, error) {
+	var full bytes.Buffer
+	err := NewSuite(goldenOptions()).RunAllParallelCtx(context.Background(), &full, 8)
+	return full.Bytes(), err
+})
+
+// checkGoldenSections compares the named report sections against a
+// checked-in golden file on both engine paths, in the order given: the
+// parallel report must reproduce the file exactly, and the serial
+// single-experiment path on a fresh suite must agree with it byte for
+// byte.
+func checkGoldenSections(t *testing.T, file string, ids ...string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full report run in -short mode")
 	}
-	var full bytes.Buffer
-	if err := NewSuite(goldenOptions()).RunAllParallelCtx(context.Background(), &full, 8); err != nil {
+	full, err := goldenReport()
+	if err != nil {
 		t.Fatalf("RunAllParallelCtx: %v", err)
 	}
-	got := append(extractSection(t, full.Bytes(), "fig5"), extractSection(t, full.Bytes(), "fig6")...)
+	var got []byte
+	for _, id := range ids {
+		got = append(got, extractSection(t, full, id)...)
+	}
 
-	path := filepath.Join("testdata", goldenFile)
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -76,26 +89,45 @@ func TestGoldenFig5Fig6(t *testing.T) {
 		t.Fatalf("read golden file (regenerate with -update-golden): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("fig5/fig6 bytes diverge from %s (len got %d, want %d); "+
+		t.Fatalf("%v bytes diverge from %s (len got %d, want %d); "+
 			"if the change is intended, regenerate with -update-golden",
-			path, len(got), len(want))
+			ids, path, len(got), len(want))
 	}
 
 	// The serial path must render the identical sections: header from
 	// the registry, body from RunExperimentCtx on a fresh suite.
 	serialSuite := NewSuite(goldenOptions())
 	var serial bytes.Buffer
-	for _, e := range Experiments() {
-		if e.ID != "fig5" && e.ID != "fig6" {
-			continue
+	for _, id := range ids {
+		i := slices.IndexFunc(Experiments(), func(e Experiment) bool { return e.ID == id })
+		if i < 0 {
+			t.Fatalf("experiment %s not registered", id)
 		}
+		e := Experiments()[i]
 		fmt.Fprintf(&serial, "\n=== %s [%s] ===\n\n", e.Title, e.ID)
 		if err := serialSuite.RunExperimentCtx(context.Background(), e, &serial); err != nil {
 			t.Fatalf("RunExperimentCtx(%s): %v", e.ID, err)
 		}
 	}
 	if !bytes.Equal(serial.Bytes(), want) {
-		t.Fatalf("serial fig5/fig6 bytes diverge from the golden parallel sections (len got %d, want %d)",
-			serial.Len(), len(want))
+		t.Fatalf("serial %v bytes diverge from the golden parallel sections (len got %d, want %d)",
+			ids, serial.Len(), len(want))
 	}
+}
+
+// TestGoldenFig5Fig6 pins the bytes of the paper's two headline score
+// comparisons (Fig. 5, Fig. 6) at a frozen seed. Any unintended change
+// to scoring, sampling order, or report formatting shows up here as a
+// diff against the checked-in file.
+func TestGoldenFig5Fig6(t *testing.T) {
+	checkGoldenSections(t, goldenFile, "fig5", "fig6")
+}
+
+// TestGoldenFig3Table2 pins the degree-fit bytes: the CSN parameters
+// (alpha, mu, sigma, lambda), the KS distances and likelihood-ratio
+// verdicts of Fig. 3, the Table II verdict column and the scorecard
+// claims built on them. Fast fitting kernels must leave these bytes
+// untouched.
+func TestGoldenFig3Table2(t *testing.T) {
+	checkGoldenSections(t, "fig3_table2.golden", "table2", "fig3", "scorecard")
 }
