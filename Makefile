@@ -1,9 +1,10 @@
 GO        ?= go
 DATE      := $(shell date +%Y-%m-%d)
 BENCH_OUT ?= BENCH_$(DATE).json
-# Hot paths of the concurrent experiment engine plus the scoring kernels,
-# and the disabled-instrumentation fast path (must stay at 0 allocs/op).
-BENCH     ?= RunAll|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder
+# Hot paths of the concurrent experiment engine plus the scoring and
+# degree-fitting kernels, and the disabled-instrumentation fast path
+# (must stay at 0 allocs/op).
+BENCH     ?= RunAll|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder|Fig3DegreeFit|PowerLawFit
 BENCHTIME ?= 1x
 # make profile output directory.
 PROFILE_DIR ?= profile
@@ -112,7 +113,8 @@ profile:
 # Coverage-guided fuzz smoke (FUZZTIME per target) over every fuzz
 # target: the graph core's inputs from outside (Builder edge soup,
 # Overlay exact-degree fill, the binary CSR reader), the sweep-cut
-# kernel, and the SNAP text parsers.
+# kernel, the SNAP text parsers, and the fast degree-fitting kernels
+# against their reference oracles.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBuilder$$' -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -122,6 +124,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEgoCircles$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run='^$$' -fuzz='^FuzzFitKernels$$' -fuzztime=$(FUZZTIME) ./internal/powerlaw/
 
 # Coverage floor for the serving layer: internal/serve carries the
 # backpressure/coalescing/drain state machine and must stay >= 80%.

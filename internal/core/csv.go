@@ -37,7 +37,7 @@ func WriteFigureCSVs(s *Suite, dir string) error {
 	}
 
 	// fig3: in-degree CCDF plus the fitted log-normal CCDF.
-	fitExp, err := FitDegrees(gp.Graph, 0)
+	fitExp, err := s.fitDegrees(gp.Graph)
 	if err != nil {
 		return err
 	}

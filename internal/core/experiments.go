@@ -263,7 +263,7 @@ func runFig3(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	exp, err := FitDegrees(gp.Graph, 0)
+	exp, err := s.fitDegrees(gp.Graph)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func Scorecard(s *Suite) ([]Claim, error) {
 
 	// Claim 1 (Fig. 3): ego-joined in-degree is log-normal, not
 	// power-law.
-	gpFit, err := FitDegrees(gp.Graph, 0)
+	gpFit, err := s.fitDegrees(gp.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func Scorecard(s *Suite) ([]Claim, error) {
 	})
 
 	// Claim 2 (Table II): the BFS crawl is power-law and much sparser.
-	crawlFit, err := FitDegrees(crawl.Graph, 0)
+	crawlFit, err := s.fitDegrees(crawl.Graph)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/powerlaw"
 	"gpluscircles/internal/score"
 	"gpluscircles/internal/synth"
 )
@@ -65,6 +66,13 @@ type profileCache struct {
 	err     error
 }
 
+// fitCache memoizes one in-degree fit.
+type fitCache struct {
+	once sync.Once
+	fit  *powerlaw.FitResult
+	err  error
+}
+
 // projectionCache memoizes one undirected projection.
 type projectionCache struct {
 	once sync.Once
@@ -74,8 +82,9 @@ type projectionCache struct {
 
 // Suite generates and caches the synthetic data sets shared by the
 // experiments, plus the derived per-data-set state the experiments would
-// otherwise recompute: graph profiles (Table II / Fig. 4), analytic
-// scoring contexts, and undirected projections (Section IV-B).
+// otherwise recompute: graph profiles (Table II / Fig. 4), in-degree fits
+// (Table II / Fig. 3 / scorecard), analytic scoring contexts, and
+// undirected projections (Section IV-B).
 //
 // A Suite is safe for concurrent use: every lazy cache is guarded by a
 // sync.Once (or the suite mutex), so concurrent experiments generate each
@@ -92,6 +101,7 @@ type Suite struct {
 
 	mu          sync.Mutex
 	profiles    map[*synth.Dataset]*profileCache
+	fits        map[*graph.Graph]*fitCache
 	contexts    map[*graph.Graph]*score.Context
 	projections map[*synth.Dataset]*projectionCache
 	arenas      map[*graph.Graph]*graph.OverlayArena
@@ -342,9 +352,37 @@ func (s *Suite) Profile(ds *synth.Dataset) (*GraphProfile, error) {
 	s.mu.Unlock()
 	c.once.Do(func() {
 		defer s.stageSpan("profile", ds.Name).End()
-		c.profile, c.err = CharacterizeGraph(ds.Name, ds.Graph, s.profileOptions(), s.RNG(profileStream(ds.Name)))
+		c.profile, c.err = characterizeGraph(ds.Name, ds.Graph, s.profileOptions(), s.RNG(profileStream(ds.Name)),
+			func() (*powerlaw.FitResult, error) { return s.degreeFit(ds.Graph) })
 	})
 	return c.profile, c.err
+}
+
+// degreeFit returns the memoized fitInDegree(g, 0) result. The profile
+// (Table II), Fig. 3, its CSV export and the scorecard share one CSN fit
+// per graph instead of refitting the same degree sequence.
+func (s *Suite) degreeFit(g *graph.Graph) (*powerlaw.FitResult, error) {
+	s.mu.Lock()
+	if s.fits == nil {
+		s.fits = make(map[*graph.Graph]*fitCache)
+	}
+	c := s.fits[g]
+	if c == nil {
+		c = &fitCache{}
+		s.fits[g] = c
+	}
+	s.mu.Unlock()
+	c.once.Do(func() { c.fit, c.err = fitInDegree(g, 0) })
+	return c.fit, c.err
+}
+
+// fitDegrees is FitDegrees(g, 0) over the memoized fit.
+func (s *Suite) fitDegrees(g *graph.Graph) (*DegreeFitExperiment, error) {
+	fit, err := s.degreeFit(g)
+	if err != nil {
+		return nil, fmt.Errorf("degree fit: %w", err)
+	}
+	return newDegreeFitExperiment(g, fit)
 }
 
 // ScoreContext returns the memoized analytic scoring context for the

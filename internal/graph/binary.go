@@ -67,7 +67,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	g := &Graph{
 		directed: dto.Directed,
 		ids:      dto.IDs,
-		index:    make(map[int64]VID, n),
 		outOff:   dto.OutOff,
 		outAdj:   dto.OutAdj,
 		inOff:    dto.OutOff,
@@ -78,7 +77,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if i > 0 && id <= dto.IDs[i-1] {
 			return nil, fmt.Errorf("%w: IDs not strictly ascending", ErrBadBinary)
 		}
-		g.index[id] = VID(i)
 	}
 	if err := checkCSR(g.outOff, g.outAdj, n, "out"); err != nil {
 		return nil, err

@@ -31,8 +31,7 @@ type VID = int32
 type Graph struct {
 	directed bool
 
-	ids   []int64       // dense index -> external ID, ascending
-	index map[int64]VID // external ID -> dense index
+	ids []int64 // dense index -> external ID, ascending
 
 	outOff []int64 // len NumVertices+1; CSR row offsets into outAdj
 	outAdj []VID   // sorted within each row
@@ -58,15 +57,10 @@ func (g *Graph) NumEdges() int64 { return g.m }
 // ExternalID returns the data-set ID of the dense vertex v.
 func (g *Graph) ExternalID(v VID) int64 { return g.ids[v] }
 
-// Lookup resolves an external data-set ID to a dense vertex index.
-// Graphs built without an interning map (StreamBuilder's dense mode
-// skips it to keep paper-scale graphs at O(n) extra bytes) fall back to
-// binary search over the ascending ids table.
+// Lookup resolves an external data-set ID to a dense vertex index by
+// binary search over the ascending ids table. Graphs keep no interning
+// map, so their ID overhead stays at 8 bytes per vertex.
 func (g *Graph) Lookup(external int64) (VID, bool) {
-	if g.index != nil {
-		v, ok := g.index[external]
-		return v, ok
-	}
 	i := sort.Search(len(g.ids), func(i int) bool { return g.ids[i] >= external })
 	if i < len(g.ids) && g.ids[i] == external {
 		return VID(i), true

@@ -39,12 +39,12 @@ var (
 // parent's vertex set, interning tables and CSR offsets, but its own
 // adjacency storage. It exists for degree-preserving null models, where
 // every sample realizes the exact degree sequence of the parent — hence
-// the offset arrays, the ids table and the index map are invariant and
+// the offset arrays and the ids table are invariant and
 // can be shared; only the 2m adjacency entries differ per sample.
 //
 // Memory model:
 //
-//   - Shared with the parent (never written): ids, index, outOff, inOff.
+//   - Shared with the parent (never written): ids, outOff, inOff.
 //   - Owned by the overlay (rewritten per sample): outAdj and, for
 //     directed parents, inAdj. For undirected parents inAdj aliases
 //     outAdj, mirroring Graph's layout, so an overlay costs exactly 2m

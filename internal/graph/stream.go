@@ -389,7 +389,6 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 	g := &Graph{
 		directed: sb.directed,
 		ids:      ids,
-		index:    sb.index, // nil in dense mode: Lookup falls back to search
 		outOff:   sb.outOff,
 		outAdj:   sb.outAdj,
 		m:        m,

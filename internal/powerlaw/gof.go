@@ -65,7 +65,7 @@ func GoodnessOfFit(data []int, fit *PowerLaw, replicates int, rng *rand.Rand) (G
 		// the fitted model, otherwise resample a body point.
 		for i := range synthetic {
 			if rng.Intn(len(data)) < tailCount {
-				synthetic[i] = samplePowerLawOne(fit.Alpha, fit.XminVal, rng)
+				synthetic[i] = powerLawDraw(fit.Alpha, fit.XminVal, rng)
 			} else {
 				synthetic[i] = body[rng.Intn(len(body))]
 			}
@@ -89,9 +89,4 @@ func GoodnessOfFit(data []int, fit *PowerLaw, replicates int, rng *rand.Rand) (G
 		PValue:     float64(exceed) / float64(replicates),
 		Replicates: replicates,
 	}, nil
-}
-
-// samplePowerLawOne draws a single value (shared with SamplePowerLaw).
-func samplePowerLawOne(alpha float64, xmin int, rng *rand.Rand) int {
-	return SamplePowerLaw(1, alpha, xmin, rng)[0]
 }

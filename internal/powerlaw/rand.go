@@ -12,11 +12,16 @@ import (
 func SamplePowerLaw(n int, alpha float64, xmin int, rng *rand.Rand) []int {
 	out := make([]int, n)
 	for i := range out {
-		u := rng.Float64()
-		x := (float64(xmin) - 0.5) * math.Pow(1-u, -1/(alpha-1))
-		out[i] = int(math.Floor(x + 0.5))
+		out[i] = powerLawDraw(alpha, xmin, rng)
 	}
 	return out
+}
+
+// powerLawDraw is one SamplePowerLaw value; it consumes one rng.Float64.
+func powerLawDraw(alpha float64, xmin int, rng *rand.Rand) int {
+	u := rng.Float64()
+	x := (float64(xmin) - 0.5) * math.Pow(1-u, -1/(alpha-1))
+	return int(math.Floor(x + 0.5))
 }
 
 // SampleLogNormal draws n integers by rounding exp(N(mu, sigma²)) and
