@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/powerlaw"
 	"gpluscircles/internal/synth"
 )
 
@@ -140,7 +142,9 @@ func TestSuiteConcurrentAccess(t *testing.T) {
 }
 
 // TestSuiteMemoizedProfileAndContext asserts the derived-state caches
-// hand every caller the same instance, including under concurrency.
+// hand every caller the same instance, including under concurrency. The
+// in-degree fit is shared too: the profile and the Fig. 3 experiment,
+// requested in either order, read one fit equal to a fresh FitDegrees.
 func TestSuiteMemoizedProfileAndContext(t *testing.T) {
 	s := NewSuite(SuiteOptions{Scale: 0.15, Seed: 5, DistanceSources: 4, ClusteringSamples: 50})
 	gp, err := s.GPlus()
@@ -150,17 +154,35 @@ func TestSuiteMemoizedProfileAndContext(t *testing.T) {
 
 	const goroutines = 6
 	profiles := make([]*GraphProfile, goroutines)
+	fits := make([]*powerlaw.FitResult, goroutines)
 	var wg sync.WaitGroup
 	for gi := 0; gi < goroutines; gi++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
+			fitFirst := slot%2 == 1
+			if fitFirst {
+				exp, err := s.fitDegrees(gp.Graph)
+				if err != nil {
+					t.Errorf("fit: %v", err)
+					return
+				}
+				fits[slot] = exp.Fit
+			}
 			p, err := s.Profile(gp)
 			if err != nil {
 				t.Errorf("profile: %v", err)
 				return
 			}
 			profiles[slot] = p
+			if !fitFirst {
+				exp, err := s.fitDegrees(gp.Graph)
+				if err != nil {
+					t.Errorf("fit: %v", err)
+					return
+				}
+				fits[slot] = exp.Fit
+			}
 		}(gi)
 	}
 	wg.Wait()
@@ -171,6 +193,18 @@ func TestSuiteMemoizedProfileAndContext(t *testing.T) {
 	}
 	if profiles[0] == nil || profiles[0].ClusteringCDF.Len() == 0 {
 		t.Fatal("memoized profile missing the clustering CDF")
+	}
+	for gi := range fits {
+		if fits[gi] == nil || fits[gi] != profiles[0].DegreeFit {
+			t.Fatalf("goroutine %d read a degree fit other than the profile's", gi)
+		}
+	}
+	fresh, err := FitDegrees(gp.Graph, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh.Fit, fits[0]) {
+		t.Error("memoized degree fit differs from a fresh FitDegrees")
 	}
 
 	if s.ScoreContext(gp.Graph) != s.ScoreContext(gp.Graph) {
