@@ -44,9 +44,11 @@ const benchEnvPrefix = "benchenv:"
 
 // parseBenchFile reads a BENCH_*.json test2json stream and returns the
 // benchmark results keyed by name plus the runner-environment line, if
-// the stream carries one ("" otherwise). test2json may split one result
-// line across several Output events (the name flushes before the
-// metrics), so output is reassembled into lines before matching.
+// the stream carries one ("" otherwise). A -count N record carries N
+// result lines per benchmark; each metric is reported as its median
+// over them (medianResult). test2json may split one result line across
+// several Output events (the name flushes before the metrics), so
+// output is reassembled into lines before matching.
 func parseBenchFile(path string) (map[string]benchResult, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,7 +77,7 @@ func parseBenchFile(path string) (map[string]benchResult, string, error) {
 	}
 
 	env := ""
-	results := make(map[string]benchResult)
+	samples := make(map[string][]benchResult)
 	for _, line := range strings.Split(out.String(), "\n") {
 		line = strings.TrimSpace(line)
 		if rest, ok := strings.CutPrefix(line, benchEnvPrefix); ok && env == "" {
@@ -95,12 +97,43 @@ func parseBenchFile(path string) (map[string]benchResult, string, error) {
 		if m[5] != "" {
 			r.AllocsOp, _ = strconv.ParseInt(m[5], 10, 64)
 		}
-		results[r.Name] = r
+		samples[r.Name] = append(samples[r.Name], r)
 	}
-	if len(results) == 0 {
+	if len(samples) == 0 {
 		return nil, env, fmt.Errorf("%s: no benchmark result lines found", path)
 	}
+	results := make(map[string]benchResult, len(samples))
+	for name, rs := range samples {
+		results[name] = medianResult(rs)
+	}
 	return results, env, nil
+}
+
+// medianResult collapses one benchmark's samples into a result whose
+// every metric is that metric's median, taken independently, so one
+// noisy sample — wherever it sits in the record — cannot show up as a
+// delta. A record without -benchmem has -1 in every sample, which stays
+// -1.
+func medianResult(rs []benchResult) benchResult {
+	n := make([]int64, len(rs))
+	ns := make([]float64, len(rs))
+	b := make([]int64, len(rs))
+	allocs := make([]int64, len(rs))
+	for i, r := range rs {
+		n[i], ns[i], b[i], allocs[i] = r.N, r.NsPerOp, r.BPerOp, r.AllocsOp
+	}
+	return benchResult{Name: rs[0].Name, N: median(n), NsPerOp: median(ns), BPerOp: median(b), AllocsOp: median(allocs)}
+}
+
+// median sorts xs in place and returns its middle value, or the mean of
+// the two middle values for an even count.
+func median[T int64 | float64](xs []T) T {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
+	}
+	return (xs[m-1] + xs[m]) / 2
 }
 
 // deltaPct renders the relative change from old to new as a signed

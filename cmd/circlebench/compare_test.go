@@ -51,6 +51,52 @@ func TestParseBenchFileReassemblesSplitLines(t *testing.T) {
 	}
 }
 
+// TestRunCompareUsesMedians: a -count 5 record is compared on the
+// median of each metric, so an outlier in the middle of the record and
+// another in the last sample both stay out of the deltas and the
+// ratchet. Keeping only the last sample would report +4900% ns/op here.
+func TestRunCompareUsesMedians(t *testing.T) {
+	oldPath := writeBenchFile(t, "old.json",
+		`BenchmarkFoo \t 10\t 100 ns/op\t 64 B/op\t 2 allocs/op\n`,
+	)
+	newPath := writeBenchFile(t, "new.json",
+		`BenchmarkFoo \t 10\t 100 ns/op\t 64 B/op\t 2 allocs/op\n`,
+		`BenchmarkFoo \t 10\t 102 ns/op\t 64 B/op\t 2 allocs/op\n`,
+		`BenchmarkFoo \t 10\t 900 ns/op\t 4096 B/op\t 50 allocs/op\n`,
+		`BenchmarkFoo \t 10\t 101 ns/op\t 64 B/op\t 2 allocs/op\n`,
+		`BenchmarkFoo \t 10\t 5000 ns/op\t 8192 B/op\t 99 allocs/op\n`,
+	)
+	res, _, err := parseBenchFile(newPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foo := res["BenchmarkFoo"]; foo.NsPerOp != 102 || foo.BPerOp != 64 || foo.AllocsOp != 2 {
+		t.Errorf("BenchmarkFoo medians = %+v, want 102 ns/op, 64 B/op, 2 allocs/op", foo)
+	}
+	var sb strings.Builder
+	if err := runCompare(&sb, oldPath, newPath, 10); err != nil {
+		t.Fatalf("median within 10%% of the old run still breached: %v\n%s", err, sb.String())
+	}
+	if got := sb.String(); !strings.Contains(got, "+2.0%") || !strings.Contains(got, "+0.0%") {
+		t.Errorf("compare output does not show the median deltas:\n%s", got)
+	}
+
+	// An even count takes the mean of the two middle samples.
+	evenPath := writeBenchFile(t, "even.json",
+		`BenchmarkFoo \t 10\t 100 ns/op\n`,
+		`BenchmarkFoo \t 10\t 110 ns/op\n`,
+		`BenchmarkFoo \t 10\t 120 ns/op\n`,
+		`BenchmarkFoo \t 10\t 9000 ns/op\n`,
+	)
+	res, _, err = parseBenchFile(evenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foo := res["BenchmarkFoo"]; foo.NsPerOp != 115 || foo.BPerOp != -1 {
+		t.Errorf("even-count medians = %+v, want 115 ns/op and no B/op", foo)
+	}
+}
+
 func TestParseBenchFileRejectsNonJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {

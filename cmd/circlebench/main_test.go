@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpluscircles/internal/experiments"
@@ -62,26 +63,34 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestFig6ScaleGated: the paper-scale experiment needs the
-// -experiments=scale-pipeline opt-in when selected explicitly.
-func TestFig6ScaleGated(t *testing.T) {
-	err := runWith(t, "-experiment", "fig6-scale", "-manifest", "")
-	var unavail experiments.UnavailableError
-	if !errors.As(err, &unavail) {
-		t.Fatalf("want UnavailableError, got %v", err)
-	}
-	if unavail.Name != "scale-pipeline" {
-		t.Errorf("error names %q, want scale-pipeline", unavail.Name)
+// TestFig6ScaleNeedsNoOptIn: the paper-scale pipeline graduated, so the
+// experiment runs when selected without any -experiments flag (at the
+// tiny test scale).
+func TestFig6ScaleNeedsNoOptIn(t *testing.T) {
+	if err := runWith(t, "-scale", "0.05", "-experiment", "fig6-scale", "-manifest", ""); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestFig6ScaleOptIn: with the opt-in the experiment runs (at the tiny
-// test scale).
-func TestFig6ScaleOptIn(t *testing.T) {
-	err := runWith(t, "-experiments", "scale-pipeline", "-scale", "0.05",
-		"-experiment", "fig6-scale", "-manifest", "")
-	if err != nil {
-		t.Fatal(err)
+// TestDefunctExperimentRejected: a concluded experiment name fails at
+// flag-parse time, and the message the user sees is the registry's
+// retirement note pointing at the replacement.
+func TestDefunctExperimentRejected(t *testing.T) {
+	for _, name := range []string{"scale-edgelist", "scale-pipeline", "batch-scoring"} {
+		_, want := experiments.GetCurrent(name)
+		var defunct experiments.DefunctError
+		if !errors.As(want, &defunct) {
+			t.Fatalf("GetCurrent(%s) = %v, want DefunctError", name, want)
+		}
+		err := runWith(t, "-experiments", name, "-experiment", "fig6-scale", "-manifest", "")
+		if err == nil {
+			t.Fatalf("-experiments=%s accepted", name)
+		}
+		// flag wraps the Set error in its own message; the retirement
+		// note must survive so the user learns where the surface went.
+		if !strings.Contains(err.Error(), want.Error()) {
+			t.Errorf("-experiments=%s: error %q does not carry %q", name, err, want)
+		}
 	}
 }
 

@@ -13,8 +13,6 @@
 //
 //	POST /v1/score                  score a circle/community or an
 //	                                arbitrary node set (by external IDs)
-//	POST /v1/score/batch            NDJSON batch scoring (gated as the
-//	                                batch-scoring experiment)
 //	POST /v1/ncp                    network community profile sweep
 //	                                (gated as the ncp-sweep experiment)
 //	GET  /v1/characterize/{dataset} Table II-style graph profile (cached)

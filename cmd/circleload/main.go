@@ -7,24 +7,18 @@
 //
 //	circleload [-addr http://127.0.0.1:8779] [-n 200] [-c 8]
 //	           [-seed 1] [-dup 0.25] [-null-samples 0]
-//	           [-batch] [-batch-size 64]
 //	           [-timeout 30s] [-json] [-v]
 //
 // The mix is built from the service's own GET /v1/datasets inventory:
 // each request scores a randomly chosen (dataset, group) pair, and with
 // probability -dup repeats the previous request verbatim to exercise
-// the server's coalescing and result-cache paths. In the default unary
-// mode every request is one POST /v1/score; with -batch the same mix is
-// replayed as NDJSON chunks of -batch-size lines through POST
-// /v1/score/batch (the server must run with -experiments=batch-scoring),
-// which is how millions of requests are replayed without paying a round
-// trip each.
+// the server's coalescing and result-cache paths. Every request is one
+// POST /v1/score.
 //
 // The report covers client-side p50/p95/p99/max latency of successful
-// requests (in batch mode, time until each line's result was read), the
-// response-class breakdown (2xx / 429 shed / other 4xx / 5xx /
-// transport errors), observed X-Coalesced and cache-hit responses, and
-// — read back from GET /metrics — the server-side serve/score timer
+// requests, the response-class breakdown (2xx / 429 shed / other 4xx /
+// 5xx / transport errors), observed X-Coalesced and cache-hit responses,
+// and — read back from GET /metrics — the server-side serve/score timer
 // quantiles, the serve.coalesced counter and the
 // serve.cache.{hits,misses,evictions} counters with the derived hit
 // rate.
@@ -35,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -67,9 +60,8 @@ type target struct {
 }
 
 // result is one request's outcome: the HTTP status (0 for transport
-// errors or lines the server never answered), whether the response was
-// coalesced or served from the result cache, and the client-observed
-// latency.
+// errors), whether the response was coalesced or served from the result
+// cache, and the client-observed latency.
 type result struct {
 	status    int
 	coalesced bool
@@ -87,16 +79,11 @@ func run() error {
 		verbose     = cliflag.Verbose(flag.CommandLine)
 		dup         = flag.Float64("dup", 0.25, "probability of repeating the previous request (exercises coalescing and the result cache)")
 		nullSamples = flag.Int("null-samples", 0, "null_samples parameter sent with every request")
-		batch       = flag.Bool("batch", false, "replay through POST /v1/score/batch as NDJSON chunks")
-		batchSize   = flag.Int("batch-size", 64, "lines per batch request (with -batch)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	)
 	flag.Parse()
 	if *n <= 0 || *c <= 0 {
 		return fmt.Errorf("-n and -c must be positive")
-	}
-	if *batch && *batchSize <= 0 {
-		return fmt.Errorf("-batch-size must be positive")
 	}
 
 	client := &http.Client{Timeout: *timeout}
@@ -138,58 +125,27 @@ func run() error {
 	}
 	var wg sync.WaitGroup
 	start := obs.Now()
-	if *batch {
-		// Each chunk owns a disjoint slice of results, so workers write
-		// without coordination.
-		type chunk struct{ base, end int }
-		chunks := make(chan chunk)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ch := range chunks {
-					fireBatch(client, *addr, bodies[ch.base:ch.end], results[ch.base:ch.end])
-				}
-			}()
-		}
-		for base := 0; base < *n; base += *batchSize {
-			end := base + *batchSize
-			if end > *n {
-				end = *n
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				results[i] = fire(client, *addr, bodies[i])
 			}
-			chunks <- chunk{base, end}
-		}
-		close(chunks)
-	} else {
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i] = fire(client, *addr, bodies[i])
-				}
-			}()
-		}
-		for i := 0; i < *n; i++ {
-			next <- i
-		}
-		close(next)
+		}()
 	}
+	for i := 0; i < *n; i++ {
+		next <- i
+	}
+	close(next)
 	wg.Wait()
 	wall := obs.Since(start)
 
 	rep := summarize(results, workers, wall)
-	rep.Batch = *batch
-	if *batch {
-		rep.BatchSize = *batchSize
-	}
 	attachServerMetrics(client, *addr, &rep)
 	if err := render(os.Stdout, &rep, *jsonOut); err != nil {
 		return err
-	}
-	if *batch && rep.OK == 0 && rep.Client4xx > 0 {
-		return fmt.Errorf("every batch line was rejected — is the server running with -experiments=batch-scoring?")
 	}
 	if rep.Server5xx > 0 || rep.Transport > 0 {
 		return fmt.Errorf("%d 5xx and %d transport errors observed", rep.Server5xx, rep.Transport)
@@ -240,45 +196,6 @@ func fire(client *http.Client, addr string, body []byte) result {
 	}
 }
 
-// fireBatch replays one chunk of the mix through /v1/score/batch and
-// scatters the per-line outcomes into out (out[i] matches lines[i] via
-// the BatchLine index). Lines the server never answered — a truncated
-// stream after an index -1 terminal error, or a transport failure —
-// keep status 0 and classify as transport errors, so a batch replay
-// holds the same zero-loss bar as unary.
-func fireBatch(client *http.Client, addr string, lines [][]byte, out []result) {
-	start := obs.Now()
-	body := bytes.Join(lines, []byte("\n"))
-	resp, err := client.Post(addr+"/v1/score/batch", api.NDJSONContentType, bytes.NewReader(body))
-	if err != nil {
-		for i := range out {
-			out[i] = result{status: 0, latency: obs.Since(start)}
-		}
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// Chunk-level rejection (gated, draining): every line shares it.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		for i := range out {
-			out[i] = result{status: resp.StatusCode, latency: obs.Since(start)}
-		}
-		return
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		var bl api.BatchLine
-		if err := json.Unmarshal(sc.Bytes(), &bl); err != nil {
-			continue
-		}
-		if bl.Index < 0 || bl.Index >= len(out) {
-			continue
-		}
-		out[bl.Index] = result{status: bl.Status, cached: bl.Cached, latency: obs.Since(start)}
-	}
-}
-
 // Quantiles are latency percentiles in milliseconds.
 type Quantiles struct {
 	P50 float64 `json:"p50"`
@@ -291,8 +208,6 @@ type Quantiles struct {
 type Report struct {
 	Requests    int     `json:"requests"`
 	Concurrency int     `json:"concurrency"`
-	Batch       bool    `json:"batch"`
-	BatchSize   int     `json:"batch_size,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`
 	Throughput  float64 `json:"throughput_rps"`
 
@@ -407,13 +322,8 @@ func render(w io.Writer, rep *Report, jsonOut bool) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	unit := "req/s"
-	if rep.Batch {
-		unit = "lines/s"
-		fmt.Fprintf(w, "mode:        batch (%d lines per request)\n", rep.BatchSize)
-	}
-	fmt.Fprintf(w, "requests:    %d (concurrency %d) in %.2fs — %.1f %s\n",
-		rep.Requests, rep.Concurrency, rep.WallSeconds, rep.Throughput, unit)
+	fmt.Fprintf(w, "requests:    %d (concurrency %d) in %.2fs — %.1f req/s\n",
+		rep.Requests, rep.Concurrency, rep.WallSeconds, rep.Throughput)
 	fmt.Fprintf(w, "responses:   %d ok, %d shed (429), %d client 4xx, %d server 5xx, %d transport errors\n",
 		rep.OK, rep.Shed429, rep.Client4xx, rep.Server5xx, rep.Transport)
 	fmt.Fprintf(w, "coalesced:   %d responses carried X-Coalesced (server counter: %d)\n",

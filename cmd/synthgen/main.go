@@ -12,15 +12,11 @@
 // community set built through the streaming pipeline; it honors
 // -vertices, -shards and -workers, e.g.
 //
-//	synthgen -experiments=scale-pipeline -dataset scale -vertices 3000000 -v -out data
+//	synthgen -dataset scale -vertices 3000000 -v -out data
 //
 // The generator streams every edge twice into the graph builder (once to
 // count degrees, once to fill the adjacency) rather than holding an edge
 // list in memory.
-//
-// The scale dataset is experimental and must be opted into with
-// -experiments=scale-pipeline; experimental surfaces carry no
-// compatibility promise.
 package main
 
 import (
@@ -34,7 +30,6 @@ import (
 	"gpluscircles/internal/cliflag"
 	"gpluscircles/internal/core"
 	"gpluscircles/internal/dataset"
-	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/obs"
 	"gpluscircles/internal/synth"
 )
@@ -57,11 +52,9 @@ func run() error {
 		out      = flag.String("out", ".", "output directory")
 		which    = flag.String("dataset", "all", "gplus|twitter|livejournal|orkut|crawl|scale|all")
 		binary   = flag.Bool("binary", false, "additionally write binary CSR graphs (.bin) for fast reload")
-		exps     = cliflag.Experiments(flag.CommandLine)
 	)
 	// Parse through CommandLine directly so tests (ContinueOnError) see
-	// flag errors — e.g. a defunct -experiments value — instead of having
-	// flag.Parse drop them.
+	// flag errors instead of having flag.Parse drop them.
 	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
 		return err
 	}
@@ -72,9 +65,6 @@ func run() error {
 	suite := core.NewSuite(core.SuiteOptions{Scale: *scale, Seed: *seed})
 
 	if *which == "scale" {
-		if err := exps.Require(experiments.ScalePipeline); err != nil {
-			return err
-		}
 		return runScale(scaleRun{
 			scale: *scale, seed: *seed, verbose: *verbose,
 			workers: *workers, shards: *shards,

@@ -1,14 +1,10 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"gpluscircles/internal/experiments"
 )
 
 func runWith(t *testing.T, args ...string) error {
@@ -46,46 +42,16 @@ func TestRunUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestScaleDatasetGated: -dataset scale without the opt-in fails with
-// the registry's UnavailableError naming the experiment and the flag.
-func TestScaleDatasetGated(t *testing.T) {
-	err := runWith(t, "-dataset", "scale", "-out", t.TempDir())
-	var unavail experiments.UnavailableError
-	if !errors.As(err, &unavail) {
-		t.Fatalf("want UnavailableError, got %v", err)
-	}
-	if unavail.Name != "scale-pipeline" {
-		t.Errorf("error names %q, want scale-pipeline", unavail.Name)
-	}
-}
-
-// TestScaleDatasetOptIn: with -experiments=scale-pipeline the gate
-// opens and the pipeline writes the dataset.
-func TestScaleDatasetOptIn(t *testing.T) {
+// TestScaleDatasetNeedsNoOptIn: the paper-scale pipeline graduated, so
+// -dataset scale writes the data set without any -experiments flag.
+func TestScaleDatasetNeedsNoOptIn(t *testing.T) {
 	dir := t.TempDir()
-	err := runWith(t, "-experiments", "scale-pipeline", "-dataset", "scale",
-		"-vertices", "2000", "-out", dir)
-	if err != nil {
+	if err := runWith(t, "-dataset", "scale", "-vertices", "2000", "-out", dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"scale.edges.txt", "scale.cmty.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("%s not written: %v", name, err)
 		}
-	}
-}
-
-// TestDefunctExperimentRejected: a concluded experiment fails at
-// flag-parse time with a DefunctError pointing at its replacement.
-func TestDefunctExperimentRejected(t *testing.T) {
-	err := runWith(t, "-experiments", "scale-edgelist", "-out", t.TempDir())
-	if err == nil {
-		t.Fatal("concluded experiment accepted")
-	}
-	// flag wraps the Set error in its own message; the defunct text
-	// must survive so the user learns where the surface went.
-	got := err.Error()
-	if !strings.Contains(got, "defunct") || !strings.Contains(got, "scale-pipeline") {
-		t.Errorf("error %q does not explain the conclusion", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"gpluscircles/internal/report"
 	"gpluscircles/internal/sample"
@@ -31,56 +30,9 @@ type Experiment struct {
 	Run func(s *Suite, w io.Writer) error
 }
 
-// extraExperiments holds experiments registered at runtime by binaries
-// (gated surfaces that should not appear in every registry walk — the
-// NCP sweep is the first). Appended after the static list so the paper
-// order stays stable.
-var (
-	extraMu          sync.Mutex
-	extraExperiments []Experiment
-)
-
-// RegisterExperiment appends an experiment to the registry at runtime.
-// Binaries use it to mount gated experiments (after checking the
-// experiments.Set) without the core registry importing gated packages —
-// the layer map forbids that direction. Registering an empty or
-// duplicate ID panics: registration happens once at startup, so a
-// collision is a programming error, not an input error.
-func RegisterExperiment(e Experiment) {
-	if e.ID == "" || e.Run == nil {
-		panic("core: RegisterExperiment needs an ID and a Run func")
-	}
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	for _, have := range staticExperiments() {
-		if have.ID == e.ID {
-			panic(fmt.Sprintf("core: experiment %q already registered", e.ID))
-		}
-	}
-	for _, have := range extraExperiments {
-		if have.ID == e.ID {
-			panic(fmt.Sprintf("core: experiment %q already registered", e.ID))
-		}
-	}
-	extraExperiments = append(extraExperiments, e)
-}
-
-// Experiments returns the full registry in paper order: the static list
-// plus any runtime registrations in registration order.
+// Experiments returns the full registry in paper order. The list is
+// rebuilt on every call, so callers own the returned slice.
 func Experiments() []Experiment {
-	static := staticExperiments()
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	if len(extraExperiments) == 0 {
-		return static
-	}
-	out := make([]Experiment, 0, len(static)+len(extraExperiments))
-	out = append(out, static...)
-	out = append(out, extraExperiments...)
-	return out
-}
-
-func staticExperiments() []Experiment {
 	return []Experiment{
 		{ID: "table2", Title: "Table II: McAuley/Leskovec vs. Magno data-set statistics", Run: runTable2},
 		{ID: "table3", Title: "Table III: comparison of the evaluated data sets", Run: runTable3},

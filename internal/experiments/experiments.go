@@ -1,15 +1,14 @@
 // Package experiments is the registry of the project's experimental
-// surfaces. The ROADMAP's heavy features (NCP sweep, triangle cohesion,
-// batch scoring, the paper-scale pipeline) need to land incrementally
-// without freezing their APIs, so each one registers here under a short
-// name and stays opt-in until it graduates: a surface behind an
-// experiment carries no compatibility promise and may change shape or
-// disappear between commits.
+// surfaces. Heavy features (the NCP sweep, triangle cohesion) need to
+// land incrementally without freezing their APIs, so each one registers
+// here under a short name and stays opt-in until it graduates: a
+// surface behind an experiment carries no compatibility promise and may
+// change shape or disappear between commits.
 //
 // Users opt in per run with the shared -experiments flag
 // (internal/cliflag), e.g.
 //
-//	synthgen -dataset scale -experiments=scale-pipeline
+//	circlebench -experiment cohesion -experiments=triangle-cohesion
 //
 // and a serving process lists its registry — with per-run enablement —
 // at GET /v1/experiments.

@@ -9,12 +9,12 @@ import (
 
 // TestGetCurrentRegistered checks the happy path over the real registry.
 func TestGetCurrentRegistered(t *testing.T) {
-	exp, err := GetCurrent("scale-pipeline")
+	exp, err := GetCurrent("triangle-cohesion")
 	if err != nil {
-		t.Fatalf("GetCurrent(scale-pipeline): %v", err)
+		t.Fatalf("GetCurrent(triangle-cohesion): %v", err)
 	}
-	if exp != ScalePipeline || exp.Doc == "" {
-		t.Errorf("GetCurrent(scale-pipeline) = %+v", exp)
+	if exp != TriangleCohesion || exp.Doc == "" {
+		t.Errorf("GetCurrent(triangle-cohesion) = %+v", exp)
 	}
 }
 
@@ -39,8 +39,29 @@ func TestGetCurrentDefunct(t *testing.T) {
 	if !errors.As(err, &defunct) {
 		t.Fatalf("GetCurrent(scale-edgelist) = %v, want DefunctError", err)
 	}
-	if !strings.Contains(err.Error(), "scale-pipeline") {
+	if !strings.Contains(err.Error(), "synthgen -dataset scale") {
 		t.Errorf("defunct message should point at the replacement: %v", err)
+	}
+}
+
+// TestConcludedMessages pins the retirement message of every concluded
+// name: a stale -experiments value must tell the user exactly where the
+// surface went, through ParseSet (the flag path) as well as GetCurrent.
+func TestConcludedMessages(t *testing.T) {
+	for name, want := range map[string]string{
+		"scale-edgelist": `the "scale-edgelist" experiment is defunct: the paper-scale data set is now built by the streaming pipeline (synthgen -dataset scale, circlebench -experiment fig6-scale), which needs no opt-in`,
+		"scale-pipeline": `the "scale-pipeline" experiment has graduated: synthgen -dataset scale and circlebench -experiment fig6-scale run without opt-in; drop it from -experiments`,
+		"batch-scoring":  `the "batch-scoring" experiment is defunct: the NDJSON batch endpoint was removed; send one POST /v1/score per request instead`,
+	} {
+		_, err := ParseSet("triangle-cohesion," + name)
+		var defunct DefunctError
+		if !errors.As(err, &defunct) {
+			t.Errorf("ParseSet(%s) = %v, want DefunctError", name, err)
+			continue
+		}
+		if err.Error() != want {
+			t.Errorf("%s message = %q, want %q", name, err.Error(), want)
+		}
 	}
 }
 
@@ -55,12 +76,12 @@ func TestAllSorted(t *testing.T) {
 	}
 	found := false
 	for _, exp := range all {
-		if exp.Name == ScalePipeline.Name {
+		if exp.Name == TriangleCohesion.Name {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("All() missing scale-pipeline")
+		t.Error("All() missing triangle-cohesion")
 	}
 }
 
@@ -71,9 +92,9 @@ func TestParseSet(t *testing.T) {
 	if err != nil || len(set) != 0 {
 		t.Fatalf("ParseSet(\"\") = %v, %v", set, err)
 	}
-	set, err = ParseSet(" scale-pipeline , ")
-	if err != nil || !set.Enabled("scale-pipeline") {
-		t.Fatalf("ParseSet(scale-pipeline) = %v, %v", set, err)
+	set, err = ParseSet(" triangle-cohesion , ")
+	if err != nil || !set.Enabled("triangle-cohesion") {
+		t.Fatalf("ParseSet(triangle-cohesion) = %v, %v", set, err)
 	}
 	if _, err := ParseSet("nope"); err == nil {
 		t.Error("unknown experiment accepted")
@@ -87,16 +108,16 @@ func TestParseSet(t *testing.T) {
 // TestSetRequire checks the gate call: enabled passes, disabled returns
 // the friendly opt-in error naming the flag value to use.
 func TestSetRequire(t *testing.T) {
-	enabled := Set{"scale-pipeline": true}
-	if err := enabled.Require(ScalePipeline); err != nil {
+	enabled := Set{"triangle-cohesion": true}
+	if err := enabled.Require(TriangleCohesion); err != nil {
 		t.Errorf("Require on enabled set: %v", err)
 	}
-	err := Set{}.Require(ScalePipeline)
+	err := Set{}.Require(TriangleCohesion)
 	var unavail UnavailableError
 	if !errors.As(err, &unavail) || unavail.Unknown {
 		t.Fatalf("Require on empty set = %v, want UnavailableError{Unknown: false}", err)
 	}
-	if !strings.Contains(err.Error(), "-experiments=scale-pipeline") {
+	if !strings.Contains(err.Error(), "-experiments=triangle-cohesion") {
 		t.Errorf("opt-in hint missing from %v", err)
 	}
 }
@@ -125,8 +146,8 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("duplicate Register", func() { Register("scale-pipeline", "dup") })
-	mustPanic("Conclude current", func() { Conclude("scale-pipeline", "retired") })
+	mustPanic("duplicate Register", func() { Register("triangle-cohesion", "dup") })
+	mustPanic("Conclude current", func() { Conclude("triangle-cohesion", "retired") })
 	mustPanic("Register concluded", func() { Register("scale-edgelist", "zombie") })
 	mustPanic("GatePackage unknown", func() { GatePackage("gpluscircles/internal/nope", "warp-drive") })
 }

@@ -4,14 +4,6 @@ package experiments
 // current, concluded and package-gated experiments are declared, so a
 // reviewer can read the whole experimental surface at a glance.
 var (
-	// ScalePipeline gates the paper-scale surface: the streaming-builder
-	// community data set (`synthgen -dataset scale`) and the fig6-scale
-	// experiment selection in circlebench. The ≥3M-vertex configuration
-	// is still being profiled (ROADMAP), so its flags, output layout and
-	// seed mapping may change between commits.
-	ScalePipeline = Register("scale-pipeline",
-		"paper-scale streaming community data set (synthgen -dataset scale, circlebench -experiment fig6-scale)")
-
 	// TriangleCohesion gates the triangle-density scoring surface: the
 	// `cohesion` scoring function over HTTP and in the explicit
 	// circlebench/circledetect selections. The kernel itself (graphalgo)
@@ -21,15 +13,6 @@ var (
 	// may change between commits.
 	TriangleCohesion = Register("triangle-cohesion",
 		"triangle-density cohesion scoring (score func \"cohesion\", circlebench -experiment cohesion, circledetect -cohesion)")
-
-	// BatchScoring gates the NDJSON batch surface: POST /v1/score/batch
-	// on circled and the -batch replay mode in circleload. Batch lines
-	// run through the same resolution, cache and scoring path as unary
-	// requests, so the gate covers only the stream framing (BatchLine
-	// shape, index -1 terminal errors, in-flight bounds), which may
-	// change between commits while replay tooling settles on it.
-	BatchScoring = Register("batch-scoring",
-		"NDJSON batch scoring (POST /v1/score/batch, circleload -batch)")
 
 	// NCPSweep gates the network-community-profile surface: the ncp
 	// experiment selection in circlebench and POST /v1/ncp on circled,
@@ -49,7 +32,17 @@ func init() {
 	// Remembering the name here turns a stale script into a pointer at
 	// the replacement instead of an unknown-experiment error.
 	Conclude("scale-edgelist",
-		`the "scale-edgelist" experiment is defunct: the paper-scale data set is now built by the streaming pipeline; use -experiments=scale-pipeline instead`)
+		`the "scale-edgelist" experiment is defunct: the paper-scale data set is now built by the streaming pipeline (synthgen -dataset scale, circlebench -experiment fig6-scale), which needs no opt-in`)
+
+	// Graduated: its surface stays, only the opt-in is gone. Concluding
+	// the name keeps old -experiments values from failing as unknown.
+	Conclude("scale-pipeline",
+		`the "scale-pipeline" experiment has graduated: synthgen -dataset scale and circlebench -experiment fig6-scale run without opt-in; drop it from -experiments`)
+
+	// Removed with its surface: no measured workload used the batch
+	// endpoint, and unary requests reach the same cache and coalescer.
+	Conclude("batch-scoring",
+		`the "batch-scoring" experiment is defunct: the NDJSON batch endpoint was removed; send one POST /v1/score per request instead`)
 
 	// The NCP sweep package is the first package-level gate. The package
 	// also carries an //experiments:package marker (which is what

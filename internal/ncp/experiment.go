@@ -23,10 +23,10 @@ type ExperimentOptions struct {
 // Experiment returns the "ncp" registry experiment: NCP curves for the
 // Google+ circles data set and the LiveJournal communities data set,
 // with the curated groups overlaid as points — a Fig. 6-style reading
-// against the best conductance the graph admits at each size. Binaries
-// register it with core.RegisterExperiment after checking the ncp-sweep
-// gate; the core registry itself never imports this package (the layer
-// map forbids stable→gated imports).
+// against the best conductance the graph admits at each size. circlebench
+// lists it after the core registry and runs it when selected with the
+// ncp-sweep gate open; the core registry itself never imports this
+// package (the layer map forbids stable→gated imports).
 func Experiment(opts ExperimentOptions) core.Experiment {
 	return core.Experiment{
 		ID:    "ncp",

@@ -1,15 +1,13 @@
 // Package api is the versioned wire contract of the /v1 analysis
 // service: every request, response and error body that crosses the HTTP
 // boundary is declared here and nowhere else. The serving layer
-// (internal/serve), the router (cmd/circlerouter) and the load
-// generator (cmd/circleload) all speak these types, so the contract can
-// only drift in one place and the doc comments below double as the API
-// reference.
+// (internal/serve) and the load generator (cmd/circleload) both speak
+// these types, so the contract can only drift in one place and the doc
+// comments below double as the API reference.
 //
 // # Endpoints
 //
 //	POST /v1/score                  ScoreRequest  -> ScoreResponse
-//	POST /v1/score/batch            NDJSON of ScoreRequest -> NDJSON of BatchLine
 //	POST /v1/ncp                    NCPRequest    -> NCPResponse (gated: ncp-sweep)
 //	GET  /v1/characterize/{dataset} -> CharacterizeResponse
 //	GET  /v1/datasets               -> []DatasetInfo
@@ -35,15 +33,14 @@
 // the request: the service exploits that to coalesce concurrent
 // duplicates and to answer repeats from a result cache with the exact
 // bytes of the original computation (marked by an X-Cache: hit response
-// header, or BatchLine.Cached on batch lines).
+// header).
 package api
 
 import "gpluscircles/internal/obs"
 
-// ScoreRequest is the POST /v1/score body (and, line by line, the
-// POST /v1/score/batch input): score one vertex set — a named
-// circle/community of the data set, or an arbitrary node set given by
-// external vertex IDs — under the paper's scoring functions.
+// ScoreRequest is the POST /v1/score body: score one vertex set — a
+// named circle/community of the data set, or an arbitrary node set
+// given by external vertex IDs — under the paper's scoring functions.
 type ScoreRequest struct {
 	// Dataset is a registry name from GET /v1/datasets (e.g. "gplus").
 	Dataset string `json:"dataset"`
@@ -109,7 +106,7 @@ type CharacterizeResponse struct {
 }
 
 // DatasetInfo is one GET /v1/datasets inventory entry. circleload uses
-// the inventory to build its request mix; circlerouter hashes on Name.
+// the inventory to build its request mix.
 type DatasetInfo struct {
 	// Name is the registry name used in score/characterize requests.
 	Name string `json:"name"`
@@ -131,8 +128,7 @@ type ExperimentInfo struct {
 }
 
 // MetricsResponse is the GET /metrics payload: the obs recorder
-// snapshot plus the process uptime. circlerouter serves its own
-// instance of the same shape for its routing counters.
+// snapshot plus the process uptime.
 type MetricsResponse struct {
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Metrics       obs.Snapshot `json:"metrics"`

@@ -38,32 +38,6 @@ func TestDecodeErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchLineMarshal: 200 lines carry raw result bytes verbatim and
-// omit the error; error lines carry the envelope's Error and omit the
-// result. The raw passthrough is what makes batch results provably
-// byte-identical to unary ones.
-func TestBatchLineMarshal(t *testing.T) {
-	result := json.RawMessage(`{"dataset":"gplus","n":3,"internal_edges":2,"boundary_edges":1,"null":"analytic","scores":{"conductance":0.2}}`)
-	ok, err := json.Marshal(BatchLine{Index: 0, Status: 200, Result: result})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(ok), string(result)) {
-		t.Errorf("result bytes not embedded verbatim: %s", ok)
-	}
-	if strings.Contains(string(ok), `"error"`) {
-		t.Errorf("200 line carries an error field: %s", ok)
-	}
-
-	bad, err := json.Marshal(BatchLine{Index: 2, Status: 404, Error: &Error{Code: CodeUnknownDataset, Message: "nope"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(bad), `"code":"unknown_dataset"`) || strings.Contains(string(bad), `"result"`) {
-		t.Errorf("error line shape wrong: %s", bad)
-	}
-}
-
 // TestScoreRequestTagsMatchServe: the wire tags are the contract the
 // serving layer's canonicalization and key derivation rely on; a tag
 // rename is an API break this test makes loud.

@@ -38,9 +38,6 @@ const (
 	CodeCancelled = "cancelled"
 	// CodeInternal (500): an unexpected server-side failure.
 	CodeInternal = "internal"
-	// CodeNoBackend (502): circlerouter found no backend able to answer
-	// — every configured backend is down or refused the connection.
-	CodeNoBackend = "no_backend"
 )
 
 // Error is the machine-readable error: a stable code plus a

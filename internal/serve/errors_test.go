@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/serve/api"
 )
 
@@ -21,14 +20,6 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	group, ids := firstGroup(t, "gplus")
-
-	batchEnabled, err := experiments.ParseSet("batch-scoring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sBatch := newTestServer(t, Options{Experiments: batchEnabled})
-	tsBatch := httptest.NewServer(sBatch.Handler())
-	defer tsBatch.Close()
 
 	do := func(t *testing.T, base, method, path, contentType, body string) *http.Response {
 		t.Helper()
@@ -65,7 +56,6 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 		{"score unknown func", "POST", "/v1/score", fmt.Sprintf(`{"dataset":"gplus","group":%q,"funcs":["nope"]}`, group), http.StatusBadRequest, api.CodeUnknownFunc},
 		{"score gated func", "POST", "/v1/score", fmt.Sprintf(`{"dataset":"gplus","group":%q,"funcs":["cohesion"]}`, group), http.StatusBadRequest, api.CodeExperimentGated},
 		{"characterize unknown dataset", "GET", "/v1/characterize/nope", "", http.StatusNotFound, api.CodeUnknownDataset},
-		{"batch without opt-in", "POST", "/v1/score/batch", `{"dataset":"gplus"}`, http.StatusBadRequest, api.CodeExperimentGated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,19 +112,15 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 	})
 
 	t.Run("draining", func(t *testing.T) {
-		sBatch.draining.Store(true)
-		defer sBatch.draining.Store(false)
-		for path, body := range map[string]string{
-			"/v1/score":       fmt.Sprintf(`{"dataset":"gplus","group":%q}`, group),
-			"/v1/score/batch": fmt.Sprintf(`{"dataset":"gplus","group":%q}`, group),
-		} {
-			resp, err := tsBatch.Client().Post(tsBatch.URL+path, "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertEnvelope(t, resp, http.StatusServiceUnavailable, api.CodeDraining)
-			resp.Body.Close()
+		s.draining.Store(true)
+		defer s.draining.Store(false)
+		resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"dataset":"gplus","group":%q}`, group)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		assertEnvelope(t, resp, http.StatusServiceUnavailable, api.CodeDraining)
 	})
 }
 

@@ -20,8 +20,7 @@ import (
 	"gpluscircles/internal/synth"
 )
 
-// maxScoreBodyBytes bounds one score request body — unary, or one NDJSON
-// line of a batch stream.
+// maxScoreBodyBytes bounds one score request body.
 const maxScoreBodyBytes = 1 << 20
 
 // httpErr pairs a client-facing message with its HTTP status and the
@@ -33,11 +32,6 @@ type httpErr struct {
 }
 
 func (e *httpErr) Error() string { return e.msg }
-
-// apiError renders the httpErr as the wire envelope's Error.
-func (e *httpErr) apiError() *api.Error {
-	return &api.Error{Code: e.code, Message: e.msg}
-}
 
 func badRequest(code, format string, args ...any) *httpErr {
 	return &httpErr{status: http.StatusBadRequest, code: code, msg: fmt.Sprintf(format, args...)}
@@ -65,7 +59,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, api.CodeDraining, "draining")
 		return
 	}
-	job, herr := s.resolveScoreBody(http.MaxBytesReader(nil, r.Body, maxScoreBodyBytes))
+	job, herr := s.resolveScore(http.MaxBytesReader(nil, r.Body, maxScoreBodyBytes))
 	if herr != nil {
 		writeError(w, herr.status, herr.code, herr.msg)
 		return
@@ -77,22 +71,16 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resolveScoreBody decodes one JSON score request from body and
-// resolves it; the shared front half of the unary handler and each
-// batch line.
-func (s *Server) resolveScoreBody(body io.Reader) (*scoreJob, *httpErr) {
+// resolveScore decodes one JSON score request from body, validates it
+// and resolves every name (dataset, group, members, functions) against
+// the suite. It is the only path by which request bytes reach scoring.
+func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req api.ScoreRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, badRequest(api.CodeInvalidRequest, "invalid request body: %v", err)
 	}
-	return s.resolveScore(req)
-}
-
-// resolveScore validates a decoded request and resolves every name
-// (dataset, group, members, functions) against the suite.
-func (s *Server) resolveScore(req api.ScoreRequest) (*scoreJob, *httpErr) {
 	if req.Dataset == "" {
 		return nil, badRequest(api.CodeInvalidRequest, "dataset is required")
 	}

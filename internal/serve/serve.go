@@ -23,10 +23,6 @@
 //     duplicates, the cache collapses sequential ones. Hits return the
 //     original computation's exact bytes with an X-Cache: hit header and
 //     are counted as serve.cache.{hits,misses,evictions}.
-//   - POST /v1/score/batch streams NDJSON requests through the same
-//     cache and scoring path with bounded in-flight lines and per-line
-//     error isolation, so one connection can replay millions of
-//     requests (batch.go; gated as the batch-scoring experiment).
 //   - Every queued call carries a context with the server's per-request
 //     deadline; the deadline covers queue wait, and cancellation (client
 //     gone, server draining) propagates into the null-model estimator's
@@ -35,11 +31,10 @@
 //     queued work, join the workers. The owning binary then flushes a
 //     final obs manifest.
 //
-// Endpoints: POST /v1/score, POST /v1/score/batch,
-// GET /v1/characterize/{dataset}, GET /v1/datasets,
-// GET /v1/experiments, GET /healthz, GET /metrics. Every non-2xx
-// response is api's uniform JSON error envelope with a machine-readable
-// code. /v1/experiments lists the experiments registry with this
+// Endpoints: POST /v1/score, GET /v1/characterize/{dataset},
+// GET /v1/datasets, GET /v1/experiments, GET /healthz, GET /metrics.
+// Every non-2xx response is api's uniform JSON error envelope with a
+// machine-readable code. /v1/experiments lists the experiments registry with this
 // process's per-run enablement (Options.Experiments, wired from
 // -experiments), so an operator can see which no-compatibility-promise
 // surfaces a running service has opted into.
@@ -87,11 +82,6 @@ type Options struct {
 	// CacheSize bounds the LRU result cache (entries); 0 selects 1024,
 	// negative disables caching entirely.
 	CacheSize int
-	// BatchInFlight bounds the concurrently executing lines of one
-	// POST /v1/score/batch request; <= 0 selects Workers. It is also
-	// the read-ahead bound, so a slow consumer backpressures the
-	// request stream instead of buffering it.
-	BatchInFlight int
 	// RequestTimeout bounds one call from enqueue to completion
 	// (queue wait included); <= 0 selects 30s.
 	RequestTimeout time.Duration
@@ -136,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
-	}
-	if o.BatchInFlight <= 0 {
-		o.BatchInFlight = o.Workers
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -186,17 +173,14 @@ type Server struct {
 	groupsMu sync.Mutex
 	groups   map[string]map[string][]graph.VID // dataset -> group -> members
 
-	mRequests   *obs.Counter
-	mScored     *obs.Counter
-	mCoalesced  *obs.Counter
-	mRejected   *obs.Counter
-	mErrors     *obs.Counter
-	mBatchReqs  *obs.Counter
-	mBatchLines *obs.Counter
-	mBatchErrs  *obs.Counter
-	gQueue      *obs.Gauge
-	tRequest    *obs.Timer
-	tScore      *obs.Timer
+	mRequests  *obs.Counter
+	mScored    *obs.Counter
+	mCoalesced *obs.Counter
+	mRejected  *obs.Counter
+	mErrors    *obs.Counter
+	gQueue     *obs.Gauge
+	tRequest   *obs.Timer
+	tScore     *obs.Timer
 }
 
 // NewServer builds the service around a shared suite. Call Start (or
@@ -212,22 +196,18 @@ func NewServer(opts Options) (*Server, error) {
 		cache: newResultCache(opts.CacheSize, opts.Recorder),
 		queue: make(chan *call, opts.QueueDepth),
 
-		mRequests:   opts.Recorder.Counter("serve.requests"),
-		mScored:     opts.Recorder.Counter("serve.scored"),
-		mCoalesced:  opts.Recorder.Counter("serve.coalesced"),
-		mRejected:   opts.Recorder.Counter("serve.rejected"),
-		mErrors:     opts.Recorder.Counter("serve.errors"),
-		mBatchReqs:  opts.Recorder.Counter("serve.batch.requests"),
-		mBatchLines: opts.Recorder.Counter("serve.batch.lines"),
-		mBatchErrs:  opts.Recorder.Counter("serve.batch.line_errors"),
-		gQueue:      opts.Recorder.Gauge("serve.queue.depth"),
-		tRequest:    opts.Recorder.Timer("serve/request"),
-		tScore:      opts.Recorder.Timer("serve/score"),
+		mRequests:  opts.Recorder.Counter("serve.requests"),
+		mScored:    opts.Recorder.Counter("serve.scored"),
+		mCoalesced: opts.Recorder.Counter("serve.coalesced"),
+		mRejected:  opts.Recorder.Counter("serve.rejected"),
+		mErrors:    opts.Recorder.Counter("serve.errors"),
+		gQueue:     opts.Recorder.Gauge("serve.queue.depth"),
+		tRequest:   opts.Recorder.Timer("serve/request"),
+		tScore:     opts.Recorder.Timer("serve/score"),
 	}
 	s.suite.Store(opts.Suite)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/score", s.handleScore)
-	mux.HandleFunc("POST /v1/score/batch", s.handleScoreBatch)
 	mux.HandleFunc("GET /v1/characterize/{dataset}", s.handleCharacterize)
 	mux.HandleFunc("GET /v1/datasets", s.handleDatasets)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
@@ -265,8 +245,8 @@ func (s *Server) SwapSuite(suite *core.Suite) {
 }
 
 // genKey prefixes a cache/coalescing key with the current suite
-// generation. Every dispatch and batch key passes through here, so a
-// key can never outlive the suite whose bytes it names.
+// generation. Every dispatch key passes through here, so a key can
+// never outlive the suite whose bytes it names.
 func (s *Server) genKey(key string) string {
 	return "g" + strconv.FormatUint(s.gen.Load(), 10) + "/" + key
 }
@@ -296,7 +276,10 @@ func (s *Server) Start() {
 }
 
 // worker drains the queue until it is closed, executing one call at a
-// time and publishing its result to every coalesced waiter.
+// time: it times the execution, publishes the result to every coalesced
+// waiter, retires the flight key, and feeds the result cache — 200
+// bodies only, so every future hit returns the exact bytes computed
+// here.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for c := range s.queue {
@@ -304,27 +287,18 @@ func (s *Server) worker() {
 		if hook := s.opts.workerHook; hook != nil {
 			hook(c)
 		}
-		s.execute(c)
+		start := obs.Now()
+		body, status := c.run(c.ctx)
+		s.tScore.Observe(obs.Since(start))
+		if status >= 500 {
+			s.mErrors.Inc()
+		}
+		if status == http.StatusOK {
+			s.cache.add(c.key, body)
+		}
+		c.finish(body, status)
+		s.flight.forget(c.key)
 	}
-}
-
-// execute runs one call to completion: the shared tail of the pool
-// worker and the batch line path. It times the execution, publishes the
-// result to every coalesced waiter, retires the flight key, and feeds
-// the result cache — 200 bodies only, so every future hit returns the
-// exact bytes computed here.
-func (s *Server) execute(c *call) {
-	start := obs.Now()
-	body, status := c.run(c.ctx)
-	s.tScore.Observe(obs.Since(start))
-	if status >= 500 {
-		s.mErrors.Inc()
-	}
-	if status == http.StatusOK {
-		s.cache.add(c.key, body)
-	}
-	c.finish(body, status)
-	s.flight.forget(c.key)
 }
 
 // enqueue offers the call to the pool without blocking. It reports false
@@ -499,8 +473,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // handleDatasets inventories the suite's data sets (generating them on
 // first touch — circled pre-warms at startup so steady-state calls are
-// cheap). circleload uses this to build its request mix; circlerouter
-// hashes requests on the Name field.
+// cheap). circleload uses this to build its request mix.
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	s.mRequests.Inc()
 	out := make([]api.DatasetInfo, 0, len(core.DatasetNames()))

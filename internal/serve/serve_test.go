@@ -81,7 +81,7 @@ func postScore(t *testing.T, client *http.Client, url string, req api.ScoreReque
 
 // firstGroup returns a (group name, external member IDs) pair of the
 // named data set, for exercising both request shapes.
-func firstGroup(t *testing.T, name string) (string, []int64) {
+func firstGroup(t testing.TB, name string) (string, []int64) {
 	t.Helper()
 	ds, err := testSuite().DatasetByName(name)
 	if err != nil {
@@ -663,7 +663,7 @@ func TestListenAndServeBindError(t *testing.T) {
 // TestExperimentsEndpoint: /v1/experiments lists the registry with the
 // per-run enablement from Options.Experiments.
 func TestExperimentsEndpoint(t *testing.T) {
-	enabled, err := experiments.ParseSet("scale-pipeline")
+	enabled, err := experiments.ParseSet("triangle-cohesion")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,19 +692,19 @@ func TestExperimentsEndpoint(t *testing.T) {
 			}
 			var found bool
 			for _, info := range infos {
-				if info.Name != "scale-pipeline" {
+				if info.Name != "triangle-cohesion" {
 					continue
 				}
 				found = true
 				if info.Doc == "" {
-					t.Error("scale-pipeline listed without its doc line")
+					t.Error("triangle-cohesion listed without its doc line")
 				}
-				if want := opts.Experiments.Enabled("scale-pipeline"); info.Enabled != want {
+				if want := opts.Experiments.Enabled("triangle-cohesion"); info.Enabled != want {
 					t.Errorf("enabled = %v, want %v", info.Enabled, want)
 				}
 			}
 			if !found {
-				t.Error("scale-pipeline missing from the listing")
+				t.Error("triangle-cohesion missing from the listing")
 			}
 		})
 	}

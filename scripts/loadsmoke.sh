@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
-# Load-test smoke for the serving tier: boot circled on an ephemeral
-# port, replay 100 concurrent clients with circleload, then do the same
-# through a 2-backend circlerouter — batch mode, with one backend killed
-# mid-run — and finally SIGTERM everything and verify graceful drains.
+# Load-test smoke for the serving layer: boot circled on an ephemeral
+# port, replay 100 concurrent clients with circleload, then SIGTERM it
+# and verify the graceful drain.
 #
 # The smoke asserts the serving SLO end to end:
 #   - circleload exits non-zero on any 5xx or transport error, so a
-#     passing run means the service shed overload with 429s only and the
-#     router's failover never leaked a backend death to a client;
+#     passing run means the service shed overload with 429s only;
 #   - the -dup mix must produce result-cache hits (hit rate > 0);
 #   - circled must exit 0 on SIGTERM (clean drain, in-flight work done);
 #   - the final run manifest must parse back via `circlebench compare`.
@@ -18,9 +16,8 @@ dir="${LOADSMOKE_DIR:-$(mktemp -d)}"
 mkdir -p "$dir"
 go build -o "$dir/circled" ./cmd/circled
 go build -o "$dir/circleload" ./cmd/circleload
-go build -o "$dir/circlerouter" ./cmd/circlerouter
 
-# boot_circled NAME EXTRA_ARGS... starts one backend in this shell (so
+# boot_circled NAME EXTRA_ARGS... starts circled in this shell (so
 # `wait` can observe its exit status) and leaves its resolved host:port
 # in $dir/NAME.addr (the service prints it once warmed).
 boot_circled() {
@@ -50,7 +47,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# ---- Leg 1: single backend, unary replay, drain check ----------------
 boot_circled circled -manifest "$dir/circled.manifest.jsonl"
 addr=$(cat "$dir/circled.addr")
 
@@ -74,57 +70,6 @@ rm "$dir/circled.pid"
 
 go run ./cmd/circlebench compare "$dir/circled.manifest.jsonl" >/dev/null
 
-# ---- Leg 2: 2-backend router, batch replay, induced backend kill -----
-boot_circled backend1 -manifest "" -experiments batch-scoring
-boot_circled backend2 -manifest "" -experiments batch-scoring
-b1=$(cat "$dir/backend1.addr")
-b2=$(cat "$dir/backend2.addr")
-
-"$dir/circlerouter" -addr 127.0.0.1:0 -backends "http://$b1,http://$b2" \
-  -probe-interval 500ms >"$dir/router.log" 2>&1 &
-echo $! >"$dir/router.pid"
-raddr=""
-for _ in $(seq 1 60); do
-  raddr=$(sed -n 's/^circlerouter: listening on \([^ ]*\).*/\1/p' "$dir/router.log")
-  if [ -n "$raddr" ] && curl -sf "http://$raddr/healthz" >/dev/null 2>&1; then
-    break
-  fi
-  raddr=""
-  sleep 0.5
-done
-if [ -z "$raddr" ]; then
-  echo "loadsmoke: circlerouter did not come up" >&2
-  cat "$dir/router.log" >&2
-  exit 1
-fi
-
-# Kill backend2 mid-replay: the router must fail over with zero 5xx,
-# which circleload's exit code asserts.
-( sleep 2; kill -TERM "$(cat "$dir/backend2.pid")" ) &
-killer=$!
-"$dir/circleload" -addr "http://$raddr" -n 400 -c 8 -dup 0.3 \
-  -batch -batch-size 32 -json | tee "$dir/batch.report.json"
-wait "$killer"
-wait "$(cat "$dir/backend2.pid")" || true
-rm "$dir/backend2.pid"
-
-# The batch replay must have gone through the gated batch endpoint.
-bmode=$(sed -n 's/.*"batch": \(true\|false\).*/\1/p' "$dir/batch.report.json")
-if [ "$bmode" != "true" ]; then
-  echo "loadsmoke: batch replay did not report batch mode" >&2
-  exit 1
-fi
-
-kill -TERM "$(cat "$dir/router.pid")"
-wait "$(cat "$dir/router.pid")" || true
-rm "$dir/router.pid"
-kill -TERM "$(cat "$dir/backend1.pid")"
-if ! wait "$(cat "$dir/backend1.pid")"; then
-  echo "loadsmoke: backend1 did not drain cleanly on SIGTERM" >&2
-  cat "$dir/backend1.log" >&2
-  exit 1
-fi
-rm "$dir/backend1.pid"
 trap - EXIT
 
 echo "loadsmoke: ok (artifacts in $dir)"
