@@ -61,11 +61,13 @@ bench:
 # builder's oracle-equivalence suite (seed data sets included) and the
 # scale generator's seed-stability suite, then a small sharded data set
 # through the streaming builder's replay protocol. Fast enough for CI;
-# the full-size run is bench-scale below.
+# the full-size run is bench-scale below. The data set goes to a fresh
+# temporary directory that is removed when the recipe ends.
 scale-smoke:
 	$(GO) test -race -run 'TestStreamBuilder|TestBuilderMatchesOracle|TestGenerateScale' ./internal/graph/ ./internal/synth/
-	$(GO) run ./cmd/synthgen -dataset scale -scale 0.1 \
-		-workers 4 -shards 8 -out $${TMPDIR:-/tmp}/gpc-scale-smoke -v
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		$(GO) run ./cmd/synthgen -dataset scale -scale 0.1 \
+			-workers 4 -shards 8 -out "$$dir" -v
 
 # Record the paper-scale pipeline benchmark. By default the data set is
 # floor-sized; GPC_SCALE=full selects the >=3M-vertex / >=50M-edge
@@ -89,12 +91,14 @@ bench-tri:
 		-benchmem -benchtime=$(BENCHTIME) -json . | tee $(TRI_BENCH_OUT)
 
 # Record the NCP sweep benchmarks: the approximate-PPR network community
-# profile over the shared Google+ data set, serial and fanned out. Both
-# produce the same curve by contract, so the pair isolates fan-out
-# scaling. BENCHTIME=1x is the CI smoke; raise it for recorded runs.
+# profile over the shared Google+ data set, serial and fanned out, plus
+# the push layer alone (32 stratified seeds, push and sweep ordering).
+# Both sweeps produce the same curve by contract, so the pair isolates
+# fan-out scaling. BENCHTIME=1x is the CI smoke; raise it for recorded
+# runs.
 NCP_BENCH_OUT ?= BENCH_$(DATE)-ncp.json
 bench-ncp:
-	$(GO) test -run='^$$' -bench='NCPSweep' \
+	$(GO) test -run='^$$' -bench='NCPSweep|PPRPush' \
 		-benchmem -benchtime=$(BENCHTIME) -json . | tee $(NCP_BENCH_OUT)
 
 # Profile one full circlebench run: CPU profile, heap profile, execution
@@ -112,11 +116,12 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target) over all nine fuzz
+# Coverage-guided fuzz smoke (FUZZTIME per target) over all ten fuzz
 # targets: the graph core's inputs from outside (Builder edge soup,
 # Overlay exact-degree fill, the binary CSR reader), the sweep-cut
 # kernel, the SNAP text parsers, the fast degree-fitting kernels
-# against their reference oracles, and the /v1/score request decoder.
+# against their reference oracles, and the /v1/score and /v1/ncp
+# request decoders.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBuilder$$' -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -128,6 +133,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEgoCircles$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzFitKernels$$' -fuzztime=$(FUZZTIME) ./internal/powerlaw/
 	$(GO) test -run='^$$' -fuzz='^FuzzScoreBody$$' -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run='^$$' -fuzz='^FuzzNCPBody$$' -fuzztime=$(FUZZTIME) ./internal/ncp/
 
 # Coverage floor for the serving layer: internal/serve carries the
 # backpressure/coalescing/drain state machine and must stay >= 80%.

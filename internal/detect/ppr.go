@@ -1,8 +1,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gpluscircles/internal/graph"
 )
@@ -64,30 +65,33 @@ func (v *PPRVector) Residual(u graph.VID) float64 { return v.r[u] }
 func (v *PPRVector) DegreeNormalizedOrder(g graph.View) []graph.VID {
 	order := make([]graph.VID, len(v.Support))
 	copy(order, v.Support)
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	// The comparator need not be transitive under rounding, so the
+	// permutation depends on the sort's comparison sequence. SortFunc
+	// runs the same pdqsort as sort.Slice, asking cmp(a, b) < 0 wherever
+	// sort.Slice asks less(a, b), so the order matches sort.Slice's.
+	slices.SortFunc(order, func(a, b graph.VID) int {
 		da, db := g.Degree(a), g.Degree(b)
+		if da == 0 || db == 0 {
+			switch {
+			case da != 0:
+				return 1
+			case db != 0:
+				return -1
+			}
+			return cmp.Compare(a, b)
+		}
 		// Compare p(a)/da vs p(b)/db by cross-multiplication: exact in
 		// the common degree range and free of 0/0 special cases beyond
 		// the explicit zero-degree branches.
-		if da == 0 {
-			if db == 0 {
-				return a < b
-			}
-			return true
-		}
-		if db == 0 {
-			return false
-		}
 		ra := v.p[a] * float64(db)
 		rb := v.p[b] * float64(da)
-		if ra > rb {
-			return true
+		switch {
+		case ra > rb:
+			return -1
+		case ra < rb:
+			return 1
 		}
-		if ra < rb {
-			return false
-		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	return order
 }
@@ -100,10 +104,21 @@ func (v *PPRVector) DegreeNormalizedOrder(g graph.View) []graph.VID {
 type PPR struct {
 	p, r    []float64
 	queued  []bool
+	marked  []bool // marked[v]: v is in touched
 	queue   []graph.VID
+	head    int // queue[head:] is the live FIFO
 	touched []graph.VID
+	support []graph.VID
 	vec     PPRVector
 }
+
+// denseTouchedShare picks how finish orders the touched set: a set of at
+// least 1/denseTouchedShare of the vertex range is listed by one scan of
+// the marks, a smaller one is sorted. The scan costs under a nanosecond
+// per vertex and the sort some ten to thirty per touched vertex, so they
+// break even near a 4 % share. Default-eps pushes from stratified seeds
+// touch 4–43 % of the Google+ benchmark graph (median 12 %).
+const denseTouchedShare = 25
 
 // NewPPR returns a workspace for views with up to n vertices.
 func NewPPR(n int) *PPR {
@@ -111,6 +126,7 @@ func NewPPR(n int) *PPR {
 		p:      make([]float64, n),
 		r:      make([]float64, n),
 		queued: make([]bool, n),
+		marked: make([]bool, n),
 	}
 }
 
@@ -119,8 +135,29 @@ func (w *PPR) grow(n int) {
 		w.p = make([]float64, n)
 		w.r = make([]float64, n)
 		w.queued = make([]bool, n)
+		w.marked = make([]bool, n)
 		w.touched = w.touched[:0]
 	}
+}
+
+// touch records the first time mass reaches v.
+func (w *PPR) touch(v graph.VID) {
+	if !w.marked[v] {
+		w.marked[v] = true
+		w.touched = append(w.touched, v)
+	}
+}
+
+// enqueue appends v to the FIFO. A full buffer that is at least half
+// consumed slides its live entries to the front instead of growing, so
+// the buffer tracks the live queue rather than the total push count.
+func (w *PPR) enqueue(v graph.VID) {
+	if len(w.queue) == cap(w.queue) && w.head >= len(w.queue)/2 {
+		w.queue = w.queue[:copy(w.queue, w.queue[w.head:])]
+		w.head = 0
+	}
+	w.queue = append(w.queue, v)
+	w.queued[v] = true
 }
 
 // Push computes an approximate PPR vector personalized on seed with the
@@ -149,36 +186,31 @@ func (w *PPR) Push(g graph.View, seed graph.VID, opts PPROptions) (*PPRVector, e
 		w.p[v] = 0
 		w.r[v] = 0
 		w.queued[v] = false
+		w.marked[v] = false
 	}
 	w.touched = w.touched[:0]
 	w.queue = w.queue[:0]
-
-	touch := func(v graph.VID) {
-		// touched is append-only and deduplicated via the p/r zero state:
-		// a vertex is recorded the first time mass reaches it.
-		w.touched = append(w.touched, v)
-	}
+	w.head = 0
 
 	w.r[seed] = 1
-	touch(seed)
+	w.touch(seed)
 	if g.Degree(seed) == 0 {
 		// An isolated seed holds all mass forever: the walk can never
 		// leave, so the exact PPR vector is the indicator of the seed.
 		w.p[seed] = 1
 		w.r[seed] = 0
-		return w.finish(g, 0), nil
+		return w.finish(n, 0), nil
 	}
-	w.queue = append(w.queue, seed)
-	w.queued[seed] = true
+	w.enqueue(seed)
 
 	directed := g.Directed()
 	pushes := 0
-	for len(w.queue) > 0 {
+	for w.head < len(w.queue) {
 		if opts.MaxPush > 0 && pushes >= opts.MaxPush {
 			break
 		}
-		u := w.queue[0]
-		w.queue = w.queue[1:]
+		u := w.queue[w.head]
+		w.head++
 		w.queued[u] = false
 		deg := float64(g.Degree(u))
 		ru := w.r[u]
@@ -192,13 +224,10 @@ func (w *PPR) Push(g graph.View, seed graph.VID, opts PPROptions) (*PPRVector, e
 		w.r[u] = 0
 		share := (1 - opts.Alpha) * ru / deg
 		spread := func(v graph.VID) {
-			if w.p[v] == 0 && w.r[v] == 0 { //lint:ignore floateq zero is the exact untouched state
-				touch(v)
-			}
+			w.touch(v)
 			w.r[v] += share
 			if !w.queued[v] && w.r[v] >= opts.Eps*float64(g.Degree(v)) {
-				w.queue = append(w.queue, v)
-				w.queued[v] = true
+				w.enqueue(v)
 			}
 		}
 		for _, v := range g.OutNeighbors(u) {
@@ -210,20 +239,32 @@ func (w *PPR) Push(g graph.View, seed graph.VID, opts PPROptions) (*PPRVector, e
 			}
 		}
 	}
-	return w.finish(g, pushes), nil
+	return w.finish(n, pushes), nil
 }
 
-// finish sorts the touched set and materializes the result vector.
-func (w *PPR) finish(g graph.View, pushes int) *PPRVector {
-	sort.Slice(w.touched, func(i, j int) bool { return w.touched[i] < w.touched[j] })
-	support := make([]graph.VID, 0, len(w.touched))
+// finish orders the touched set of a push over n vertices, collects the
+// support from it, and materializes the result vector. A large touched
+// set is listed by one scan of the marks, in O(n); a small one is
+// sorted, in O(t log t).
+func (w *PPR) finish(n, pushes int) *PPRVector {
+	if len(w.touched)*denseTouchedShare >= n {
+		w.touched = w.touched[:0]
+		for v, m := range w.marked[:n] {
+			if m {
+				w.touched = append(w.touched, graph.VID(v))
+			}
+		}
+	} else {
+		slices.Sort(w.touched)
+	}
+	w.support = w.support[:0]
 	for _, v := range w.touched {
 		if w.p[v] > 0 {
-			support = append(support, v)
+			w.support = append(w.support, v)
 		}
 	}
 	w.vec = PPRVector{
-		Support: support,
+		Support: w.support,
 		Touched: w.touched,
 		Pushes:  pushes,
 		p:       w.p,

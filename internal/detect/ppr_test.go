@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"gpluscircles/internal/graph"
@@ -132,20 +134,7 @@ func TestPPRWorkspaceReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fresh push: %v", err)
 	}
-	if len(reused.Support) != len(fresh.Support) {
-		t.Fatalf("support sizes differ: %d vs %d", len(reused.Support), len(fresh.Support))
-	}
-	for i, v := range fresh.Support {
-		if reused.Support[i] != v {
-			t.Fatalf("support[%d] = %d vs %d", i, reused.Support[i], v)
-		}
-		if reused.Score(v) != fresh.Score(v) { //lint:ignore floateq reuse must be bit-identical
-			t.Fatalf("score(%d) = %v vs %v", v, reused.Score(v), fresh.Score(v))
-		}
-		if reused.Residual(v) != fresh.Residual(v) { //lint:ignore floateq reuse must be bit-identical
-			t.Fatalf("residual(%d) = %v vs %v", v, reused.Residual(v), fresh.Residual(v))
-		}
-	}
+	samePush(t, reused, fresh)
 }
 
 func TestPPRDegreeNormalizedOrder(t *testing.T) {
@@ -192,4 +181,190 @@ func randomPPREdges(rng *rand.Rand, n, m int) [][2]int64 {
 		edges = append(edges, [2]int64{v, (v + 1) % int64(n)})
 	}
 	return edges
+}
+
+// checkTouchedSupport asserts the ordered-set contract of a push result:
+// Touched equals its own sorted, deduplicated copy and holds exactly the
+// vertices that carry mass, and Support is the part of Touched with
+// positive score.
+func checkTouchedSupport(t *testing.T, g graph.View, vec *PPRVector) {
+	t.Helper()
+	want := slices.Clone(vec.Touched)
+	slices.Sort(want)
+	want = slices.Compact(want)
+	if !slices.Equal(vec.Touched, want) {
+		t.Fatalf("Touched (%d) is not sorted and deduplicated", len(vec.Touched))
+	}
+	var reached, support []graph.VID
+	for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
+		if vec.Score(v) > 0 || vec.Residual(v) > 0 {
+			reached = append(reached, v)
+		}
+		if vec.Score(v) > 0 {
+			support = append(support, v)
+		}
+	}
+	if !slices.Equal(vec.Touched, reached) {
+		t.Fatalf("Touched has %d vertices, %d carry mass", len(vec.Touched), len(reached))
+	}
+	if !slices.Equal(vec.Support, support) {
+		t.Fatalf("Support has %d vertices, %d have positive score", len(vec.Support), len(support))
+	}
+}
+
+// samePush asserts two push results are bit-identical.
+func samePush(t *testing.T, got, want *PPRVector) {
+	t.Helper()
+	if got.Pushes != want.Pushes || !slices.Equal(got.Touched, want.Touched) || !slices.Equal(got.Support, want.Support) {
+		t.Fatalf("pushes %d vs %d, touched %d vs %d, support %d vs %d",
+			got.Pushes, want.Pushes, len(got.Touched), len(want.Touched), len(got.Support), len(want.Support))
+	}
+	for _, v := range want.Touched {
+		if math.Float64bits(got.Score(v)) != math.Float64bits(want.Score(v)) ||
+			math.Float64bits(got.Residual(v)) != math.Float64bits(want.Residual(v)) {
+			t.Fatalf("vertex %d: p %v vs %v, r %v vs %v", v, got.Score(v), want.Score(v), got.Residual(v), want.Residual(v))
+		}
+	}
+}
+
+// ringAndClique is a 20,000-vertex ring (ids 0..19999) beside an 8-clique
+// (ids 20000..20007): a default-eps push from either stays in a small
+// region, and in the clique every vertex is reached from several others.
+func ringAndClique(t *testing.T) *graph.Graph {
+	t.Helper()
+	const n = 20000
+	var edges [][2]int64
+	for v := int64(0); v < n; v++ {
+		edges = append(edges, [2]int64{v, (v + 1) % n})
+	}
+	for u := int64(n); u < n+8; u++ {
+		for v := u + 1; v < n+8; v++ {
+			edges = append(edges, [2]int64{u, v})
+		}
+	}
+	return pprGraph(t, false, edges)
+}
+
+func vertex(t *testing.T, g *graph.Graph, id int64) graph.VID {
+	t.Helper()
+	v, ok := g.Lookup(id)
+	if !ok {
+		t.Fatalf("vertex %d missing", id)
+	}
+	return v
+}
+
+// Both ways finish orders the touched set — the scan of the marks for a
+// large share of the vertex range, the sort for a small one — must give
+// the same ordered, deduplicated set, on fresh and on reused workspaces,
+// including one reused across graphs of different sizes.
+func TestPPRTouchedAndSupportOrdered(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	dense := pprGraph(t, true, randomPPREdges(rng, 3000, 30000))
+	sparse := ringAndClique(t)
+	small := clique(t, 12) // every vertex touched: the scan on a workspace larger than the graph
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		seeds []graph.VID
+		scan  bool
+	}{
+		{"dense", dense, []graph.VID{0, 1499, 2999}, true},
+		{"sparse", sparse, []graph.VID{vertex(t, sparse, 0), vertex(t, sparse, 12345), vertex(t, sparse, 20003)}, false},
+		{"small", small, []graph.VID{0, 11}, true},
+	}
+	shared := NewPPR(small.NumVertices())
+	for round := 0; round < 2; round++ {
+		for _, tc := range cases {
+			for _, seed := range tc.seeds {
+				vec, err := shared.Push(tc.g, seed, PPROptions{})
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+				}
+				n := tc.g.NumVertices()
+				if scan := len(vec.Touched)*denseTouchedShare >= n; scan != tc.scan {
+					t.Fatalf("%s seed %d: %d of %d touched takes scan=%v, want %v", tc.name, seed, len(vec.Touched), n, scan, tc.scan)
+				}
+				checkTouchedSupport(t, tc.g, vec)
+				checkMassAndResidual(t, tc.g, vec, 1e-4)
+				fresh, err := ApproxPPR(tc.g, seed, PPROptions{})
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+				}
+				samePush(t, vec, fresh)
+			}
+		}
+	}
+}
+
+// lessByDegreeNormalized is DegreeNormalizedOrder's ordering written as a
+// sort.Slice less function: the oracle for the permutation it returns.
+func lessByDegreeNormalized(g graph.View, p []float64, order []graph.VID) func(i, j int) bool {
+	return func(i, j int) bool {
+		a, b := order[i], order[j]
+		da, db := g.Degree(a), g.Degree(b)
+		if da == 0 {
+			if db == 0 {
+				return a < b
+			}
+			return true
+		}
+		if db == 0 {
+			return false
+		}
+		ra := p[a] * float64(db)
+		rb := p[b] * float64(da)
+		if ra > rb {
+			return true
+		}
+		if ra < rb {
+			return false
+		}
+		return a < b
+	}
+}
+
+// The sweep order must be the permutation sort.Slice produced, also on
+// exact ties and on near-ties, where rounding in the cross-multiplied
+// comparison can make it intransitive and the result depends on the
+// sort's comparison sequence.
+func TestDegreeNormalizedOrderMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		n := 20 + rng.Intn(600)
+		b := graph.NewBuilder(trial%2 == 0)
+		for i := 0; i < 3*n; i++ {
+			b.AddEdge(rng.Int63n(int64(n)), rng.Int63n(int64(n)))
+		}
+		for i := 0; i < n/10; i++ {
+			b.AddVertex(int64(n + i)) // isolated: the zero-degree branches
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		p := make([]float64, g.NumVertices())
+		support := make([]graph.VID, 0, len(p))
+		bases := []float64{1.0 / 3, 0.1, 1.0 / 7, 0.25}
+		for v := range p {
+			if rng.Intn(5) == 0 {
+				continue // not in the support
+			}
+			p[v] = bases[rng.Intn(len(bases))] * float64(max(g.Degree(graph.VID(v)), 1))
+			switch rng.Intn(3) {
+			case 0:
+				p[v] = math.Nextafter(p[v], 0)
+			case 1:
+				p[v] = math.Nextafter(p[v], 1)
+			}
+			support = append(support, graph.VID(v))
+		}
+		vec := &PPRVector{Support: support, p: p}
+		got := vec.DegreeNormalizedOrder(g)
+		want := slices.Clone(support)
+		sort.Slice(want, lessByDegreeNormalized(g, p, want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): order differs from sort.Slice", trial, len(p))
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"gpluscircles/internal/core"
@@ -19,6 +20,11 @@ const (
 	maxSeeds       = 512
 	maxSweepSize   = 10000
 	maxNullSamples = 8
+	// minEps is the smallest residual tolerance a request may set (0
+	// still selects the default). A push costs about 1/eps: one Google+
+	// seed takes some 0.3 ms at the default 1e-4 but 50 ms at 1e-8 and
+	// 100 ms at 1e-10, and a request may carry maxSeeds seeds.
+	minEps = 1e-8
 )
 
 // Handler answers POST /v1/ncp with a network community profile sweep
@@ -36,35 +42,9 @@ func Handler(suite *core.Suite, set experiments.Set) http.Handler {
 			writeNCPError(w, http.StatusBadRequest, api.CodeExperimentGated, err.Error())
 			return
 		}
-		var req api.NCPRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest, "decode request: "+err.Error())
-			return
-		}
-		if req.Dataset == "" {
-			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest, "dataset is required")
-			return
-		}
-		if req.Seeds < 0 || req.Seeds > maxSeeds {
-			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				fmt.Sprintf("seeds must be in [0, %d], got %d", maxSeeds, req.Seeds))
-			return
-		}
-		if req.Eps < 0 || req.Alpha < 0 || req.Alpha >= 1 {
-			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				"eps must be >= 0 and alpha in [0, 1)")
-			return
-		}
-		if req.MaxSize < 0 || req.MaxSize > maxSweepSize {
-			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				fmt.Sprintf("max_size must be in [0, %d], got %d", maxSweepSize, req.MaxSize))
-			return
-		}
-		if req.NullSamples < 0 || req.NullSamples > maxNullSamples {
-			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest,
-				fmt.Sprintf("null_samples must be in [0, %d], got %d", maxNullSamples, req.NullSamples))
+		req, err := resolveNCP(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			writeNCPError(w, http.StatusBadRequest, api.CodeInvalidRequest, err.Error())
 			return
 		}
 		ds, err := suite.DatasetByName(req.Dataset)
@@ -118,6 +98,33 @@ func Handler(suite *core.Suite, set experiments.Set) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(body)
 	})
+}
+
+// resolveNCP decodes one JSON /v1/ncp request from body and checks every
+// field against the request bounds. It is the only path by which request
+// bytes reach the sweep; any error it returns is an invalid_request.
+func resolveNCP(body io.Reader) (api.NCPRequest, error) {
+	var req api.NCPRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("decode request: %w", err)
+	}
+	switch {
+	case req.Dataset == "":
+		return req, errors.New("dataset is required")
+	case req.Seeds < 0 || req.Seeds > maxSeeds:
+		return req, fmt.Errorf("seeds must be in [0, %d], got %d", maxSeeds, req.Seeds)
+	case req.Eps < 0 || (req.Eps > 0 && req.Eps < minEps):
+		return req, fmt.Errorf("eps must be 0 (the default) or at least %g, got %g", minEps, req.Eps)
+	case req.Alpha < 0 || req.Alpha >= 1:
+		return req, fmt.Errorf("alpha must be in [0, 1), got %g", req.Alpha)
+	case req.MaxSize < 0 || req.MaxSize > maxSweepSize:
+		return req, fmt.Errorf("max_size must be in [0, %d], got %d", maxSweepSize, req.MaxSize)
+	case req.NullSamples < 0 || req.NullSamples > maxNullSamples:
+		return req, fmt.Errorf("null_samples must be in [0, %d], got %d", maxNullSamples, req.NullSamples)
+	}
+	return req, nil
 }
 
 func apiPoints(c *Curve) []api.NCPPoint {

@@ -136,18 +136,7 @@ func StratifiedSeeds(g graph.View, k int, seed int64) []graph.VID {
 	if k <= 0 {
 		return nil
 	}
-	ranked := make([]graph.VID, n)
-	for i := range ranked {
-		ranked[i] = graph.VID(i)
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		da, db := g.Degree(a), g.Degree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	})
+	ranked := rankByDegree(g)
 	rng := rand.New(rand.NewSource(seed*1000003 + 7))
 	seeds := make([]graph.VID, k)
 	for j := 0; j < k; j++ {
@@ -155,6 +144,35 @@ func StratifiedSeeds(g graph.View, k int, seed int64) []graph.VID {
 		seeds[j] = ranked[lo+rng.Intn(hi-lo)]
 	}
 	return seeds
+}
+
+// rankByDegree lists g's vertices by degree descending, ties ascending by
+// id, with a counting sort in O(n + maxDeg): bucket b holds degree
+// maxDeg−b, and the fill pass walks ids in order, so ids ascend within a
+// bucket.
+func rankByDegree(g graph.View) []graph.VID {
+	n := g.NumVertices()
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, g.Degree(graph.VID(v)))
+	}
+	// next[b] counts bucket b, then becomes its next free rank.
+	next := make([]int32, maxDeg+1)
+	for v := 0; v < n; v++ {
+		next[maxDeg-g.Degree(graph.VID(v))]++
+	}
+	var rank int32
+	for b, c := range next {
+		next[b] = rank
+		rank += c
+	}
+	ranked := make([]graph.VID, n)
+	for v := 0; v < n; v++ {
+		b := maxDeg - g.Degree(graph.VID(v))
+		ranked[next[b]] = graph.VID(v)
+		next[b]++
+	}
+	return ranked
 }
 
 // Sweep computes the network community profile of g: for every seed, an

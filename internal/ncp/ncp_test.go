@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -159,6 +161,98 @@ func TestStratifiedSeedsProperties(t *testing.T) {
 	}
 }
 
+// stratifiedSeedsOracle is StratifiedSeeds with the ranking done by a
+// comparison sort: rank by (degree desc, id asc) with sort.Slice, then
+// draw one vertex per stratum from the same stream.
+func stratifiedSeedsOracle(g graph.View, k int, seed int64) []graph.VID {
+	n := g.NumVertices()
+	if k > n {
+		k = n
+	}
+	if k <= 0 {
+		return nil
+	}
+	ranked := make([]graph.VID, n)
+	for i := range ranked {
+		ranked[i] = graph.VID(i)
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i], ranked[j]
+		da, db := g.Degree(a), g.Degree(b)
+		if da != db {
+			return da > db
+		}
+		return a < b
+	})
+	rng := rand.New(rand.NewSource(seed*1000003 + 7))
+	seeds := make([]graph.VID, k)
+	for j := 0; j < k; j++ {
+		lo, hi := j*n/k, (j+1)*n/k
+		seeds[j] = ranked[lo+rng.Intn(hi-lo)]
+	}
+	return seeds
+}
+
+func checkSeedsMatchOracle(t *testing.T, name string, g graph.View) {
+	t.Helper()
+	n := g.NumVertices()
+	for _, k := range []int{0, 1, 3, 32, 64, n - 1, n, n + 5} {
+		for _, seed := range []int64{1, 2, 77} {
+			got, want := StratifiedSeeds(g, k, seed), stratifiedSeedsOracle(g, k, seed)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s k=%d seed=%d: seeds %v, oracle %v", name, k, seed, got, want)
+			}
+		}
+	}
+}
+
+// The counting-sort ranking must draw exactly the seeds the comparison
+// sort drew, on every seed data set and on degree sequences with
+// isolated vertices, a single degree value, one hub, and k >= n.
+func TestStratifiedSeedsMatchSortOracle(t *testing.T) {
+	build := func(directed bool, isolated []int64, edges ...[2]int64) *graph.Graph {
+		b := graph.NewBuilder(directed)
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		for _, v := range isolated {
+			b.AddVertex(v)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return g
+	}
+	var ring, star [][2]int64
+	for v := int64(0); v < 40; v++ {
+		ring = append(ring, [2]int64{v, (v + 1) % 40})
+		star = append(star, [2]int64{17, 100 + v})
+	}
+	star = append(star, [2]int64{100, 101}, [2]int64{102, 103})
+	for name, g := range map[string]*graph.Graph{
+		"isolated only":    build(false, []int64{5, 1, 9, 3}),
+		"isolated mixed":   build(false, []int64{50, 60, 70}, [2]int64{0, 1}, [2]int64{1, 2}, [2]int64{3, 4}),
+		"all equal":        build(false, nil, ring...),
+		"one hub":          build(false, []int64{999}, star...),
+		"one hub directed": build(true, nil, star...),
+		"single vertex":    build(false, []int64{42}),
+	} {
+		checkSeedsMatchOracle(t, name, g)
+		checkSeedsMatchOracle(t, name+" overlay", graph.NewOverlay(g))
+	}
+	if testing.Short() {
+		return
+	}
+	for _, name := range core.DatasetNames() {
+		ds, err := testSuite().DatasetByName(name)
+		if err != nil {
+			t.Fatalf("dataset %s: %v", name, err)
+		}
+		checkSeedsMatchOracle(t, name, ds.Graph)
+	}
+}
+
 func TestSweepCurveShape(t *testing.T) {
 	g := plantedGraph(t, 13)
 	c, err := Sweep(g, Options{Seeds: 16, MaxSize: 50, Seed: 1})
@@ -252,6 +346,8 @@ func TestHandlerValidation(t *testing.T) {
 		{"missing dataset", `{}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"seeds over cap", `{"dataset":"gplus","seeds":100000}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"negative eps", `{"dataset":"gplus","eps":-1}`, api.CodeInvalidRequest, http.StatusBadRequest},
+		{"eps below floor", `{"dataset":"gplus","eps":9.9e-9}`, api.CodeInvalidRequest, http.StatusBadRequest},
+		{"eps denormal", `{"dataset":"gplus","eps":5e-324}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"alpha one", `{"dataset":"gplus","alpha":1}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"max size over cap", `{"dataset":"gplus","max_size":1000000}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"null samples over cap", `{"dataset":"gplus","null_samples":100}`, api.CodeInvalidRequest, http.StatusBadRequest},
@@ -268,6 +364,12 @@ func TestHandlerValidation(t *testing.T) {
 				t.Fatalf("error = %+v (ok=%v), want code %s", apiErr, ok, tc.code)
 			}
 		})
+	}
+	// The floor itself and the default (0) are accepted.
+	for _, body := range []string{`{"dataset":"gplus","eps":1e-8}`, `{"dataset":"gplus","eps":0}`} {
+		if _, err := resolveNCP(strings.NewReader(body)); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
 	}
 }
 

@@ -40,16 +40,12 @@ const (
 	CodeInternal = "internal"
 )
 
-// Error is the machine-readable error: a stable code plus a
-// human-readable message.
+// Error is the body of the error envelope: a stable code plus a
+// human-readable message. It is wire data, not a Go error value.
 type Error struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
-
-// Error implements the error interface so server code can thread an
-// api.Error through Go error paths without losing the code.
-func (e *Error) Error() string { return e.Message }
 
 // ErrorResponse is the uniform JSON envelope of every non-2xx response.
 type ErrorResponse struct {

@@ -12,15 +12,16 @@ type NCPRequest struct {
 	// the vertex count).
 	Seeds int `json:"seeds,omitempty"`
 	// Eps is the PPR residual tolerance (default 1e-4); smaller values
-	// explore larger supports at proportional cost.
+	// explore larger supports at proportional cost, so a set value must
+	// be at least 1e-8.
 	Eps float64 `json:"eps,omitempty"`
 	// Alpha is the PPR teleport probability (default 0.15).
 	Alpha float64 `json:"alpha,omitempty"`
 	// MaxSize bounds the community sizes swept (default 400).
 	MaxSize int `json:"max_size,omitempty"`
 	// Seed drives seed stratification (and the null rewiring chain when
-	// NullSamples > 0); 0 selects 1. Part of the coalescing and cache
-	// key, so equal seeds provably share one execution.
+	// NullSamples > 0); 0 selects 1. The endpoint has no coalescer or
+	// cache: equal requests each run the sweep and get equal bytes.
 	Seed int64 `json:"seed,omitempty"`
 	// NullSamples > 0 additionally sweeps that many degree-preserving
 	// rewired null graphs and reports the pointwise-minimum null curve.

@@ -31,8 +31,6 @@ type httpErr struct {
 	msg    string
 }
 
-func (e *httpErr) Error() string { return e.msg }
-
 func badRequest(code, format string, args ...any) *httpErr {
 	return &httpErr{status: http.StatusBadRequest, code: code, msg: fmt.Sprintf(format, args...)}
 }
