@@ -116,12 +116,12 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target) over all ten fuzz
+# Coverage-guided fuzz smoke (FUZZTIME per target) over all eleven fuzz
 # targets: the graph core's inputs from outside (Builder edge soup,
 # Overlay exact-degree fill, the binary CSR reader), the sweep-cut
 # kernel, the SNAP text parsers, the fast degree-fitting kernels
-# against their reference oracles, and the /v1/score and /v1/ncp
-# request decoders.
+# against their reference oracles, the Hurwitz zeta function over
+# arbitrary (s, q), and the /v1/score and /v1/ncp request decoders.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBuilder$$' -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEgoCircles$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzFitKernels$$' -fuzztime=$(FUZZTIME) ./internal/powerlaw/
+	$(GO) test -run='^$$' -fuzz='^FuzzHurwitzZeta$$' -fuzztime=$(FUZZTIME) ./internal/powerlaw/
 	$(GO) test -run='^$$' -fuzz='^FuzzScoreBody$$' -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run='^$$' -fuzz='^FuzzNCPBody$$' -fuzztime=$(FUZZTIME) ./internal/ncp/
 

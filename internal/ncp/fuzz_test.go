@@ -12,8 +12,9 @@ import (
 )
 
 // FuzzNCPBody drives arbitrary bytes through the /v1/ncp front half —
-// http.MaxBytesReader, JSON decoding and resolveNCP. resolveNCP is the
-// only path by which outside bytes reach the sweep, so every input must
+// http.MaxBytesReader, strict JSON decoding and resolveNCP. resolveNCP
+// is the only path by which outside bytes reach the sweep, so every
+// input must
 // end in exactly one of two well-formed outcomes:
 //
 //   - a request whose fields all lie within the endpoint's bounds (a
@@ -36,6 +37,10 @@ func FuzzNCPBody(f *testing.F) {
 		`{"dataset":"gplus","null_samples":9}`,
 		`{"dataset":"gplus","seed":-9223372036854775808}`,
 		`{"dataset":"gplus","bogus":1}`,
+		`{"dataset":"gplus","seeds":4} {"bogus": true}`,
+		`{"dataset":"gplus"} trailing garbage`,
+		`{"dataset":"gplus"}]`,
+		"{\"dataset\":\"gplus\"}\n",
 		`{"dataset":"gplus","seeds":1.5}`,
 		`{"dataset":"gplus"`,
 		"{\"dataset\":\"\xff\xfe\"}",

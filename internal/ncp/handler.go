@@ -105,9 +105,7 @@ func Handler(suite *core.Suite, set experiments.Set) http.Handler {
 // bytes reach the sweep; any error it returns is an invalid_request.
 func resolveNCP(body io.Reader) (api.NCPRequest, error) {
 	var req api.NCPRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := api.DecodeRequest(body, &req); err != nil {
 		return req, fmt.Errorf("decode request: %w", err)
 	}
 	switch {

@@ -343,6 +343,8 @@ func TestHandlerValidation(t *testing.T) {
 	}{
 		{"malformed", `{`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"unknown field", `{"dataset":"gplus","bogus":1}`, api.CodeInvalidRequest, http.StatusBadRequest},
+		{"trailing value", `{"dataset":"gplus","seeds":4} {"bogus": true}`, api.CodeInvalidRequest, http.StatusBadRequest},
+		{"trailing garbage", `{"dataset":"gplus"} x`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"missing dataset", `{}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"seeds over cap", `{"dataset":"gplus","seeds":100000}`, api.CodeInvalidRequest, http.StatusBadRequest},
 		{"negative eps", `{"dataset":"gplus","eps":-1}`, api.CodeInvalidRequest, http.StatusBadRequest},
@@ -365,8 +367,9 @@ func TestHandlerValidation(t *testing.T) {
 			}
 		})
 	}
-	// The floor itself and the default (0) are accepted.
-	for _, body := range []string{`{"dataset":"gplus","eps":1e-8}`, `{"dataset":"gplus","eps":0}`} {
+	// The floor itself, the default (0) and trailing whitespace are
+	// accepted.
+	for _, body := range []string{`{"dataset":"gplus","eps":1e-8}`, `{"dataset":"gplus","eps":0}`, "{\"dataset\":\"gplus\"} \n\t"} {
 		if _, err := resolveNCP(strings.NewReader(body)); err != nil {
 			t.Errorf("%s: %v", body, err)
 		}

@@ -42,19 +42,6 @@ func (p *PowerLaw) CDF(x int) float64 {
 	return 1 - hurwitzZeta(p.Alpha, float64(x+1))/p.zeta
 }
 
-// scanCDF returns CDF as a closure that draws its ζ values from one
-// zetaScan: bit-identical to CDF for any x, and cheap when called with
-// nondecreasing x.
-func (p *PowerLaw) scanCDF() func(int) float64 {
-	z := &zetaScan{s: p.Alpha}
-	return func(x int) float64 {
-		if x < p.XminVal {
-			return 0
-		}
-		return 1 - z.at(x+1)/p.zeta
-	}
-}
-
 // Params implements Dist.
 func (p *PowerLaw) Params() map[string]float64 {
 	return map[string]float64{"alpha": p.Alpha}

@@ -18,16 +18,6 @@ func TestHurwitzZetaRiemannValues(t *testing.T) {
 	}
 }
 
-func TestHurwitzZetaShiftIdentity(t *testing.T) {
-	// ζ(s, q) = q^-s + ζ(s, q+1).
-	s, q := 2.5, 3.0
-	lhs := hurwitzZeta(s, q)
-	rhs := math.Pow(q, -s) + hurwitzZeta(s, q+1)
-	if math.Abs(lhs-rhs) > 1e-9 {
-		t.Errorf("shift identity violated: %v vs %v", lhs, rhs)
-	}
-}
-
 func TestPowerLawNormalization(t *testing.T) {
 	p := NewPowerLaw(2.5, 1)
 	var total float64

@@ -324,22 +324,6 @@ func TestFitKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestZetaScanMatchesHurwitzZeta walks the scan window forwards,
-// backwards, across gaps wider than the window, and past the exact
-// integer range, against a fresh hurwitzZeta call each time.
-func TestZetaScanMatchesHurwitzZeta(t *testing.T) {
-	for _, s := range []float64{1.01, 1.7, 3.2} {
-		z := &zetaScan{s: s}
-		for _, m := range []int{1, 1, 2, 5, 999, 1000, 1001, 3000, 2, 7, 1 << 40, 1<<40 + 1,
-			-3, 0, 1 << 53, math.MaxInt, math.MinInt, 12} {
-			got, want := z.at(m), hurwitzZeta(s, float64(m))
-			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("s=%v m=%d: scan %v, hurwitzZeta %v", s, m, got, want)
-			}
-		}
-	}
-}
-
 // TestLogNormalLikelihoodMatchesPerPointSum checks the per-value
 // likelihood against the per-point sum directly, over a grid of
 // parameters: the fitted (μ, σ) alone could hide a summation-order

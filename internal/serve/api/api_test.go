@@ -38,6 +38,32 @@ func TestDecodeErrorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestStrict: a body is exactly one JSON value with known
+// fields; surrounding whitespace is fine, anything else after it is not.
+func TestDecodeRequestStrict(t *testing.T) {
+	for _, body := range []string{`{"dataset":"gplus","seeds":4}`, " {\"dataset\":\"gplus\"} \r\n\t"} {
+		var req NCPRequest
+		if err := DecodeRequest(strings.NewReader(body), &req); err != nil || req.Dataset != "gplus" {
+			t.Errorf("DecodeRequest(%q) = %v, dataset %q", body, err, req.Dataset)
+		}
+	}
+	for _, body := range []string{
+		`{"dataset":"gplus","seeds":4} {"bogus": true}`,
+		`{"dataset":"gplus"} trailing garbage`,
+		`{"dataset":"gplus"}]`,
+		`{"dataset":"gplus"}{}`,
+		`{"dataset":"gplus"} 1`,
+		`{"dataset":"gplus","bogus":1}`,
+		`{"dataset":"gplus"`,
+		``,
+	} {
+		var req NCPRequest
+		if err := DecodeRequest(strings.NewReader(body), &req); err == nil {
+			t.Errorf("DecodeRequest(%q) accepted", body)
+		}
+	}
+}
+
 // TestScoreRequestTagsMatchServe: the wire tags are the contract the
 // serving layer's canonicalization and key derivation rely on; a tag
 // rename is an API break this test makes loud.

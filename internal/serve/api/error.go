@@ -1,6 +1,10 @@
 package api
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"errors"
+	"io"
+)
 
 // Error codes: the machine-readable half of the error envelope. Codes
 // are stable API — clients may switch on them — while messages are
@@ -9,7 +13,8 @@ import "encoding/json"
 const (
 	// CodeInvalidRequest (400): the body failed to decode or a field
 	// failed validation (missing dataset, both/neither of group and
-	// members, negative or over-cap null_samples, malformed JSON).
+	// members, negative or over-cap null_samples, malformed JSON, data
+	// after the body's one JSON value).
 	CodeInvalidRequest = "invalid_request"
 	// CodeUnknownDataset (404): the dataset name is not in the
 	// GET /v1/datasets inventory.
@@ -69,4 +74,19 @@ func DecodeError(body []byte) (Error, bool) {
 		return Error{}, false
 	}
 	return er.Error, true
+}
+
+// DecodeRequest decodes a request body into v strictly: an unknown
+// field, malformed JSON, or anything but whitespace after the first
+// JSON value is an error. Every decode error is an invalid_request.
+func DecodeRequest(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }

@@ -47,6 +47,7 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 	}{
 		{"score bad json", "POST", "/v1/score", `{`, http.StatusBadRequest, api.CodeInvalidRequest},
 		{"score unknown field", "POST", "/v1/score", `{"dataset":"gplus","group":"x","nope":1}`, http.StatusBadRequest, api.CodeInvalidRequest},
+		{"score trailing value", "POST", "/v1/score", fmt.Sprintf(`{"dataset":"gplus","group":%q} {"bogus": true}`, group), http.StatusBadRequest, api.CodeInvalidRequest},
 		{"score missing dataset", "POST", "/v1/score", `{"group":"x"}`, http.StatusBadRequest, api.CodeInvalidRequest},
 		{"score group and members", "POST", "/v1/score", fmt.Sprintf(`{"dataset":"gplus","group":%q,"members":[1]}`, group), http.StatusBadRequest, api.CodeInvalidRequest},
 		{"score null samples over cap", "POST", "/v1/score", fmt.Sprintf(`{"dataset":"gplus","group":%q,"null_samples":9}`, group), http.StatusBadRequest, api.CodeInvalidRequest},

@@ -29,6 +29,9 @@ func FuzzScoreBody(f *testing.F) {
 		fmt.Sprintf(`{"dataset":"gplus","group":%q}`, group),
 		fmt.Sprintf(`{"dataset":"gplus","members":[%d,%d,%d,%d],"funcs":["conductance","modularity"]}`, ids[1], ids[0], ids[1], ids[2]),
 		`{"dataset":"gplus","group":"x","nope":1}`,
+		fmt.Sprintf(`{"dataset":"gplus","group":%q} {"bogus": true}`, group),
+		fmt.Sprintf(`{"dataset":"gplus","group":%q}]`, group),
+		fmt.Sprintf("{\"dataset\":\"gplus\",\"group\":%q}\r\n", group),
 		`{"dataset":"gplus","gro`,
 		"{\"dataset\":\"\xff\xfe\",\"group\":\"\xc3\x28\"}",
 		`{"dataset":"gplus","members":[99999999999999999999999]}`,

@@ -73,10 +73,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 // and resolves every name (dataset, group, members, functions) against
 // the suite. It is the only path by which request bytes reach scoring.
 func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req api.ScoreRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := api.DecodeRequest(body, &req); err != nil {
 		return nil, badRequest(api.CodeInvalidRequest, "invalid request body: %v", err)
 	}
 	if req.Dataset == "" {
