@@ -47,7 +47,7 @@ func TestGoldenNCP(t *testing.T) {
 		t.Fatalf("gplus: %v", err)
 	}
 
-	render := func(g graph.View, workers int) []byte {
+	render := func(g *graph.Graph, workers int) []byte {
 		t.Helper()
 		curve, err := ncp.Sweep(g, ncp.Options{Seeds: 16, MaxSize: 100, Workers: workers, Seed: 1})
 		if err != nil {
@@ -87,7 +87,7 @@ func TestGoldenNCP(t *testing.T) {
 	}
 	// A pooled overlay that has not been mutated is the identity view of
 	// the parent graph; the sweep must render the exact same bytes.
-	if b := render(graph.NewOverlay(gp.Graph), 4); !bytes.Equal(b, want) {
+	if b := render(&graph.NewOverlay(gp.Graph).Graph, 4); !bytes.Equal(b, want) {
 		t.Error("pooled-overlay sweep bytes diverge from the parent-graph golden")
 	}
 }

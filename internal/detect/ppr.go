@@ -62,7 +62,7 @@ func (v *PPRVector) Residual(u graph.VID) float64 { return v.r[u] }
 // break ascending by vertex id so the ordering (and everything computed
 // from it) is deterministic. Degree-0 vertices order first: their mass
 // can never leave, so p(v)/deg(v) is effectively infinite.
-func (v *PPRVector) DegreeNormalizedOrder(g graph.View) []graph.VID {
+func (v *PPRVector) DegreeNormalizedOrder(g *graph.Graph) []graph.VID {
 	order := make([]graph.VID, len(v.Support))
 	copy(order, v.Support)
 	// The comparator need not be transitive under rounding, so the
@@ -97,7 +97,7 @@ func (v *PPRVector) DegreeNormalizedOrder(g graph.View) []graph.VID {
 }
 
 // PPR is a reusable workspace for approximate personalized-PageRank
-// pushes over views with a common vertex range. Reuse keeps a sweep over
+// pushes over graphs with a common vertex range. Reuse keeps a sweep over
 // many seeds allocation-free in the steady state: only the vertices
 // touched by the previous push are cleared, not the whole arrays. Not
 // safe for concurrent use; parallel sweeps hold one PPR per worker.
@@ -120,7 +120,7 @@ type PPR struct {
 // touch 4–43 % of the Google+ benchmark graph (median 12 %).
 const denseTouchedShare = 25
 
-// NewPPR returns a workspace for views with up to n vertices.
+// NewPPR returns a workspace for graphs with up to n vertices.
 func NewPPR(n int) *PPR {
 	return &PPR{
 		p:      make([]float64, n),
@@ -168,13 +168,13 @@ func (w *PPR) enqueue(v graph.VID) {
 // still sums to 1 (floating-point roundoff aside) — both properties are
 // asserted by the detect property tests over the seed datasets.
 //
-// Directed views diffuse over the union adjacency (out- and in-
+// Directed graphs diffuse over the union adjacency (out- and in-
 // neighbors), matching graph.Degree and the undirected reading the
 // paper's conductance metric takes of the social graph.
 //
 // The returned vector aliases the workspace and is valid until the next
 // Push. An out-of-range seed returns ErrBadSeed.
-func (w *PPR) Push(g graph.View, seed graph.VID, opts PPROptions) (*PPRVector, error) {
+func (w *PPR) Push(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector, error) {
 	n := g.NumVertices()
 	if seed < 0 || int(seed) >= n {
 		return nil, fmt.Errorf("%w: %d", ErrBadSeed, seed)
@@ -274,6 +274,6 @@ func (w *PPR) finish(n, pushes int) *PPRVector {
 }
 
 // ApproxPPR is the convenience form of PPR.Push for one-off calls.
-func ApproxPPR(g graph.View, seed graph.VID, opts PPROptions) (*PPRVector, error) {
+func ApproxPPR(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector, error) {
 	return NewPPR(g.NumVertices()).Push(g, seed, opts)
 }

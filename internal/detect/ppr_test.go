@@ -34,7 +34,7 @@ func clique(t *testing.T, n int) *graph.Graph {
 // checkMassAndResidual asserts the two push invariants: total mass p + r
 // over the touched set conserved within 1e-12, and every residual below
 // the eps·deg termination threshold.
-func checkMassAndResidual(t *testing.T, g graph.View, vec *PPRVector, eps float64) {
+func checkMassAndResidual(t *testing.T, g *graph.Graph, vec *PPRVector, eps float64) {
 	t.Helper()
 	var mass float64
 	for _, v := range vec.Touched {
@@ -187,7 +187,7 @@ func randomPPREdges(rng *rand.Rand, n, m int) [][2]int64 {
 // Touched equals its own sorted, deduplicated copy and holds exactly the
 // vertices that carry mass, and Support is the part of Touched with
 // positive score.
-func checkTouchedSupport(t *testing.T, g graph.View, vec *PPRVector) {
+func checkTouchedSupport(t *testing.T, g *graph.Graph, vec *PPRVector) {
 	t.Helper()
 	want := slices.Clone(vec.Touched)
 	slices.Sort(want)
@@ -299,7 +299,7 @@ func TestPPRTouchedAndSupportOrdered(t *testing.T) {
 
 // lessByDegreeNormalized is DegreeNormalizedOrder's ordering written as a
 // sort.Slice less function: the oracle for the permutation it returns.
-func lessByDegreeNormalized(g graph.View, p []float64, order []graph.VID) func(i, j int) bool {
+func lessByDegreeNormalized(g *graph.Graph, p []float64, order []graph.VID) func(i, j int) bool {
 	return func(i, j int) bool {
 		a, b := order[i], order[j]
 		da, db := g.Degree(a), g.Degree(b)

@@ -108,12 +108,18 @@ func FuzzBuilder(f *testing.F) {
 // FuzzOverlayFillFromEdges drives the exact-degree fill with both valid
 // sequences (the parent's own edges, possibly reordered by the fuzz
 // input) and arbitrary invalid ones. Valid fills must succeed without
-// the degree-exactness errors ever firing; invalid ones must error
-// without corrupting the parent or poisoning the overlay for reuse.
+// the degree-exactness errors ever firing, and every accepted fill must
+// read, through each Graph method, like its materialized copy. Invalid
+// fills must error without corrupting the parent or poisoning the
+// overlay for reuse.
 func FuzzOverlayFillFromEdges(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 4, 4, 1}, []byte{0}, false)
 	f.Add([]byte{1, 2, 2, 3, 1, 3}, []byte{2, 1, 0}, true)
 	f.Add([]byte{5, 6, 6, 7}, []byte{9, 9, 9, 9}, false)
+	// Fills that match every degree but are not simple graphs.
+	f.Add([]byte{0, 1, 1, 2, 2, 0}, []byte{0, 0, 1, 2, 1, 2}, false) // self-loop
+	f.Add([]byte{0, 1, 1, 2, 2, 0}, []byte{0, 0, 1, 2, 2, 1}, true)  // self-loop
+	f.Add([]byte{0, 1, 0, 2, 1, 2}, []byte{0, 2, 0, 2, 1, 1}, true)  // repeated arc
 	f.Fuzz(func(t *testing.T, graphData, fillData []byte, directed bool) {
 		g, err := FromEdges(directed, decodePairs(graphData, 12))
 		if err != nil {
@@ -132,15 +138,11 @@ func FuzzOverlayFillFromEdges(f *testing.F) {
 		if err := o.FillFromEdges(valid); err != nil {
 			t.Fatalf("valid fill rejected: %v", err)
 		}
-		for v := 0; v < g.NumVertices(); v++ {
-			if got, want := len(o.OutNeighbors(VID(v))), g.OutDegree(VID(v)); got != want {
-				t.Fatalf("vertex %d: overlay row length %d != parent out-degree %d", v, got, want)
-			}
-		}
+		checkReadsLikeMaterialized(t, o)
 
 		// Arbitrary fill: decoded from the fuzz input over the parent's
 		// dense vertex space; most sequences violate the degree sequence
-		// and must error cleanly.
+		// or simplicity and must error cleanly.
 		n := g.NumVertices()
 		arbitrary := make([]Edge, 0, len(fillData)/2)
 		for i := 0; i+1 < len(fillData); i += 2 {
@@ -151,31 +153,73 @@ func FuzzOverlayFillFromEdges(f *testing.F) {
 		}
 		fillErr := o.FillFromEdges(arbitrary)
 		if fillErr == nil {
-			// The fill claimed success, so every row must again be
-			// exactly full.
-			for v := 0; v < n; v++ {
-				if got, want := len(o.OutNeighbors(VID(v))), g.OutDegree(VID(v)); got != want {
-					t.Fatalf("accepted fill left vertex %d with %d of %d neighbors", v, got, want)
-				}
-			}
+			checkReadsLikeMaterialized(t, o)
 		}
 
 		// Error or not, the parent is untouched and the overlay remains
-		// reusable: a Reset restores the identity view.
+		// reusable: a Reset restores the parent's adjacency.
 		if after := edgeFingerprint(g); after != before {
 			t.Fatalf("parent corrupted by fill (err=%v):\nbefore %s\nafter %s", fillErr, before, after)
 		}
 		o.Reset()
-		for v := 0; v < n; v++ {
-			parentRow := g.OutNeighbors(VID(v))
-			overlayRow := o.OutNeighbors(VID(v))
-			for i := range parentRow {
-				if overlayRow[i] != parentRow[i] {
-					t.Fatalf("overlay not reusable after fill error %v: row %d differs", fillErr, v)
-				}
-			}
+		if got := edgeFingerprint(&o.Graph); got != before {
+			t.Fatalf("overlay not reusable after fill error %v:\n got %s\nwant %s", fillErr, got, before)
 		}
 	})
+}
+
+// checkReadsLikeMaterialized asserts that every read method of the
+// overlay's graph agrees with the same method on its Materialize()d copy.
+// Both share the ascending ids table, so their dense indices coincide.
+func checkReadsLikeMaterialized(t *testing.T, o *Overlay) {
+	t.Helper()
+	want, err := o.Materialize()
+	if err != nil {
+		t.Fatalf("materialize accepted fill: %v", err)
+	}
+	got := &o.Graph
+	if g, w := edgeFingerprint(got), edgeFingerprint(want); g != w {
+		t.Fatalf("overlay reads differ from materialized:\n got %s\nwant %s", g, w)
+	}
+	same := func(what string, g, w any) {
+		t.Helper()
+		if gs, ws := fmt.Sprint(g), fmt.Sprint(w); gs != ws {
+			t.Fatalf("%s: overlay %s, materialized %s", what, gs, ws)
+		}
+	}
+	same("EdgeList", got.EdgeList(), want.EdgeList())
+	same("DegreeSequence", got.DegreeSequence(), want.DegreeSequence())
+	same("InDegreeSequence", got.InDegreeSequence(), want.InDegreeSequence())
+	same("OutDegreeSequence", got.OutDegreeSequence(), want.OutDegreeSequence())
+	same("ExternalIDs", got.ExternalIDs(), want.ExternalIDs())
+	// The means are computed from the same integers in the same order,
+	// so their float64 bits must match.
+	same("MeanDegree", got.MeanDegree(), want.MeanDegree())
+	same("MeanInDegree", got.MeanInDegree(), want.MeanInDegree())
+	same("MeanOutDegree", got.MeanOutDegree(), want.MeanOutDegree())
+	n := VID(got.NumVertices())
+	for u := VID(0); u < n; u++ {
+		same(fmt.Sprintf("degrees of %d", u),
+			[3]int{got.Degree(u), got.InDegree(u), got.OutDegree(u)},
+			[3]int{want.Degree(u), want.InDegree(u), want.OutDegree(u)})
+		for v := VID(0); v < n; v++ {
+			if got.HasEdge(u, v) != want.HasEdge(u, v) {
+				t.Fatalf("HasEdge(%d, %d) = %v on the overlay", u, v, got.HasEdge(u, v))
+			}
+		}
+	}
+	ids := want.ExternalIDs()
+	probes := append([]int64{-1}, ids...)
+	if len(ids) > 0 {
+		probes = append(probes, ids[len(ids)-1]+1)
+	}
+	for _, id := range probes {
+		gv, gok := got.Lookup(id)
+		wv, wok := want.Lookup(id)
+		if gv != wv || gok != wok {
+			t.Fatalf("Lookup(%d) = (%d, %v) on the overlay, (%d, %v) materialized", id, gv, gok, wv, wok)
+		}
+	}
 }
 
 // FuzzReadBinary feeds ReadBinary arbitrary bytes. It must never panic,

@@ -24,10 +24,12 @@ import (
 // VID is a dense internal vertex index in [0, NumVertices).
 type VID = int32
 
-// Graph is an immutable simple graph in CSR form. The zero value is an
-// empty graph with no vertices; use a Builder to construct non-trivial
-// graphs. Graph values are safe for concurrent use by multiple goroutines
-// because they are never mutated after construction.
+// Graph is a simple graph in CSR form. The zero value is an empty graph
+// with no vertices; use a Builder to construct non-trivial graphs. Graph
+// values are safe for concurrent use by multiple goroutines: a built
+// graph is never mutated, and the graph embedded in an Overlay changes
+// only through that overlay's Reset and FillFromEdges, which must not
+// race with readers.
 type Graph struct {
 	directed bool
 
@@ -42,6 +44,19 @@ type Graph struct {
 	inAdj []VID
 
 	m int64 // arcs if directed, edges if undirected
+
+	base *Graph // graph whose ids and offsets this one shares; nil: itself
+}
+
+// Base returns the graph whose vertex set, ids table and CSR offsets g
+// shares: the parent for the graph of an Overlay, g itself for a graph
+// built normally. Per-graph caches that depend only on the degree
+// sequence key on it.
+func (g *Graph) Base() *Graph {
+	if g.base != nil {
+		return g.base
+	}
+	return g
 }
 
 // Directed reports whether the graph is directed.

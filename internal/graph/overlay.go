@@ -2,45 +2,20 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"gpluscircles/internal/obs"
 )
 
-// View is the read-only adjacency surface the scoring and analysis code
-// consumes. Both *Graph and *Overlay satisfy it, so the community scoring
-// functions and graph.Cut evaluate null-model samples without ever
-// materializing them as full graphs.
+// Overlay is an adjacency-only rewrite of a parent graph. It exists for
+// degree-preserving null models, where every sample realizes the exact
+// degree sequence of the parent — hence the offset arrays and the ids
+// table are invariant and can be shared; only the 2m adjacency entries
+// differ per sample.
 //
-// Implementations must be safe for concurrent readers and must uphold the
-// Graph invariants: neighbor slices are sorted ascending and owned by the
-// view (callers must not modify them), and degrees are consistent with
-// the slices' lengths.
-type View interface {
-	Directed() bool
-	NumVertices() int
-	NumEdges() int64
-	Degree(v VID) int
-	OutDegree(v VID) int
-	InDegree(v VID) int
-	OutNeighbors(v VID) []VID
-	InNeighbors(v VID) []VID
-	HasEdge(u, v VID) bool
-	DegreeSequence() []int
-}
-
-var (
-	_ View = (*Graph)(nil)
-	_ View = (*Overlay)(nil)
-)
-
-// Overlay is an adjacency-only rewrite of a parent graph: a view with the
-// parent's vertex set, interning tables and CSR offsets, but its own
-// adjacency storage. It exists for degree-preserving null models, where
-// every sample realizes the exact degree sequence of the parent — hence
-// the offset arrays and the ids table are invariant and
-// can be shared; only the 2m adjacency entries differ per sample.
+// The embedded Graph is the sample: it has the parent's layout, so every
+// Graph method and every function taking a *Graph reads it directly
+// (pass &o.Graph), and its Base is the parent.
 //
 // Memory model:
 //
@@ -55,20 +30,18 @@ var (
 // overlays from an OverlayArena to make repeated sampling allocation-free
 // after warm-up.
 type Overlay struct {
-	parent *Graph
-	outAdj []VID
-	inAdj  []VID // aliases outAdj when the parent is undirected
+	Graph
 
 	cursor []int64 // scratch write cursors for FillFromEdges, len n
 }
 
-// NewOverlay allocates an overlay of parent initialized to the parent's
-// own adjacency (i.e. a view equal to the parent).
+// NewOverlay allocates an overlay of parent's base graph, initialized to
+// that graph's own adjacency (i.e. a sample equal to the base).
 func NewOverlay(parent *Graph) *Overlay {
-	o := &Overlay{
-		parent: parent,
-		outAdj: make([]VID, len(parent.outAdj)),
-	}
+	parent = parent.Base()
+	o := &Overlay{Graph: *parent}
+	o.base = parent
+	o.outAdj = make([]VID, len(parent.outAdj))
 	if parent.directed {
 		o.inAdj = make([]VID, len(parent.inAdj))
 	} else {
@@ -78,60 +51,12 @@ func NewOverlay(parent *Graph) *Overlay {
 	return o
 }
 
-// Parent returns the graph whose structure the overlay shares.
-func (o *Overlay) Parent() *Graph { return o.parent }
-
 // Reset copies the parent's adjacency back into the overlay.
 func (o *Overlay) Reset() {
-	copy(o.outAdj, o.parent.outAdj)
-	if o.parent.directed {
-		copy(o.inAdj, o.parent.inAdj)
+	copy(o.outAdj, o.base.outAdj)
+	if o.directed {
+		copy(o.inAdj, o.base.inAdj)
 	}
-}
-
-// Directed reports whether the parent (and hence the overlay) is directed.
-func (o *Overlay) Directed() bool { return o.parent.directed }
-
-// NumVertices returns the parent's vertex count.
-func (o *Overlay) NumVertices() int { return o.parent.NumVertices() }
-
-// NumEdges returns the parent's edge count; every legal overlay fill
-// realizes the same m.
-func (o *Overlay) NumEdges() int64 { return o.parent.m }
-
-// ExternalID returns the data-set ID of the dense vertex v.
-func (o *Overlay) ExternalID(v VID) int64 { return o.parent.ExternalID(v) }
-
-// OutNeighbors returns the overlay's out-adjacency of v, sorted
-// ascending. Callers must not modify the returned slice.
-func (o *Overlay) OutNeighbors(v VID) []VID {
-	return o.outAdj[o.parent.outOff[v]:o.parent.outOff[v+1]]
-}
-
-// InNeighbors returns the overlay's in-adjacency of v, sorted ascending.
-// Callers must not modify the returned slice.
-func (o *Overlay) InNeighbors(v VID) []VID {
-	return o.inAdj[o.parent.inOff[v]:o.parent.inOff[v+1]]
-}
-
-// OutDegree equals the parent's out-degree: the offsets are shared.
-func (o *Overlay) OutDegree(v VID) int { return o.parent.OutDegree(v) }
-
-// InDegree equals the parent's in-degree.
-func (o *Overlay) InDegree(v VID) int { return o.parent.InDegree(v) }
-
-// Degree equals the parent's degree.
-func (o *Overlay) Degree(v VID) int { return o.parent.Degree(v) }
-
-// DegreeSequence equals the parent's degree sequence.
-func (o *Overlay) DegreeSequence() []int { return o.parent.DegreeSequence() }
-
-// HasEdge reports whether the overlay contains the arc (u,v) (directed)
-// or edge {u,v} (undirected). Runs in O(log deg(u)).
-func (o *Overlay) HasEdge(u, v VID) bool {
-	adj := o.OutNeighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
 }
 
 // FillFromEdges overwrites the overlay's adjacency with the given edge
@@ -142,9 +67,12 @@ func (o *Overlay) HasEdge(u, v VID) bool {
 //
 // The degree check is exact: an edge list that would overflow any CSR row
 // returns an error before corrupting neighboring rows, and underfull rows
-// are reported after placement.
+// are reported after placement. A list that matches every degree but
+// holds a self-loop or a repeated edge is rejected after sorting. After
+// an error the overlay's adjacency is unspecified until the next Reset or
+// successful fill.
 func (o *Overlay) FillFromEdges(edges []Edge) error {
-	g := o.parent
+	g := &o.Graph
 	n := g.NumVertices()
 	if o.cursor == nil {
 		o.cursor = make([]int64, n)
@@ -188,6 +116,9 @@ func (o *Overlay) FillFromEdges(edges []Edge) error {
 			return err
 		}
 		sortRows(o.outAdj, g.outOff, n)
+		if err := checkSimple(o.outAdj, g.outOff, n); err != nil {
+			return err
+		}
 		sortRows(o.inAdj, g.inOff, n)
 		return nil
 	}
@@ -206,7 +137,7 @@ func (o *Overlay) FillFromEdges(edges []Edge) error {
 		return err
 	}
 	sortRows(o.outAdj, g.outOff, n)
-	return nil
+	return checkSimple(o.outAdj, g.outOff, n)
 }
 
 // sortRows restores the ascending-row invariant after a counting fill.
@@ -227,25 +158,34 @@ func sortRows(adj []VID, off []int64, n int) {
 	}
 }
 
+// checkSimple reports the first sorted row that holds its own vertex or
+// repeats a neighbor. The in-rows of a directed fill are the transpose of
+// its out-rows, so checking the out-rows covers both.
+func checkSimple(adj []VID, off []int64, n int) error {
+	for v := 0; v < n; v++ {
+		row := adj[off[v]:off[v+1]]
+		for i, w := range row {
+			if w == VID(v) || (i > 0 && row[i-1] == w) {
+				return fmt.Errorf("graph: overlay fill: vertex %d: self-loop or repeated neighbor %d", v, w)
+			}
+		}
+	}
+	return nil
+}
+
 // Materialize builds an immutable Graph equal to the overlay's current
 // contents, carrying the parent's external IDs. Intended for callers that
 // need to hand a sample to APIs requiring a concrete *Graph; the hot
 // sampling paths never call it.
 func (o *Overlay) Materialize() (*Graph, error) {
-	g := o.parent
-	b := NewBuilder(g.directed)
-	for v := 0; v < g.NumVertices(); v++ {
-		b.AddVertex(g.ExternalID(VID(v)))
+	b := NewBuilder(o.directed)
+	for _, id := range o.ids {
+		b.AddVertex(id)
 	}
-	n := VID(g.NumVertices())
-	for u := VID(0); u < n; u++ {
-		for _, v := range o.OutNeighbors(u) {
-			if !g.directed && v < u {
-				continue
-			}
-			b.AddEdge(g.ExternalID(u), g.ExternalID(v))
-		}
-	}
+	o.Edges(func(e Edge) bool {
+		b.AddEdge(o.ids[e.From], o.ids[e.To])
+		return true
+	})
 	return b.Build()
 }
 
@@ -306,7 +246,7 @@ func (a *OverlayArena) Put(o *Overlay) {
 	if o == nil {
 		return
 	}
-	if o.parent != a.parent {
+	if o.base != a.parent {
 		panic("graph: OverlayArena.Put of overlay with a different parent")
 	}
 	a.pool.Put(o)

@@ -15,9 +15,9 @@ func NewSet(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64)}
 }
 
-// SetOf builds a Set over a graph view's vertex range from the given
-// members. Duplicate members are ignored.
-func SetOf(g View, members []VID) *Set {
+// SetOf builds a Set over g's vertex range from the given members.
+// Duplicate members are ignored.
+func SetOf(g *Graph, members []VID) *Set {
 	s := NewSet(g.NumVertices())
 	for _, v := range members {
 		s.Add(v)
@@ -81,42 +81,36 @@ type CutStats struct {
 	DegreeSum int64 // sum of d(v) over v in C
 }
 
-// Cut computes the internal/boundary edge statistics of the set within g,
-// which may be a *Graph or any other View — in particular an Overlay, so
-// null-model samples are scored without materializing them as graphs.
+// Cut computes the internal/boundary edge statistics of the set within g.
+// g may be an Overlay's graph, so null-model samples are scored without
+// materializing them.
 //
 // For directed graphs, Internal counts arcs with both endpoints in C and
 // Boundary counts arcs with exactly one endpoint in C (in either
 // direction). For undirected graphs the counts are in edges. This is the
 // single primitive all four scoring functions are built on.
-func Cut(g View, s *Set) CutStats {
+//
+// Only the out-rows are scanned. Every arc incident to C is internal or
+// boundary, and an internal arc adds two to DegreeSum where a boundary
+// arc adds one, so Boundary = DegreeSum − 2·Internal. An internal arc
+// lies in the out-row of one member (directed) or of both (undirected).
+// The membership test adds the bitmap bit instead of branching on it,
+// because whether a neighbour is a member is hard to predict.
+func Cut(g *Graph, s *Set) CutStats {
 	var st CutStats
 	st.N = s.Len()
-	directed := g.Directed()
+	var hits int64 // member entries in the members' out-rows
+	words := s.words
 	for _, u := range s.members {
 		st.DegreeSum += int64(g.Degree(u))
 		for _, v := range g.OutNeighbors(u) {
-			if s.Contains(v) {
-				st.Internal++
-			} else {
-				st.Boundary++
-			}
-		}
-		if directed {
-			// Arcs entering C from outside.
-			for _, v := range g.InNeighbors(u) {
-				if !s.Contains(v) {
-					st.Boundary++
-				}
-			}
-		} else {
-			// Undirected adjacency is symmetric: internal edges were
-			// visited from both endpoints, boundary edges once.
-			continue
+			hits += int64(words[uint32(v)>>6] >> (uint32(v) & 63) & 1)
 		}
 	}
-	if !directed {
+	st.Internal = hits
+	if !g.directed {
 		st.Internal /= 2
 	}
+	st.Boundary = st.DegreeSum - 2*st.Internal
 	return st
 }

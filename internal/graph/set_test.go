@@ -153,3 +153,45 @@ func TestQuickCutFullSet(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// cutByEdgeScan is the reference for Cut: it classifies every arc (or
+// edge) of g by how many of its endpoints lie in the set.
+func cutByEdgeScan(g *Graph, s *Set) CutStats {
+	st := CutStats{N: s.Len()}
+	for _, u := range s.Members() {
+		st.DegreeSum += int64(g.Degree(u))
+	}
+	g.Edges(func(e Edge) bool {
+		from, to := s.Contains(e.From), s.Contains(e.To)
+		if from && to {
+			st.Internal++
+		} else if from != to {
+			st.Boundary++
+		}
+		return true
+	})
+	return st
+}
+
+// Property: Cut, which scans only the members' out-rows, agrees with a
+// scan of every edge, directed and undirected.
+func TestQuickCutMatchesEdgeScan(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := FromEdges(seed%2 == 0, randomEdges(rng, 20, 70))
+		if err != nil {
+			return true
+		}
+		var members []VID
+		for v := 0; v < g.NumVertices(); v++ {
+			if rng.Intn(2) == 0 {
+				members = append(members, VID(v))
+			}
+		}
+		s := SetOf(g, members)
+		return Cut(g, s) == cutByEdgeScan(g, s)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -87,7 +87,7 @@ func SampledClustering(g *graph.Graph, samples int, rng *rand.Rand) ([]float64, 
 	out := make([]float64, 0, samples)
 	s := triScratchPool.Get().(*triScratch)
 	for _, v := range picks {
-		out = append(out, localCCView(g, v, s))
+		out = append(out, localCC(g, v, s))
 	}
 	triScratchPool.Put(s)
 	return out, nil
@@ -113,11 +113,11 @@ func partialPerm(n, samples int, rng *rand.Rand) []graph.VID {
 	return out
 }
 
-// localCCView computes the local clustering coefficient of x on the
-// undirected projection of v with sorted-row intersections: for each
+// localCC computes the local clustering coefficient of x on the
+// undirected projection of g with sorted-row intersections: for each
 // neighbour a, the common neighbours beyond a close one linked pair each.
-func localCCView(v graph.View, x graph.VID, s *triScratch) float64 {
-	row := undirRow(v, x, &s.a)
+func localCC(g *graph.Graph, x graph.VID, s *triScratch) float64 {
+	row := undirRow(g, x, &s.a)
 	deg := len(row)
 	if deg < 2 {
 		return 0
@@ -128,17 +128,9 @@ func localCCView(v graph.View, x graph.VID, s *triScratch) float64 {
 		if len(rest) == 0 {
 			break
 		}
-		links += intersectCount(rest, undirRow(v, a, &s.b))
+		links += intersectCount(rest, undirRow(g, a, &s.b))
 	}
 	return 2 * float64(links) / (float64(deg) * float64(deg-1))
-}
-
-// TriangleCount returns the number of triangles in the undirected
-// projection of g, counted on the cached oriented DAG (TriangleKernelOf).
-// Repeated calls against the same graph are allocation-free; the error
-// return is kept for call-site compatibility and is always nil.
-func TriangleCount(g *graph.Graph) (int64, error) {
-	return TriangleCountView(g, 1), nil
 }
 
 // GlobalClustering returns the transitivity of the undirected projection:

@@ -15,7 +15,7 @@ var (
 	// ErrSweepDuplicate is returned when an ordering names a vertex twice.
 	ErrSweepDuplicate = errors.New("graphalgo: sweep ordering repeats a vertex")
 	// ErrSweepRange is returned when an ordering names a vertex outside
-	// the view's vertex range.
+	// the graph's vertex range.
 	ErrSweepRange = errors.New("graphalgo: sweep ordering vertex out of range")
 )
 
@@ -37,7 +37,7 @@ type SweepCutter struct {
 	inSet []bool
 }
 
-// NewSweepCutter returns a workspace for views with up to n vertices.
+// NewSweepCutter returns a workspace for graphs with up to n vertices.
 func NewSweepCutter(n int) *SweepCutter {
 	return &SweepCutter{inSet: make([]bool, n)}
 }
@@ -59,15 +59,15 @@ func SweepConductance(internal, boundary int64) float64 {
 // g: out[i] is the conductance of the set {order[0], …, order[i]}. The
 // result is appended to dst[:0] (pass nil to allocate; pass the previous
 // result to reuse its capacity). The ordering must not repeat a vertex
-// and every vertex must lie in the view's range; a violation returns an
+// and every vertex must lie in the graph's range; a violation returns an
 // error and leaves the workspace clean.
 //
-// For directed views a prefix's internal count is arcs with both
+// For directed graphs a prefix's internal count is arcs with both
 // endpoints inside and its boundary is arcs crossing in either
 // direction, the graph.Cut convention, so sweeping a directed graph and
 // scoring the chosen prefix with score.Conductance agree exactly on any
 // prefix with at least one incident arc (see SweepConductance).
-func (sc *SweepCutter) Conductances(g graph.View, order []graph.VID, dst []float64) ([]float64, error) {
+func (sc *SweepCutter) Conductances(g *graph.Graph, order []graph.VID, dst []float64) ([]float64, error) {
 	n := g.NumVertices()
 	if len(sc.inSet) < n {
 		sc.inSet = make([]bool, n)

@@ -10,7 +10,7 @@ import (
 
 // bruteSweep rescores the prefix set from scratch with graph.Cut — the
 // reference the incremental kernel must match bit for bit.
-func bruteSweep(g graph.View, order []graph.VID) []float64 {
+func bruteSweep(g *graph.Graph, order []graph.VID) []float64 {
 	out := make([]float64, 0, len(order))
 	set := graph.NewSet(g.NumVertices())
 	for _, w := range order {

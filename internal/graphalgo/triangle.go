@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the triangle kernel: a degree-ordered oriented-DAG
-// CSR representation of a graph view's undirected projection, cached per
-// parent graph and pooled for overlays, with merge-based sorted-adjacency
+// CSR representation of a graph's undirected projection, cached per
+// base graph and pooled for overlays, with merge-based sorted-adjacency
 // intersection. Every clustering-family algorithm in the package
 // (TriangleCount, LocalClustering, GlobalClustering) and the cohesion
 // scoring function are built on it.
@@ -45,16 +45,15 @@ type triDAG struct {
 // row returns DAG row r.
 func (d *triDAG) row(r int32) []int32 { return d.adj[d.off[r]:d.off[r+1]] }
 
-// TriangleKernel holds the degree-rank permutation of one source view and
-// the cached/pooled oriented DAGs built over it. Obtain kernels for
-// *graph.Graph values with TriangleKernelOf; overlays resolve to their
-// parent's kernel automatically.
+// TriangleKernel holds the degree-rank permutation of one base graph and
+// the cached/pooled oriented DAGs built over it. Obtain kernels with
+// TriangleKernelOf; an overlay's graph resolves to its parent's kernel.
 //
 // A kernel is safe for concurrent use: the permutation is immutable after
 // construction, the source DAG is built under a sync.Once, and overlay
 // DAGs are drawn from a sync.Pool per call.
 type TriangleKernel struct {
-	src   graph.View
+	src   *graph.Graph
 	n     int
 	order []graph.VID // rank -> vertex id
 	rank  []int32     // vertex id -> rank
@@ -65,16 +64,18 @@ type TriangleKernel struct {
 	dagPool sync.Pool
 }
 
-// triKernels caches one kernel per parent graph. Parent graphs are few
-// and long-lived (suite-memoized data sets), so the cache is never
+// triKernels caches one kernel per base graph. Base graphs are few and
+// long-lived (suite-memoized data sets), so the cache is never
 // evicted; a kernel plus its cached DAG costs O(n + m) alongside a graph
 // that already costs O(n + 2m).
 var triKernels sync.Map // *graph.Graph -> *TriangleKernel
 
-// TriangleKernelOf returns the (cached) triangle kernel of g, creating it
-// on first use. The kernel's source DAG is built lazily on the first
+// TriangleKernelOf returns the (cached) triangle kernel of g's base graph,
+// creating it on first use, so every overlay of a parent shares the
+// parent's kernel. The kernel's source DAG is built lazily on the first
 // count, so merely resolving a kernel is cheap.
 func TriangleKernelOf(g *graph.Graph) *TriangleKernel {
+	g = g.Base()
 	if v, ok := triKernels.Load(g); ok {
 		return v.(*TriangleKernel)
 	}
@@ -85,23 +86,9 @@ func TriangleKernelOf(g *graph.Graph) *TriangleKernel {
 	return k
 }
 
-// kernelFor resolves the kernel serving v: the cached parent kernel for
-// graphs and overlays, a throwaway kernel for foreign View
-// implementations.
-func kernelFor(v graph.View) *TriangleKernel {
-	switch t := v.(type) {
-	case *graph.Graph:
-		return TriangleKernelOf(t)
-	case *graph.Overlay:
-		return TriangleKernelOf(t.Parent())
-	default:
-		return newTriangleKernel(v)
-	}
-}
-
 // newTriangleKernel computes the degree-rank permutation of src. Ties
 // break on vertex id so the orientation is deterministic.
-func newTriangleKernel(src graph.View) *TriangleKernel {
+func newTriangleKernel(src *graph.Graph) *TriangleKernel {
 	n := src.NumVertices()
 	k := &TriangleKernel{src: src, n: n}
 	k.order = make([]graph.VID, n)
@@ -123,12 +110,12 @@ func newTriangleKernel(src graph.View) *TriangleKernel {
 	return k
 }
 
-// dagFor returns the oriented DAG of v plus a release callback (nil when
-// the DAG is the kernel's cached source DAG). Views other than the
-// kernel's own source draw pooled buffers and rebuild; callers must
-// invoke release once done so the buffers return to the pool.
-func (k *TriangleKernel) dagFor(v graph.View) (d *triDAG, release func()) {
-	if v == k.src {
+// dagFor returns the oriented DAG of g plus a release callback (nil when
+// the DAG is the kernel's cached source DAG). Graphs other than the
+// kernel's own source (overlays) draw pooled buffers and rebuild; callers
+// must invoke release once done so the buffers return to the pool.
+func (k *TriangleKernel) dagFor(g *graph.Graph) (d *triDAG, release func()) {
+	if g == k.src {
 		// Atomic fast path: the sync.Once closure would otherwise be
 		// heap-allocated on every call, costing the steady state 1 alloc.
 		if dag := k.srcDAG.Load(); dag != nil {
@@ -136,28 +123,28 @@ func (k *TriangleKernel) dagFor(v graph.View) (d *triDAG, release func()) {
 		}
 		k.srcOnce.Do(func() {
 			dag := new(triDAG)
-			k.fill(dag, v)
+			k.fill(dag, g)
 			k.srcDAG.Store(dag)
 		})
 		return k.srcDAG.Load(), nil
 	}
-	return k.pooledDAG(v)
+	return k.pooledDAG(g)
 }
 
-// pooledDAG fills a pooled DAG for a non-source view. Split out of dagFor
-// so the release closure's capture of d doesn't box it on dagFor's
+// pooledDAG fills a pooled DAG for a non-source graph. Split out of
+// dagFor so the release closure's capture of d doesn't box it on dagFor's
 // allocation-free cached path.
-func (k *TriangleKernel) pooledDAG(v graph.View) (*triDAG, func()) {
+func (k *TriangleKernel) pooledDAG(g *graph.Graph) (*triDAG, func()) {
 	d := k.dagPool.Get().(*triDAG)
-	k.fill(d, v)
+	k.fill(d, g)
 	return d, func() { k.dagPool.Put(d) }
 }
 
-// fill (re)builds d as the oriented DAG of v. Two passes, both iterating
+// fill (re)builds d as the oriented DAG of g. Two passes, both iterating
 // vertices in rank order: the counting pass sizes every row, and the
 // placement pass appends ranks in increasing order — which leaves every
 // row sorted ascending with no sort step.
-func (k *TriangleKernel) fill(d *triDAG, v graph.View) {
+func (k *TriangleKernel) fill(d *triDAG, g *graph.Graph) {
 	n := k.n
 	d.off = growI64(d.off, n+1)
 	d.cur = growI64(d.cur, n)
@@ -168,7 +155,7 @@ func (k *TriangleKernel) fill(d *triDAG, v graph.View) {
 	for rw := 0; rw < n; rw++ {
 		w := k.order[rw]
 		deg := 0
-		for _, u := range undirRow(v, w, &d.buf) {
+		for _, u := range undirRow(g, w, &d.buf) {
 			if u == w {
 				continue
 			}
@@ -186,7 +173,7 @@ func (k *TriangleKernel) fill(d *triDAG, v graph.View) {
 	copy(d.cur, d.off[:n])
 	for rw := 0; rw < n; rw++ {
 		w := k.order[rw]
-		for _, u := range undirRow(v, w, &d.buf) {
+		for _, u := range undirRow(g, w, &d.buf) {
 			if u == w {
 				continue
 			}
@@ -198,15 +185,15 @@ func (k *TriangleKernel) fill(d *triDAG, v graph.View) {
 	}
 }
 
-// undirRow returns the sorted undirected neighborhood of w in v. For
-// undirected views it is the CSR row itself (no copy); for directed views
-// the out- and in-rows are merged with duplicates and self-loops dropped,
-// into *buf (grown as needed, reused across calls).
-func undirRow(v graph.View, w graph.VID, buf *[]graph.VID) []graph.VID {
-	if !v.Directed() {
-		return v.OutNeighbors(w)
+// undirRow returns the sorted undirected neighborhood of w in g. For
+// undirected graphs it is the CSR row itself (no copy); for directed
+// graphs the out- and in-rows are merged with duplicates and self-loops
+// dropped, into *buf (grown as needed, reused across calls).
+func undirRow(g *graph.Graph, w graph.VID, buf *[]graph.VID) []graph.VID {
+	if !g.Directed() {
+		return g.OutNeighbors(w)
 	}
-	*buf = mergeNeighbors(v.OutNeighbors(w), v.InNeighbors(w), w, (*buf)[:0])
+	*buf = mergeNeighbors(g.OutNeighbors(w), g.InNeighbors(w), w, (*buf)[:0])
 	return *buf
 }
 
@@ -401,16 +388,16 @@ func chunkBounds(off []int64, chunks int) []int {
 	return append(bounds, n)
 }
 
-// TriangleCountView counts the triangles of the undirected projection of
-// v, fanning the counting pass out over `workers` goroutines (<= 0
-// selects GOMAXPROCS, 1 forces the serial pass). The result is
-// bit-identical across worker counts and across a parent graph and any
-// overlay holding the same adjacency. Counting the same *graph.Graph
-// repeatedly is allocation-free after the first call; overlays reuse
-// pooled DAG buffers.
-func TriangleCountView(v graph.View, workers int) int64 {
-	k := kernelFor(v)
-	d, release := k.dagFor(v)
+// TriangleCount counts the triangles of the undirected projection of g,
+// fanning the counting pass out over `workers` goroutines (<= 0 selects
+// GOMAXPROCS, 1 forces the serial pass). The result is bit-identical
+// across worker counts and across a parent graph and any overlay holding
+// the same adjacency. Counting the same built graph repeatedly is
+// allocation-free after the first call; overlays reuse pooled DAG
+// buffers.
+func TriangleCount(g *graph.Graph, workers int) int64 {
+	k := TriangleKernelOf(g)
+	d, release := k.dagFor(g)
 	t := k.count(d, workers)
 	if release != nil {
 		release()
@@ -419,7 +406,7 @@ func TriangleCountView(v graph.View, workers int) int64 {
 }
 
 // triScratch holds the merged-row buffers SetTriangles and the sampled
-// clustering path need on directed views. Pooled globally; buffers grow
+// clustering path need on directed graphs. Pooled globally; buffers grow
 // to the hottest row encountered and are reused across calls.
 type triScratch struct {
 	a, b []graph.VID
@@ -427,25 +414,25 @@ type triScratch struct {
 
 var triScratchPool = sync.Pool{New: func() any { return new(triScratch) }}
 
-// SetTriangles counts the triangles of the undirected projection of v
+// SetTriangles counts the triangles of the undirected projection of g
 // whose three corners all lie in set. It walks the members' adjacency
 // rows directly — no DAG build — so scoring one set per overlay sample
 // costs O(vol(C)) rather than O(m), and repeated calls allocate nothing.
 // The count is exact and identical across parent/overlay/materialized
 // representations of the same adjacency.
-func SetTriangles(v graph.View, set *graph.Set) int64 {
+func SetTriangles(g *graph.Graph, set *graph.Set) int64 {
 	if set.Len() < 3 {
 		return 0
 	}
 	s := triScratchPool.Get().(*triScratch)
 	var t int64
 	for _, u := range set.Members() {
-		rowU := undirRow(v, u, &s.a)
+		rowU := undirRow(g, u, &s.a)
 		for i, a := range rowU {
 			if a <= u || !set.Contains(a) {
 				continue
 			}
-			rowA := undirRow(v, a, &s.b)
+			rowA := undirRow(g, a, &s.b)
 			t += intersectCountInSet(rowU[i+1:], rowA, set)
 		}
 	}

@@ -94,8 +94,8 @@ func TestTriangleKernelKnown(t *testing.T) {
 	}
 	for _, tc := range cases {
 		g := mustGraph(t, tc.directed, tc.edges)
-		if got := TriangleCountView(g, 1); got != tc.want {
-			t.Errorf("%s: TriangleCountView = %d, want %d", tc.name, got, tc.want)
+		if got := TriangleCount(g, 1); got != tc.want {
+			t.Errorf("%s: TriangleCount = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -109,7 +109,7 @@ func TestQuickTriangleKernelMatchesNaive(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		return TriangleCountView(g, 1) == naiveTriangleCount(t, g)
+		return TriangleCount(g, 1) == naiveTriangleCount(t, g)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -152,9 +152,9 @@ func TestTriangleCountWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := TriangleCountView(g, 1)
+	want := TriangleCount(g, 1)
 	for _, workers := range []int{2, 4, 8} {
-		if got := TriangleCountView(g, workers); got != want {
+		if got := TriangleCount(g, workers); got != want {
 			t.Errorf("workers=%d: count %d, want %d", workers, got, want)
 		}
 	}
@@ -170,7 +170,7 @@ func TestTriangleCountOverlayIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		ov := graph.NewOverlay(g)
-		if got, want := TriangleCountView(ov, 1), TriangleCountView(g, 1); got != want {
+		if got, want := TriangleCount(&ov.Graph, 1), TriangleCount(g, 1); got != want {
 			t.Errorf("directed=%v: overlay count %d, parent count %d", directed, got, want)
 		}
 	}
@@ -194,8 +194,60 @@ func TestTriangleCountOverlayMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := TriangleCountView(ov, 1), TriangleCountView(mat, 1); got != want {
+		if got, want := TriangleCount(&ov.Graph, 1), TriangleCount(mat, 1); got != want {
 			t.Errorf("directed=%v: overlay count %d, materialized count %d", directed, got, want)
+		}
+	}
+}
+
+// An overlay's graph resolves to its parent's cached kernel, so sampling
+// never adds kernels to the cache, and the clustering kernels on a
+// rewired overlay equal the same calls on its materialized graph.
+func TestTriangleKernelOverlayUsesParentKernel(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(29))
+		g, err := graph.FromEdges(directed, randomEdges(rng, 40, 160))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := g.EdgeList()
+		swapEdges(edges, directed)
+		ov := graph.NewOverlay(g)
+		if err := ov.FillFromEdges(edges); err != nil {
+			t.Fatalf("directed=%v: fill: %v", directed, err)
+		}
+		if TriangleKernelOf(&ov.Graph) != TriangleKernelOf(g) {
+			t.Errorf("directed=%v: overlay resolved a kernel of its own", directed)
+		}
+		mat, err := ov.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LocalClustering(&ov.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := LocalClustering(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			//lint:ignore floateq the same integer counts must give the same floats
+			if got[v] != want[v] {
+				t.Fatalf("directed=%v: vertex %d: overlay local CC %v, materialized %v", directed, v, got[v], want[v])
+			}
+		}
+		gotG, err := GlobalClustering(&ov.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantG, err := GlobalClustering(mat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		//lint:ignore floateq the same integer counts must give the same floats
+		if gotG != wantG {
+			t.Errorf("directed=%v: overlay global CC %v, materialized %v", directed, gotG, wantG)
 		}
 	}
 }
@@ -240,9 +292,9 @@ func TestTriangleCountSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	TriangleCountView(g, 1) // warm the kernel cache
-	if allocs := testing.AllocsPerRun(20, func() { TriangleCountView(g, 1) }); allocs != 0 {
-		t.Errorf("TriangleCountView allocated %.1f per call on a warm kernel", allocs)
+	TriangleCount(g, 1) // warm the kernel cache
+	if allocs := testing.AllocsPerRun(20, func() { TriangleCount(g, 1) }); allocs != 0 {
+		t.Errorf("TriangleCount allocated %.1f per call on a warm kernel", allocs)
 	}
 }
 
@@ -262,7 +314,7 @@ func TestGallopingIntersection(t *testing.T) {
 	}
 	g := mustGraph(t, false, edges)
 	want := naiveTriangleCount(t, g)
-	if got := TriangleCountView(g, 1); got != want {
+	if got := TriangleCount(g, 1); got != want {
 		t.Errorf("skewed graph: kernel %d, naive %d", got, want)
 	}
 
@@ -315,9 +367,9 @@ func sortedUnique(rng *rand.Rand, k int, max int32) []int32 {
 
 // naiveSetTriangles counts in-set triangles by cubic enumeration over the
 // sorted members, using HasEdge in either direction.
-func naiveSetTriangles(v graph.View, members []graph.VID) int64 {
+func naiveSetTriangles(g *graph.Graph, members []graph.VID) int64 {
 	linked := func(a, b graph.VID) bool {
-		return v.HasEdge(a, b) || (v.Directed() && v.HasEdge(b, a))
+		return g.HasEdge(a, b) || (g.Directed() && g.HasEdge(b, a))
 	}
 	var t int64
 	for i := 0; i < len(members); i++ {
@@ -382,8 +434,8 @@ func TestSetTrianglesOverlayMatchesMaterialized(t *testing.T) {
 		for v := 0; v < g.NumVertices(); v += 2 {
 			members = append(members, graph.VID(v))
 		}
-		ovSet := graph.SetOf(ov, members)
-		if got, want := SetTriangles(ov, ovSet), SetTriangles(mat, ovSet); got != want {
+		ovSet := graph.SetOf(&ov.Graph, members)
+		if got, want := SetTriangles(&ov.Graph, ovSet), SetTriangles(mat, ovSet); got != want {
 			t.Errorf("directed=%v: overlay set count %d, materialized %d", directed, got, want)
 		}
 	}

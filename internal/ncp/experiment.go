@@ -39,7 +39,7 @@ func Experiment(opts ExperimentOptions) core.Experiment {
 
 // groupConductance scores one group with the sweep kernel's Eq. 3, so
 // curve and overlay points are directly comparable.
-func groupConductance(g graph.View, members []graph.VID) float64 {
+func groupConductance(g *graph.Graph, members []graph.VID) float64 {
 	st := graph.Cut(g, graph.SetOf(g, members))
 	return graphalgo.SweepConductance(st.Internal, st.Boundary)
 }

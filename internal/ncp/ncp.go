@@ -33,7 +33,7 @@ import (
 	"gpluscircles/internal/report"
 )
 
-// ErrEmptyGraph is returned when the swept view has no vertices.
+// ErrEmptyGraph is returned when the swept graph has no vertices.
 var ErrEmptyGraph = errors.New("ncp: empty graph")
 
 // Options tunes one NCP sweep.
@@ -128,7 +128,7 @@ func (c *Curve) BestAtMost(size int) (float64, bool) {
 // — all from a private stream derived from seed, serially, before any
 // parallelism starts. The draw is therefore a pure function of
 // (degree sequence, k, seed).
-func StratifiedSeeds(g graph.View, k int, seed int64) []graph.VID {
+func StratifiedSeeds(g *graph.Graph, k int, seed int64) []graph.VID {
 	n := g.NumVertices()
 	if k > n {
 		k = n
@@ -150,7 +150,7 @@ func StratifiedSeeds(g graph.View, k int, seed int64) []graph.VID {
 // id, with a counting sort in O(n + maxDeg): bucket b holds degree
 // maxDeg−b, and the fill pass walks ids in order, so ids ascend within a
 // bucket.
-func rankByDegree(g graph.View) []graph.VID {
+func rankByDegree(g *graph.Graph) []graph.VID {
 	n := g.NumVertices()
 	maxDeg := 0
 	for v := 0; v < n; v++ {
@@ -181,7 +181,7 @@ func rankByDegree(g graph.View) []graph.VID {
 // seeds. The merge happens serially in seed order after the parallel
 // fan-out joins, so the curve is byte-identical across Workers settings
 // — asserted by the package tests and the core golden.
-func Sweep(g graph.View, opts Options) (*Curve, error) {
+func Sweep(g *graph.Graph, opts Options) (*Curve, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, ErrEmptyGraph
@@ -248,7 +248,7 @@ func Sweep(g graph.View, opts Options) (*Curve, error) {
 
 // sweepSeed runs one seed's push + sweep and returns the per-prefix
 // conductances (index i is the prefix of size i+1), truncated to maxSize.
-func sweepSeed(g graph.View, seed graph.VID, ppr *detect.PPR, cutter *graphalgo.SweepCutter, opts detect.PPROptions, maxSize int) ([]float64, error) {
+func sweepSeed(g *graph.Graph, seed graph.VID, ppr *detect.PPR, cutter *graphalgo.SweepCutter, opts detect.PPROptions, maxSize int) ([]float64, error) {
 	vec, err := ppr.Push(g, seed, opts)
 	if err != nil {
 		return nil, err

@@ -102,7 +102,7 @@ func TestSweepOverlayMatchesParent(t *testing.T) {
 		t.Fatalf("parent sweep: %v", err)
 	}
 	ov := graph.NewOverlay(g)
-	overlay, err := Sweep(ov, opts)
+	overlay, err := Sweep(&ov.Graph, opts)
 	if err != nil {
 		t.Fatalf("overlay sweep: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestStratifiedSeedsProperties(t *testing.T) {
 // stratifiedSeedsOracle is StratifiedSeeds with the ranking done by a
 // comparison sort: rank by (degree desc, id asc) with sort.Slice, then
 // draw one vertex per stratum from the same stream.
-func stratifiedSeedsOracle(g graph.View, k int, seed int64) []graph.VID {
+func stratifiedSeedsOracle(g *graph.Graph, k int, seed int64) []graph.VID {
 	n := g.NumVertices()
 	if k > n {
 		k = n
@@ -193,7 +193,7 @@ func stratifiedSeedsOracle(g graph.View, k int, seed int64) []graph.VID {
 	return seeds
 }
 
-func checkSeedsMatchOracle(t *testing.T, name string, g graph.View) {
+func checkSeedsMatchOracle(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
 	n := g.NumVertices()
 	for _, k := range []int{0, 1, 3, 32, 64, n - 1, n, n + 5} {
@@ -239,7 +239,7 @@ func TestStratifiedSeedsMatchSortOracle(t *testing.T) {
 		"single vertex":    build(false, []int64{42}),
 	} {
 		checkSeedsMatchOracle(t, name, g)
-		checkSeedsMatchOracle(t, name+" overlay", graph.NewOverlay(g))
+		checkSeedsMatchOracle(t, name+" overlay", &graph.NewOverlay(g).Graph)
 	}
 	if testing.Short() {
 		return

@@ -339,7 +339,7 @@ var scratchPool = sync.Pool{New: func() any { return new(sampleScratch) }}
 
 // Estimator estimates E(m_C) — the expected internal edge count of a
 // vertex set under the degree-preserving null model — from Viger–Latapy
-// rewire samples held as graph.Overlay values over the source graph.
+// rewire samples held in graph.Overlay values over the source graph.
 // Because rewiring preserves every vertex's in- and out-degree, the
 // samples share the source graph's interning tables and CSR offsets;
 // each sample owns only its 2m adjacency entries.
@@ -522,8 +522,9 @@ func NewEmpiricalEstimatorCtx(ctx context.Context, g *graph.Graph, opts Estimato
 // Samples returns the number of null-model samples backing the estimator.
 func (e *Estimator) Samples() int { return len(e.overlays) }
 
-// Sample returns the i-th sampled overlay. It remains valid until Close.
-func (e *Estimator) Sample(i int) *graph.Overlay { return e.overlays[i] }
+// Sample returns the graph of the i-th sampled overlay. It remains valid
+// until Close.
+func (e *Estimator) Sample(i int) *graph.Graph { return &e.overlays[i].Graph }
 
 // Expectation returns the mean internal edge count of the set across the
 // samples, accumulated in sample order so the value is deterministic.
@@ -533,7 +534,7 @@ func (e *Estimator) Expectation(set *graph.Set) float64 {
 	}
 	var total float64
 	for _, ov := range e.overlays {
-		total += float64(graph.Cut(ov, set).Internal)
+		total += float64(graph.Cut(&ov.Graph, set).Internal)
 	}
 	return total / float64(len(e.overlays))
 }

@@ -20,7 +20,7 @@ func (e *Estimator) TriangleExpectation(set *graph.Set) float64 {
 	}
 	var total float64
 	for _, ov := range e.overlays {
-		total += float64(graphalgo.SetTriangles(ov, set))
+		total += float64(graphalgo.SetTriangles(&ov.Graph, set))
 	}
 	return total / float64(len(e.overlays))
 }
@@ -44,7 +44,7 @@ func (e *Estimator) TriangleFunc() func(set *graph.Set) float64 {
 // empirical TriangleExpectation is the reference when that matters.
 // Directed graphs use total degree (in+out) against 2m arc endpoints,
 // mirroring how triangles are counted on the undirected projection.
-func ChungLuTriangles(g graph.View, set *graph.Set) float64 {
+func ChungLuTriangles(g *graph.Graph, set *graph.Set) float64 {
 	if set.Len() < 3 || g.NumEdges() == 0 {
 		return 0
 	}

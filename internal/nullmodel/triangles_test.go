@@ -59,7 +59,7 @@ func TestTriangleExpectationMatchesMaterialized(t *testing.T) {
 	var total float64
 	for i := 0; i < est.Samples(); i++ {
 		ov := est.Sample(i)
-		mat, err := ov.Materialize()
+		mat, err := est.overlays[i].Materialize()
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}

@@ -7,7 +7,7 @@ import (
 	"gpluscircles/internal/graph"
 )
 
-func cohesionOf(t *testing.T, g graph.View, members []graph.VID) float64 {
+func cohesionOf(t *testing.T, g *graph.Graph, members []graph.VID) float64 {
 	t.Helper()
 	ctx := NewContext(g)
 	set := graph.SetOf(g, members)
@@ -101,7 +101,7 @@ func TestCohesionOverlayIdentity(t *testing.T) {
 		g := randomGraph(t, rng, seed%2 == 0)
 		members := randomSet(rng, g)
 		want := cohesionOf(t, g, members)
-		got := cohesionOf(t, graph.NewOverlay(g), members)
+		got := cohesionOf(t, &graph.NewOverlay(g).Graph, members)
 		//lint:ignore floateq identical integer counts must produce identical floats
 		if got != want {
 			t.Fatalf("seed %d: overlay cohesion %v, parent %v", seed, got, want)

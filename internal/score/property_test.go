@@ -75,17 +75,18 @@ func maxDegree(g *graph.Graph) float64 {
 	return float64(max)
 }
 
-// identityViews returns the graph plus two identity-rewired overlays:
-// one reset to the parent adjacency, one refilled from the parent's own
-// edge list through the exact-degree FillFromEdges path.
-func identityViews(t *testing.T, g *graph.Graph) map[string]graph.View {
+// identityGraphs returns the graph plus the graphs of two
+// identity-rewired overlays: one reset to the parent adjacency, one
+// refilled from the parent's own edge list through the exact-degree
+// FillFromEdges path.
+func identityGraphs(t *testing.T, g *graph.Graph) map[string]*graph.Graph {
 	t.Helper()
 	reset := graph.NewOverlay(g)
 	filled := graph.NewOverlay(g)
 	if err := filled.FillFromEdges(g.EdgeList()); err != nil {
 		t.Fatalf("identity fill: %v", err)
 	}
-	return map[string]graph.View{"graph": g, "overlay-reset": reset, "overlay-filled": filled}
+	return map[string]*graph.Graph{"graph": g, "overlay-reset": &reset.Graph, "overlay-filled": &filled.Graph}
 }
 
 func TestPaperFuncProperties(t *testing.T) {
@@ -95,7 +96,7 @@ func TestPaperFuncProperties(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		for _, directed := range []bool{false, true} {
 			g := randomGraph(t, rng, directed)
-			views := identityViews(t, g)
+			samples := identityGraphs(t, g)
 			maxDeg := maxDegree(g)
 			for setTrial := 0; setTrial < 4; setTrial++ {
 				members := randomSet(rng, g)
@@ -135,10 +136,10 @@ func TestPaperFuncProperties(t *testing.T) {
 
 				// Identity-rewired overlays must reproduce every score
 				// bit for bit.
-				for name, view := range views {
-					vctx := NewContext(view)
-					vset := graph.SetOf(view, members)
-					vcut := graph.Cut(view, vset)
+				for name, sample := range samples {
+					vctx := NewContext(sample)
+					vset := graph.SetOf(sample, members)
+					vcut := graph.Cut(sample, vset)
 					if vcut != cut {
 						t.Fatalf("%s: cut %+v != graph cut %+v", name, vcut, cut)
 					}

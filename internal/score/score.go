@@ -35,9 +35,9 @@ var ErrUnknownFunc = errors.New("score: unknown scoring function")
 // implementations are read-only after construction. Callers that swap in
 // their own NullExpectation must do so before sharing the context.
 type Context struct {
-	// G is the scored graph view: a *graph.Graph, or a graph.Overlay when
-	// scoring a null-model sample in place.
-	G graph.View
+	// G is the scored graph: a built graph, or the graph of an Overlay
+	// when scoring a null-model sample in place.
+	G *graph.Graph
 
 	// NullExpectation returns E(m_C), the expected number of internal
 	// edges of the set under the Newman–Girvan null model (a random graph
@@ -66,8 +66,8 @@ type Context struct {
 }
 
 // NewContext builds a scoring context with the analytic null-model
-// expectation installed. The view may be a *graph.Graph or an Overlay.
-func NewContext(g graph.View) *Context {
+// expectation installed. g may be an Overlay's graph.
+func NewContext(g *graph.Graph) *Context {
 	ctx := &Context{G: g}
 	ctx.NullExpectation = ctx.ChungLuExpectation
 	return ctx

@@ -241,7 +241,7 @@ func SetClustering() Func {
 
 // localSetCC computes one member's clustering coefficient restricted to
 // in-set neighbours, treating arcs as undirected links.
-func localSetCC(g graph.View, set *graph.Set, u graph.VID, scratch *graph.Set) float64 {
+func localSetCC(g *graph.Graph, set *graph.Set, u graph.VID, scratch *graph.Set) float64 {
 	scratch.Clear()
 	mark := func(w graph.VID) {
 		if w != u && set.Contains(w) {
@@ -282,7 +282,7 @@ func localSetCC(g graph.View, set *graph.Set, u graph.VID, scratch *graph.Set) f
 
 // internalDegree counts v's edge endpoints that stay inside the set:
 // out-neighbours in C plus (directed) in-neighbours in C.
-func internalDegree(g graph.View, set *graph.Set, v graph.VID) int {
+func internalDegree(g *graph.Graph, set *graph.Set, v graph.VID) int {
 	d := 0
 	for _, w := range g.OutNeighbors(v) {
 		if set.Contains(w) {
@@ -300,7 +300,7 @@ func internalDegree(g graph.View, set *graph.Set, v graph.VID) int {
 }
 
 // odf is the fraction of v's edges that leave the set.
-func odf(g graph.View, set *graph.Set, v graph.VID) float64 {
+func odf(g *graph.Graph, set *graph.Set, v graph.VID) float64 {
 	d := g.Degree(v)
 	if d == 0 {
 		return 0
@@ -312,7 +312,7 @@ func odf(g graph.View, set *graph.Set, v graph.VID) float64 {
 // other members of the set, treating arcs as undirected links. The
 // scratch set must span the graph's vertex range and is cleared before
 // returning.
-func participatesInTriangle(g graph.View, set *graph.Set, u graph.VID, scratch *graph.Set) bool {
+func participatesInTriangle(g *graph.Graph, set *graph.Set, u graph.VID, scratch *graph.Set) bool {
 	scratch.Clear()
 	mark := func(w graph.VID) {
 		if w != u && set.Contains(w) {

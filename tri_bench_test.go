@@ -77,11 +77,11 @@ func BenchmarkTriangleKernelCount(b *testing.B) {
 	for _, ds := range benchGraphs(b) {
 		b.Run(ds.Name, func(b *testing.B) {
 			g := ds.Graph
-			want := graphalgo.TriangleCountView(g, 1) // warm the DAG cache
+			want := graphalgo.TriangleCount(g, 1) // warm the DAG cache
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := graphalgo.TriangleCountView(g, 1); got != want {
+				if got := graphalgo.TriangleCount(g, 1); got != want {
 					b.Fatalf("count drifted: %d != %d", got, want)
 				}
 			}
@@ -96,10 +96,10 @@ func BenchmarkTriangleKernelCountParallel(b *testing.B) {
 	for _, ds := range benchGraphs(b) {
 		b.Run(ds.Name, func(b *testing.B) {
 			g := ds.Graph
-			want := graphalgo.TriangleCountView(g, 1)
+			want := graphalgo.TriangleCount(g, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := graphalgo.TriangleCountView(g, 0); got != want {
+				if got := graphalgo.TriangleCount(g, 0); got != want {
 					b.Fatalf("parallel count drifted: %d != %d", got, want)
 				}
 			}
@@ -135,11 +135,11 @@ func BenchmarkTriangleKernelOverlay(b *testing.B) {
 		b.Fatal(err)
 	}
 	ov := graph.NewOverlay(gp.Graph)
-	want := graphalgo.TriangleCountView(ov, 1) // warm the kernel and pool
+	want := graphalgo.TriangleCount(&ov.Graph, 1) // warm the kernel and pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := graphalgo.TriangleCountView(ov, 1); got != want {
+		if got := graphalgo.TriangleCount(&ov.Graph, 1); got != want {
 			b.Fatalf("overlay count drifted: %d != %d", got, want)
 		}
 	}
