@@ -116,18 +116,20 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target) over all eleven fuzz
+# Coverage-guided fuzz smoke (FUZZTIME per target) over all twelve fuzz
 # targets: the graph core's inputs from outside (Builder edge soup,
 # Overlay exact-degree fill, the binary CSR reader), the sweep-cut
-# kernel, the SNAP text parsers, the fast degree-fitting kernels
-# against their reference oracles, the Hurwitz zeta function over
-# arbitrary (s, q), and the /v1/score and /v1/ncp request decoders.
+# kernel, the null model's flat edge set against a map, the SNAP text
+# parsers, the fast degree-fitting kernels against their reference
+# oracles, the Hurwitz zeta function over arbitrary (s, q), and the
+# /v1/score and /v1/ncp request decoders.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBuilder$$' -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='^FuzzOverlayFillFromEdges$$' -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepCut$$' -fuzztime=$(FUZZTIME) ./internal/graphalgo/
+	$(GO) test -run='^$$' -fuzz='^FuzzEdgeSet$$' -fuzztime=$(FUZZTIME) ./internal/nullmodel/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEgoCircles$$' -fuzztime=$(FUZZTIME) ./internal/dataset/

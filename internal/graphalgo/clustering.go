@@ -114,21 +114,22 @@ func partialPerm(n, samples int, rng *rand.Rand) []graph.VID {
 }
 
 // localCC computes the local clustering coefficient of x on the
-// undirected projection of g with sorted-row intersections: for each
-// neighbour a, the common neighbours beyond a close one linked pair each.
+// undirected projection of g: it stamps x's neighbours, then each
+// neighbour a counts the stamped vertices above a on its own row, so
+// every linked pair of neighbours is counted once.
 func localCC(g *graph.Graph, x graph.VID, s *triScratch) float64 {
 	row := undirRow(g, x, &s.a)
 	deg := len(row)
 	if deg < 2 {
 		return 0
 	}
+	e := s.nextEpoch(g.NumVertices())
+	for _, a := range row {
+		s.stamp[a] = e
+	}
 	var links int64
-	for i, a := range row {
-		rest := row[i+1:]
-		if len(rest) == 0 {
-			break
-		}
-		links += intersectCount(rest, undirRow(g, a, &s.b))
+	for _, a := range row {
+		links += stampedAbove(g, a, s.stamp, e)
 	}
 	return 2 * float64(links) / (float64(deg) * float64(deg-1))
 }

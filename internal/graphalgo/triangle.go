@@ -2,6 +2,7 @@ package graphalgo
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -405,19 +406,87 @@ func TriangleCount(g *graph.Graph, workers int) int64 {
 	return t
 }
 
-// triScratch holds the merged-row buffers SetTriangles and the sampled
-// clustering path need on directed graphs. Pooled globally; buffers grow
-// to the hottest row encountered and are reused across calls.
+// triScratch holds the per-call state of SetTriangles and the sampled
+// clustering path: the centre's merged row on directed graphs, and one
+// stamp per vertex marking the current centre's neighbours. Pooled
+// globally; buffers grow to the largest graph met and are reused.
 type triScratch struct {
-	a, b []graph.VID
+	a     []graph.VID
+	stamp []uint32
+	epoch uint32
 }
 
 var triScratchPool = sync.Pool{New: func() any { return new(triScratch) }}
+
+// nextEpoch starts a stamp generation over a graph of n vertices and
+// returns it; no vertex carries it until stamped.
+func (s *triScratch) nextEpoch(n int) uint32 {
+	if len(s.stamp) < n {
+		s.stamp = make([]uint32, n)
+	}
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	return s.epoch
+}
+
+// stampedAbove counts the distinct c > a in a's undirected neighbourhood,
+// OutNeighbors(a) ∪ InNeighbors(a), that carry stamp e. One two-pointer
+// walk over the two sorted rows, from their first entries above a,
+// counts a vertex on both rows once; on undirected graphs the in-row is
+// left empty, since it repeats the out-row.
+func stampedAbove(g *graph.Graph, a graph.VID, stamp []uint32, e uint32) int64 {
+	out := above(g.OutNeighbors(a), a)
+	var in []graph.VID
+	if g.Directed() {
+		in = above(g.InNeighbors(a), a)
+	}
+	var t int64
+	i, j := 0, 0
+	for i < len(out) && j < len(in) {
+		x, y := out[i], in[j]
+		c := min(x, y)
+		if x <= y {
+			i++
+		}
+		if y <= x {
+			j++
+		}
+		if stamp[c] == e {
+			t++
+		}
+	}
+	for _, c := range out[i:] {
+		if stamp[c] == e {
+			t++
+		}
+	}
+	for _, c := range in[j:] {
+		if stamp[c] == e {
+			t++
+		}
+	}
+	return t
+}
+
+// above returns the suffix of the sorted, duplicate-free row whose
+// entries exceed a.
+func above(row []graph.VID, a graph.VID) []graph.VID {
+	i, found := slices.BinarySearch(row, a)
+	if found {
+		i++
+	}
+	return row[i:]
+}
 
 // SetTriangles counts the triangles of the undirected projection of g
 // whose three corners all lie in set. It walks the members' adjacency
 // rows directly — no DAG build — so scoring one set per overlay sample
 // costs O(vol(C)) rather than O(m), and repeated calls allocate nothing.
+// For each member u it stamps u's neighbours above u that are members,
+// then each stamped a counts the stamped vertices above a on a's row.
 // The count is exact and identical across parent/overlay/materialized
 // representations of the same adjacency.
 func SetTriangles(g *graph.Graph, set *graph.Set) int64 {
@@ -425,42 +494,23 @@ func SetTriangles(g *graph.Graph, set *graph.Set) int64 {
 		return 0
 	}
 	s := triScratchPool.Get().(*triScratch)
+	n := g.NumVertices()
 	var t int64
 	for _, u := range set.Members() {
-		rowU := undirRow(g, u, &s.a)
-		for i, a := range rowU {
-			if a <= u || !set.Contains(a) {
-				continue
+		rowU := above(undirRow(g, u, &s.a), u)
+		e := s.nextEpoch(n)
+		for _, c := range rowU {
+			if set.Contains(c) {
+				s.stamp[c] = e
 			}
-			rowA := undirRow(g, a, &s.b)
-			t += intersectCountInSet(rowU[i+1:], rowA, set)
+		}
+		for _, a := range rowU {
+			if s.stamp[a] == e {
+				t += stampedAbove(g, a, s.stamp, e)
+			}
 		}
 	}
 	triScratchPool.Put(s)
-	return t
-}
-
-// intersectCountInSet counts the common elements of sorted a and b that
-// are members of set.
-func intersectCountInSet(a, b []graph.VID, set *graph.Set) int64 {
-	var t int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			if set.Contains(x) {
-				t++
-			}
-			i++
-			j++
-			continue
-		}
-		if x < y {
-			i++
-		} else {
-			j++
-		}
-	}
 	return t
 }
 

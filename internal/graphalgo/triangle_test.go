@@ -1,6 +1,8 @@
 package graphalgo
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -387,15 +389,26 @@ func naiveSetTriangles(g *graph.Graph, members []graph.VID) int64 {
 	return t
 }
 
-// Property: SetTriangles matches cubic enumeration on random graphs and
-// random member subsets, directed and undirected.
-func TestQuickSetTrianglesMatchesNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := graph.FromEdges(seed%2 == 0, randomEdges(rng, 20, 60))
-		if err != nil {
-			return true
+// reciprocalEdges draws k random arcs over n vertices and adds each
+// one's reverse with probability p, so about 2p/(1+p) of the arcs of a
+// directed graph built from them are reciprocated (half at p = 1/3),
+// which randomEdges seldom yields.
+func reciprocalEdges(rng *rand.Rand, n, k int, p float64) [][2]int64 {
+	out := randomEdges(rng, n, k)
+	for _, e := range out[:k] {
+		if rng.Float64() < p {
+			out = append(out, [2]int64{e[1], e[0]})
 		}
+	}
+	return out
+}
+
+// Property: SetTriangles matches cubic enumeration on random graphs and
+// random member subsets: directed and undirected, and directed with
+// about half the arcs reciprocated, where a vertex on both the out- and
+// the in-row of a neighbour must count once.
+func TestQuickSetTrianglesMatchesNaive(t *testing.T) {
+	matches := func(rng *rand.Rand, g *graph.Graph) bool {
 		n := g.NumVertices()
 		members := make([]graph.VID, 0, n)
 		for v := 0; v < n; v++ {
@@ -406,8 +419,72 @@ func TestQuickSetTrianglesMatchesNaive(t *testing.T) {
 		set := graph.SetOf(g, members)
 		return SetTriangles(g, set) == naiveSetTriangles(g, set.SortedMembers())
 	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := graph.FromEdges(seed%2 == 0, randomEdges(rng, 20, 60))
+		if err == nil && !matches(rng, g) {
+			return false
+		}
+		g, err = graph.FromEdges(true, reciprocalEdges(rng, 20, 50, 1.0/3))
+		return err != nil || matches(rng, g)
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Every value SampledClustering returns equals, bit for bit, the
+// LocalClustering value at the vertex it sampled: on undirected graphs,
+// on directed graphs with about half the arcs reciprocated, and on a
+// rewired overlay's graph. A hub linked to every vertex gives long rows.
+func TestSampledClusteringMatchesLocalClustering(t *testing.T) {
+	check := func(name string, g *graph.Graph) {
+		t.Helper()
+		full, err := LocalClustering(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumVertices()
+		for _, samples := range []int{1, n / 3, n - 1} {
+			got, err := SampledClustering(g, samples, rand.New(rand.NewSource(int64(samples))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			picks := partialPerm(n, samples, rand.New(rand.NewSource(int64(samples))))
+			for i, v := range picks {
+				if math.Float64bits(got[i]) != math.Float64bits(full[v]) {
+					t.Fatalf("%s: vertex %d: sampled %v, LocalClustering %v", name, v, got[i], full[v])
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		edges := randomEdges(rng, 60, 300)
+		for v := int64(1); v < 60; v++ {
+			edges = append(edges, [2]int64{0, v})
+		}
+		g, err := graph.FromEdges(false, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("undirected seed %d", seed), g)
+
+		dg, err := graph.FromEdges(true, reciprocalEdges(rng, 60, 250, 1.0/3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("reciprocal directed seed %d", seed), dg)
+
+		for _, base := range []*graph.Graph{g, dg} {
+			rewired := base.EdgeList()
+			swapEdges(rewired, base.Directed())
+			ov := graph.NewOverlay(base)
+			if err := ov.FillFromEdges(rewired); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("overlay directed=%v seed %d", base.Directed(), seed), &ov.Graph)
+		}
 	}
 }
 

@@ -47,20 +47,20 @@ func directedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	rng.Shuffle(len(inStubs), func(i, j int) { inStubs[i], inStubs[j] = inStubs[j], inStubs[i] })
 
 	edges := make([]graph.Edge, len(outStubs))
-	present := make(map[uint64]struct{}, len(outStubs))
+	var present edgeSet
+	present.reset(len(outStubs))
 	isPending := make([]bool, len(outStubs))
 	var pending []int // indices needing repair
 	for i := range outStubs {
 		e := graph.Edge{From: outStubs[i], To: inStubs[i]}
 		edges[i] = e
 		k := pack(e.From, e.To)
-		_, dup := present[k]
-		if e.From == e.To || dup {
+		if e.From == e.To || present.has(k) {
 			isPending[i] = true
 			pending = append(pending, i)
 			continue
 		}
-		present[k] = struct{}{}
+		present.add(k)
 	}
 
 	// Repair: swap the To endpoint of a bad edge with a random accepted
@@ -82,15 +82,12 @@ func directedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 		if ka == kb2 {
 			continue
 		}
-		if _, dup := present[ka]; dup {
+		if present.has(ka) || present.has(kb2) {
 			continue
 		}
-		if _, dup := present[kb2]; dup {
-			continue
-		}
-		delete(present, pack(b.From, b.To))
-		present[ka] = struct{}{}
-		present[kb2] = struct{}{}
+		present.del(pack(b.From, b.To))
+		present.add(ka)
+		present.add(kb2)
 		edges[idx], edges[j] = na, nb
 		isPending[idx] = false
 		pending = pending[:len(pending)-1]
@@ -122,20 +119,20 @@ func undirectedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error)
 	}
 	m := len(stubs) / 2
 	edges := make([]graph.Edge, m)
-	present := make(map[uint64]struct{}, m)
+	var present edgeSet
+	present.reset(m)
 	isPending := make([]bool, m)
 	var pending []int
 	for i := 0; i < m; i++ {
 		e := graph.Edge{From: stubs[2*i], To: stubs[2*i+1]}
 		edges[i] = e
 		k := key(e.From, e.To)
-		_, dup := present[k]
-		if e.From == e.To || dup {
+		if e.From == e.To || present.has(k) {
 			isPending[i] = true
 			pending = append(pending, i)
 			continue
 		}
-		present[k] = struct{}{}
+		present.add(k)
 	}
 	maxAttempts := 200 * (len(pending) + 1)
 	for attempt := 0; len(pending) > 0 && attempt < maxAttempts; attempt++ {
@@ -155,15 +152,12 @@ func undirectedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error)
 		if ka == kb2 {
 			continue
 		}
-		if _, dup := present[ka]; dup {
+		if present.has(ka) || present.has(kb2) {
 			continue
 		}
-		if _, dup := present[kb2]; dup {
-			continue
-		}
-		delete(present, key(b.From, b.To))
-		present[ka] = struct{}{}
-		present[kb2] = struct{}{}
+		present.del(key(b.From, b.To))
+		present.add(ka)
+		present.add(kb2)
 		edges[idx], edges[j] = na, nb
 		isPending[idx] = false
 		pending = pending[:len(pending)-1]

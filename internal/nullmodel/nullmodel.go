@@ -30,14 +30,14 @@ var (
 )
 
 // rewirer holds a mutable arc list with O(1) duplicate detection for the
-// swap Markov chain. Its storage (edge slice, presence map) is reusable
+// swap Markov chain. Its storage (edge slice, presence set) is reusable
 // across samples via resetFrom, so pooled callers pay zero steady-state
 // allocation per sample.
 type rewirer struct {
 	directed bool
 	n        int
 	edges    []graph.Edge
-	present  map[uint64]struct{}
+	present  edgeSet
 }
 
 func pack(u, v graph.VID) uint64 {
@@ -45,18 +45,14 @@ func pack(u, v graph.VID) uint64 {
 }
 
 // resetFrom re-initializes r to a copy of the template edge list, reusing
-// r's edge buffer and presence map when their capacity allows.
+// r's edge buffer and presence set when their capacity allows.
 func (r *rewirer) resetFrom(directed bool, n int, template []graph.Edge) {
 	r.directed = directed
 	r.n = n
 	r.edges = append(r.edges[:0], template...)
-	if r.present == nil {
-		r.present = make(map[uint64]struct{}, len(template))
-	} else {
-		clear(r.present)
-	}
+	r.present.reset(len(template))
 	for _, e := range r.edges {
-		r.present[r.key(e.From, e.To)] = struct{}{}
+		r.present.add(r.key(e.From, e.To))
 	}
 }
 
@@ -72,11 +68,6 @@ func (r *rewirer) key(u, v graph.VID) uint64 {
 		u, v = v, u
 	}
 	return pack(u, v)
-}
-
-func (r *rewirer) has(u, v graph.VID) bool {
-	_, ok := r.present[r.key(u, v)]
-	return ok
 }
 
 // swapRecord remembers one applied swap so a window can be rolled back.
@@ -115,16 +106,13 @@ func (r *rewirer) trySwap(i, j int, rng *rand.Rand) (swapRecord, bool) {
 	if k1 == k2 {
 		return swapRecord{}, false
 	}
-	if _, dup := r.present[k1]; dup {
+	if r.present.has(k1) || r.present.has(k2) {
 		return swapRecord{}, false
 	}
-	if _, dup := r.present[k2]; dup {
-		return swapRecord{}, false
-	}
-	delete(r.present, r.key(e1.From, e1.To))
-	delete(r.present, r.key(e2.From, e2.To))
-	r.present[k1] = struct{}{}
-	r.present[k2] = struct{}{}
+	r.present.del(r.key(e1.From, e1.To))
+	r.present.del(r.key(e2.From, e2.To))
+	r.present.add(k1)
+	r.present.add(k2)
 	r.edges[i], r.edges[j] = n1, n2
 	return swapRecord{i: i, j: j, oldI: e1, oldJ: e2}, true
 }
@@ -134,10 +122,10 @@ func (r *rewirer) undo(records []swapRecord) {
 	for k := len(records) - 1; k >= 0; k-- {
 		rec := records[k]
 		cur1, cur2 := r.edges[rec.i], r.edges[rec.j]
-		delete(r.present, r.key(cur1.From, cur1.To))
-		delete(r.present, r.key(cur2.From, cur2.To))
-		r.present[r.key(rec.oldI.From, rec.oldI.To)] = struct{}{}
-		r.present[r.key(rec.oldJ.From, rec.oldJ.To)] = struct{}{}
+		r.present.del(r.key(cur1.From, cur1.To))
+		r.present.del(r.key(cur2.From, cur2.To))
+		r.present.add(r.key(rec.oldI.From, rec.oldI.To))
+		r.present.add(r.key(rec.oldJ.From, rec.oldJ.To))
 		r.edges[rec.i], r.edges[rec.j] = rec.oldI, rec.oldJ
 	}
 }
@@ -328,7 +316,7 @@ func havelHakimi(deg []int) (*graph.Graph, error) {
 }
 
 // sampleScratch is the reusable per-worker state for overlay sampling:
-// the rewirer's edge buffer and presence map. Pooled globally — the
+// the rewirer's edge buffer and presence set. Pooled globally — the
 // buffers grow to fit whatever graph a worker touches and are reused
 // across estimator calls, so steady-state sampling allocates nothing.
 type sampleScratch struct {

@@ -3,6 +3,7 @@ package powerlaw
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -157,44 +158,88 @@ func FitLogNormal(data []int, xmin int) (*LogNormal, error) {
 }
 
 // logNormalTail is the tail as FitLogNormal's likelihood reads it: the
-// distinct tail values, and for each tail point in data order the index
-// of its value.
+// distinct tail values, for each tail point in data order the index of
+// its value, and the table of the values' bin boundaries x ± ½ with their
+// logarithms. Consecutive values share a boundary, since x+½ is (x+1)−½.
 type logNormalTail struct {
 	xmin       int
-	values     []int
-	slot       []int32
+	values     []int     // distinct tail values, ascending
+	slot       []int32   // per tail point in data order: index into values
+	lo, hi     []int32   // per value: indices of x−½ and x+½ in bound
+	bound      []float64 // distinct boundaries; bound[0] is xmin−½
+	lnBound    []float64 // ln bound[k], for bound[k] > 0
+	cdf        []float64 // per-boundary scratch for logLikelihood
 	logProb    []float64 // per-value scratch for logLikelihood
 	sum, sumSq float64   // Σ ln x and Σ (ln x)² over the tail, in data order
 }
 
 func newLogNormalTail(data []int, xmin int) *logNormalTail {
 	t := &logNormalTail{xmin: xmin}
-	index := map[int]int32{}
+	var points []int
 	for _, x := range data {
 		if x < xmin {
 			continue
 		}
-		j, ok := index[x]
-		if !ok {
-			j = int32(len(t.values))
-			index[x] = j
-			t.values = append(t.values, x)
-		}
-		t.slot = append(t.slot, j)
+		points = append(points, x)
 		lx := math.Log(float64(x))
 		t.sum += lx
 		t.sumSq += lx * lx
 	}
+	t.values = slices.Clone(points)
+	slices.Sort(t.values)
+	t.values = slices.Compact(t.values)
+	t.slot = make([]int32, len(points))
+	for i, x := range points {
+		j, _ := slices.BinarySearch(t.values, x)
+		t.slot[i] = int32(j)
+	}
+	t.addBound(float64(xmin) - 0.5)
+	for _, x := range t.values {
+		// Share a boundary only when it is the same float64, which holds
+		// below 2^52 and keeps each CDF argument what LogProb computes.
+		if lo := float64(x) - 0.5; math.Float64bits(lo) != math.Float64bits(t.bound[len(t.bound)-1]) {
+			t.addBound(lo)
+		}
+		t.lo = append(t.lo, int32(len(t.bound)-1))
+		t.addBound(float64(x) + 0.5)
+		t.hi = append(t.hi, int32(len(t.bound)-1))
+	}
+	t.cdf = make([]float64, len(t.bound))
 	t.logProb = make([]float64, len(t.values))
 	return t
 }
 
+// addBound appends boundary v and its logarithm to the table.
+func (t *logNormalTail) addBound(v float64) {
+	var lv float64
+	if v > 0 {
+		lv = math.Log(v)
+	}
+	t.bound = append(t.bound, v)
+	t.lnBound = append(t.lnBound, lv)
+}
+
 // logLikelihood is Σ LogProb(x) over the tail points in data order, bit
-// for bit, with LogProb evaluated once per distinct value.
+// for bit. Each boundary's Φ is evaluated once per call, and each distinct
+// value's term is LogProb's expression over the two Φ of its bin; LogProb
+// itself is called only where it falls back (p ≤ 0 or tailP ≤ 0).
 func (t *logNormalTail) logLikelihood(mu, sigma float64) float64 {
-	m := NewLogNormal(mu, sigma, t.xmin)
+	for k, v := range t.bound {
+		if v <= 0 {
+			t.cdf[k] = 0
+			continue
+		}
+		t.cdf[k] = stdNormCDF((t.lnBound[k] - mu) / sigma)
+	}
+	m := LogNormal{Mu: mu, Sigma: sigma, XminVal: t.xmin, tailP: 1 - t.cdf[0]}
+	logTailP := math.Log(m.tailP)
 	for j, x := range t.values {
-		t.logProb[j] = m.LogProb(x)
+		p := t.cdf[t.hi[j]] - t.cdf[t.lo[j]]
+		if p <= 0 || m.tailP <= 0 {
+			t.logProb[j] = m.LogProb(x)
+			continue
+		}
+		t.logProb[j] = math.Log(p) - logTailP
 	}
 	var total float64
 	for _, j := range t.slot {

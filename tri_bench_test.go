@@ -8,6 +8,7 @@ package gpluscircles_test
 // against the same graph must report 0 allocs/op.
 
 import (
+	"math/rand"
 	"testing"
 
 	"gpluscircles/internal/graph"
@@ -181,5 +182,35 @@ func BenchmarkCohesionSetTriangles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graphalgo.SetTriangles(gp.Graph, set)
+	}
+}
+
+// BenchmarkSampledClustering measures the per-vertex clustering path
+// Fig. 4 and the graph profiles use: the suite's 800 sampled vertices,
+// or half the vertices where the graph has fewer than 1,600 (Google+ at
+// the benchmark scale), since sampling every vertex takes the full-graph
+// path instead. Each vertex is counted by stamping its neighbours and
+// walking their rows. Google+ is directed (merged out- and in-rows);
+// LiveJournal is undirected with hub rows.
+func BenchmarkSampledClustering(b *testing.B) {
+	s := suite(b)
+	gp, err := s.GPlus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lj, err := s.LiveJournal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ds := range []*synth.Dataset{gp, lj} {
+		b.Run(ds.Name, func(b *testing.B) {
+			samples := min(800, ds.Graph.NumVertices()/2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := graphalgo.SampledClustering(ds.Graph, samples, rand.New(rand.NewSource(1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
