@@ -436,25 +436,34 @@ func BenchmarkParallelDistances(b *testing.B) {
 // --- Substrate micro-benchmarks -----------------------------------------
 
 // BenchmarkGraphBuild measures CSR construction throughput on the
-// Google+-like edge multiset.
+// Google+-like edge multiset: dense keeps the generator's external IDs,
+// which Builder ranks through its flat table; sparse spreads them over
+// int64 with a multiplier, so Builder sorts and binary-searches them.
 func BenchmarkGraphBuild(b *testing.B) {
 	s := suite(b)
 	gp, err := s.GPlus()
 	if err != nil {
 		b.Fatal(err)
 	}
-	edges := make([][2]int64, 0, gp.Graph.NumEdges())
-	gp.Graph.Edges(func(e graph.Edge) bool {
-		edges = append(edges, [2]int64{
-			gp.Graph.ExternalID(e.From), gp.Graph.ExternalID(e.To),
+	spreads := []struct {
+		name string
+		mul  int64
+	}{{"dense", 1}, {"sparse", 1_000_003}}
+	for _, sp := range spreads {
+		edges := make([][2]int64, 0, gp.Graph.NumEdges())
+		gp.Graph.Edges(func(e graph.Edge) bool {
+			edges = append(edges, [2]int64{
+				sp.mul * gp.Graph.ExternalID(e.From), sp.mul * gp.Graph.ExternalID(e.To),
+			})
+			return true
 		})
-		return true
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.FromEdges(true, edges); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(sp.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.FromEdges(true, edges); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -430,7 +430,7 @@ func runNullAblation(s *Suite, w io.Writer) error {
 	if samples <= 0 {
 		samples = 3
 	}
-	res, err := CompareNullModelsArena(gp, samples, 5, s.RNG(14), s.NullArena(gp.Graph))
+	res, err := CompareNullModelsArena(gp, samples, 5, s.RNG(14), s.NullArena(gp.Graph), s.Recorder())
 	if err != nil {
 		return err
 	}

@@ -330,13 +330,14 @@ type NullModelAblation struct {
 
 // CompareNullModels runs the modularity null-model ablation.
 func CompareNullModels(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand) (*NullModelAblation, error) {
-	return CompareNullModelsArena(ds, samples, swapsPerEdge, rng, nil)
+	return CompareNullModelsArena(ds, samples, swapsPerEdge, rng, nil, nil)
 }
 
 // CompareNullModelsArena is CompareNullModels drawing the empirical
 // estimator's sample buffers from a shared overlay arena (typically
-// Suite.NullArena), so repeated ablation runs reuse them.
-func CompareNullModelsArena(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand, arena *graph.OverlayArena) (*NullModelAblation, error) {
+// Suite.NullArena), so repeated ablation runs reuse them. rec, when
+// non-nil, receives the sampler's rewire and arena counters.
+func CompareNullModelsArena(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand, arena *graph.OverlayArena, rec *obs.Recorder) (*NullModelAblation, error) {
 	if rng == nil {
 		return nil, ErrNoRNG
 	}
@@ -347,7 +348,7 @@ func CompareNullModelsArena(ds *synth.Dataset, samples int, swapsPerEdge float64
 
 	analytic := score.EvaluateGroupsParallel(score.NewContext(ds.Graph), ds.Groups, mod, 0)
 
-	ctx, done, err := newScoringContext(ds.Graph, samples, swapsPerEdge, rng, arena, nil)
+	ctx, done, err := newScoringContext(ds.Graph, samples, swapsPerEdge, rng, arena, rec)
 	if err != nil {
 		return nil, err
 	}

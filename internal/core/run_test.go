@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -161,5 +162,27 @@ func TestRunExperimentCtxInstruments(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no score-function timers observed; timers = %v", m.Metrics.Timers)
+	}
+}
+
+// TestNullAblationManifestCountsRewires runs ablation-null at scale 0.5
+// under a recorder and checks that its rewire counters reach the run
+// manifest.
+func TestNullAblationManifestCountsRewires(t *testing.T) {
+	opts := SuiteOptions{Scale: 0.5, Seed: 1, Recorder: obs.NewRecorder()}
+	e, err := ExperimentByID("ablation-null")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSuite(opts).RunExperimentCtx(context.Background(), e, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	counters := opts.Recorder.Manifest(obs.Meta{Tool: "test", Seed: 1}).Metrics.Counters
+	attempts, ok := counters["nullmodel.rewire.attempts"]
+	if !ok || attempts <= 0 {
+		t.Errorf("nullmodel.rewire.attempts = %d (recorded %v), want > 0", attempts, ok)
+	}
+	if rejects, ok := counters["nullmodel.rewire.rejects"]; !ok || rejects < 0 || rejects > attempts {
+		t.Errorf("nullmodel.rewire.rejects = %d (recorded %v), want in [0, %d]", rejects, ok, attempts)
 	}
 }

@@ -1,20 +1,39 @@
 package graph
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // ErrEmptyGraph is returned by Build when no vertices were added.
 var ErrEmptyGraph = errors.New("graph: build of empty graph")
 
+// Edge-buffer chunk sizes: the first chunk holds minEdgeChunk edges and
+// each later one twice its predecessor, up to maxEdgeChunk. A full chunk
+// is kept as it is, so no edge is copied while the buffer grows.
+const (
+	minEdgeChunk = 256
+	maxEdgeChunk = 1 << 16
+)
+
+// rankTableSlack bounds the flat rank table Build uses: IDs are ranked
+// through a table of one VID per ID in [lo, hi] when that span is below
+// rankTableSlack times the number of ID references, and by sorting the
+// distinct IDs otherwise.
+const rankTableSlack = 4
+
 // Builder accumulates vertices and edges identified by external int64 IDs
-// and produces an immutable Graph. It is a thin façade over a sparse-mode
-// StreamBuilder: it buffers the isolated IDs and the non-loop edges, and
-// Build replays them as the stream builder's two passes. Duplicate edges
-// and self-loops are dropped. The zero Builder is not valid; use
-// NewBuilder.
+// and produces an immutable Graph. It buffers the isolated IDs and the
+// non-loop edges; Build ranks the IDs and fills the CSR rows by counting
+// sort. Duplicate edges and self-loops are dropped. The zero Builder is
+// not valid; use NewBuilder.
 type Builder struct {
 	directed bool
 	vertices []int64
-	edges    [][2]int64
+	full     [][][2]int64 // filled edge chunks in insertion order
+	cur      [][2]int64   // the chunk being filled
 }
 
 // NewBuilder returns a Builder for a directed or undirected graph.
@@ -35,33 +54,231 @@ func (b *Builder) AddVertex(id int64) {
 // AddEdge registers the arc (u,v) (directed) or edge {u,v} (undirected).
 // Self-loops are ignored. Duplicates are deduplicated at Build time.
 func (b *Builder) AddEdge(u, v int64) {
-	if u != v {
-		b.edges = append(b.edges, [2]int64{u, v})
+	if u == v {
+		return
 	}
+	if len(b.cur) == cap(b.cur) {
+		b.newChunk()
+	}
+	b.cur = append(b.cur, [2]int64{u, v})
+}
+
+// newChunk retires the full current chunk and starts one twice its size.
+func (b *Builder) newChunk() {
+	if b.cur != nil {
+		b.full = append(b.full, b.cur)
+	}
+	b.cur = make([][2]int64, 0, min(max(2*cap(b.cur), minEdgeChunk), maxEdgeChunk))
 }
 
 // Build constructs the immutable Graph. External IDs are assigned dense
 // indices in ascending ID order, so construction is deterministic for a
-// given edge multiset regardless of insertion order.
+// given edge multiset regardless of insertion order. The buffer is left
+// as it is: more vertices and edges may be added and Build called again.
 func (b *Builder) Build() (*Graph, error) {
-	sb, err := NewStreamBuilder(b.directed, StreamOptions{})
+	chunks := append(b.full[:len(b.full):len(b.full)], b.cur)
+	ids, from, to, err := b.rank(chunks)
 	if err != nil {
 		return nil, err
 	}
-	stream := func() {
+	n := len(ids)
+	if n == 0 {
+		return nil, ErrEmptyGraph
+	}
+	g := &Graph{directed: b.directed, ids: ids}
+	g.outOff, g.outAdj = csr(n, from, to, !b.directed)
+	if b.directed {
+		g.inOff, g.inAdj = transpose(g.outOff, g.outAdj)
+		g.m = int64(len(g.outAdj))
+	} else {
+		g.inOff, g.inAdj = g.outOff, g.outAdj
+		g.m = int64(len(g.outAdj)) / 2
+	}
+	return g, nil
+}
+
+// rank assigns the buffered IDs dense indices in ascending ID order. It
+// returns the ids table and every buffered edge's endpoints as indices.
+// IDs spanning a range close to their count are ranked through a flat
+// presence table; sparse IDs are sorted, compacted and binary-searched.
+func (b *Builder) rank(chunks [][][2]int64) (ids []int64, from, to []VID, err error) {
+	m := 0
+	for _, c := range chunks {
+		m += len(c)
+	}
+	refs := len(b.vertices) + 2*m
+	if refs == 0 {
+		return nil, nil, nil, nil
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, id := range b.vertices {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	for _, c := range chunks {
+		for _, e := range c {
+			lo, hi = min(lo, e[0], e[1]), max(hi, e[0], e[1])
+		}
+	}
+	from, to = make([]VID, m), make([]VID, m)
+
+	// The span is computed in uint64 so that it cannot overflow.
+	if span := uint64(hi) - uint64(lo); span < rankTableSlack*uint64(refs) {
+		table := make([]VID, span+1) // presence marks, then ranks
 		for _, id := range b.vertices {
-			sb.AddVertex(id)
+			table[uint64(id)-uint64(lo)] = 1
 		}
-		for _, e := range b.edges {
-			sb.AddEdge(e[0], e[1])
+		for _, c := range chunks {
+			for _, e := range c {
+				table[uint64(e[0])-uint64(lo)] = 1
+				table[uint64(e[1])-uint64(lo)] = 1
+			}
+		}
+		for i, present := range table {
+			if present != 0 {
+				if len(ids) == math.MaxInt32 {
+					return nil, nil, nil, errTooManyVertices
+				}
+				table[i] = VID(len(ids))
+				ids = append(ids, lo+int64(i))
+			}
+		}
+		k := 0
+		for _, c := range chunks {
+			for _, e := range c {
+				from[k], to[k] = table[uint64(e[0])-uint64(lo)], table[uint64(e[1])-uint64(lo)]
+				k++
+			}
+		}
+		return ids, from, to, nil
+	}
+
+	// Edge lists tend to repeat a source over a run of edges, so a source
+	// equal to the previous edge's is neither gathered nor searched again.
+	ids = make([]int64, 0, refs+1)
+	ids = append(ids, b.vertices...)
+	ids = append(ids, hi) // the run cache below starts at hi
+	prev := hi
+	for _, c := range chunks {
+		for _, e := range c {
+			if e[0] != prev {
+				ids = append(ids, e[0])
+				prev = e[0]
+			}
+			ids = append(ids, e[1])
 		}
 	}
-	stream()
-	if err := sb.Rewind(); err != nil {
-		return nil, err
+	slices.Sort(ids)
+	ids = slices.Clip(slices.Compact(ids))
+	if len(ids) > math.MaxInt32 {
+		return nil, nil, nil, errTooManyVertices
 	}
-	stream()
-	return sb.Finish()
+	prev, prevRank := hi, VID(len(ids)-1)
+	k := 0
+	for _, c := range chunks {
+		for _, e := range c {
+			if e[0] != prev {
+				prev, prevRank = e[0], searchID(ids, e[0])
+			}
+			from[k], to[k] = prevRank, searchID(ids, e[1])
+			k++
+		}
+	}
+	return ids, from, to, nil
+}
+
+// searchID returns the index of id in the ascending ids, which must hold
+// it. The loop has no data-dependent branch.
+func searchID(ids []int64, id int64) VID {
+	base, n := 0, len(ids)
+	for n > 1 {
+		half := n / 2
+		if ids[base+half] <= id {
+			base += half
+		}
+		n -= half
+	}
+	return VID(base)
+}
+
+// errTooManyVertices rejects a vertex set that VID cannot index.
+var errTooManyVertices = fmt.Errorf("graph: more than %d vertices", math.MaxInt32)
+
+// csr fills the CSR rows of the arcs from[i]→to[i] over n vertices, and
+// of their reverses too when both is set. Two counting-sort scatters
+// leave every row ascending without a comparison sort: the first groups
+// the sources by target, the second (transpose) visits the targets in
+// ascending order and appends each to its sources' rows. One left-to-right
+// pass then drops adjacent duplicates and compacts the rows.
+func csr(n int, from, to []VID, both bool) ([]int64, []VID) {
+	off := make([]int64, n+1)
+	for _, v := range to {
+		off[v+1]++
+	}
+	if both {
+		for _, u := range from {
+			off[u+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	next := startCursors(off)
+	src := make([]VID, off[n])
+	for i, v := range to {
+		u := from[i]
+		src[next[v]] = u
+		next[v]++
+		if both {
+			src[next[u]] = v
+			next[u]++
+		}
+	}
+	off, adj := transpose(off, src)
+	return dedupRows(off, adj)
+}
+
+// transpose returns the CSR of the reverse arcs of (off, adj): row v
+// lists every u whose row holds v, in ascending order because the rows
+// u are visited in order.
+func transpose(off []int64, adj []VID) ([]int64, []VID) {
+	n := len(off) - 1
+	tOff := make([]int64, n+1)
+	for _, v := range adj {
+		tOff[v+1]++
+	}
+	for v := 0; v < n; v++ {
+		tOff[v+1] += tOff[v]
+	}
+	next := startCursors(tOff)
+	tAdj := make([]VID, len(adj))
+	for u := 0; u < n; u++ {
+		for _, v := range adj[off[u]:off[u+1]] {
+			tAdj[next[v]] = VID(u)
+			next[v]++
+		}
+	}
+	return tOff, tAdj
+}
+
+// dedupRows drops adjacent duplicates from every ascending row of
+// (off, adj) and compacts the rows left, rewriting off in place. A row's
+// writes never pass its own unread entries, so one left-to-right pass
+// suffices.
+func dedupRows(off []int64, adj []VID) ([]int64, []VID) {
+	n := len(off) - 1
+	var w int64
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
+		off[v] = w
+		for i := lo; i < hi; i++ {
+			if i == lo || adj[i] != adj[w-1] {
+				adj[w] = adj[i]
+				w++
+			}
+		}
+	}
+	off[n] = w
+	return off, adj[:w]
 }
 
 // FromEdges is a convenience constructor building a graph directly from a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -16,6 +17,23 @@ func decodePairs(data []byte, mod int) [][2]int64 {
 		pairs = append(pairs, [2]int64{int64(data[i] % byte(mod)), int64(data[i+1] % byte(mod))})
 	}
 	return pairs
+}
+
+// scatteredIDs maps fuzz bytes onto IDs spread over all of int64, so
+// that most inputs take Builder's sorted-ID path and some its rank table
+// at either end of the range.
+var scatteredIDs = [16]int64{
+	math.MinInt64, math.MinInt64 + 1, -1 << 40, -99991, -7, -1, 0, 1,
+	2, 5, 1000, 1 << 32, 1 << 40, 1<<40 + 1, math.MaxInt64 - 1, math.MaxInt64,
+}
+
+// scatter replaces every dense ID in [0, 16) by its scattered ID.
+func scatter(pairs [][2]int64) [][2]int64 {
+	out := make([][2]int64, len(pairs))
+	for i, p := range pairs {
+		out[i] = [2]int64{scatteredIDs[p[0]], scatteredIDs[p[1]]}
+	}
+	return out
 }
 
 // edgeFingerprint renders a graph's full structure (IDs + adjacency) for
@@ -32,17 +50,25 @@ func edgeFingerprint(g *Graph) string {
 // FuzzBuilder feeds the Builder arbitrary edge soup — duplicates,
 // self-loops, unordered endpoints — and checks the built graph against
 // the naive oracle and every structural invariant, checks the stream
-// builder's dense mode against the oracle too, then round-trips the graph
-// through an identity-rewired Overlay and Materialize back to an equal
-// graph.
+// builder against the oracle too, then round-trips the graph through an
+// identity-rewired Overlay and Materialize back to an equal graph. With
+// scattered set the IDs are drawn from scatteredIDs instead of [0, 16).
 func FuzzBuilder(f *testing.F) {
-	f.Add([]byte{1, 2, 2, 3, 3, 1}, false)
-	f.Add([]byte{0, 0, 1, 1, 2, 2}, true)       // all self-loops
-	f.Add([]byte{1, 2, 2, 1, 1, 2, 2, 1}, true) // duplicates both ways
-	f.Add([]byte{7, 3, 3, 7, 5, 5, 0, 7}, false)
-	f.Fuzz(func(t *testing.T, data []byte, directed bool) {
+	f.Add([]byte{1, 2, 2, 3, 3, 1}, false, false)
+	f.Add([]byte{0, 0, 1, 1, 2, 2}, true, false)       // all self-loops
+	f.Add([]byte{1, 2, 2, 1, 1, 2, 2, 1}, true, false) // duplicates both ways
+	f.Add([]byte{7, 3, 3, 7, 5, 5, 0, 7}, false, false)
+	f.Add([]byte{0, 15, 15, 0, 4, 6, 6, 4, 12, 4}, true, true) // int64 extremes
+	f.Add([]byte{14, 15, 15, 14, 14, 15}, false, true)         // rank table at MaxInt64
+	f.Add([]byte{0, 1, 1, 0, 1, 1}, true, true)                // rank table at MinInt64
+	f.Add([]byte{15, 3, 15, 4, 3, 4}, false, true)             // largest ID leads
+	f.Fuzz(func(t *testing.T, data []byte, directed, scattered bool) {
 		const mod = 16
 		pairs := decodePairs(data, mod)
+		dense := pairs
+		if scattered {
+			pairs = scatter(pairs)
+		}
 		want, wantErr := oracleBuild(directed, nil, pairs)
 		g, err := FromEdges(directed, pairs)
 		if wantErr != nil {
@@ -59,16 +85,16 @@ func FuzzBuilder(f *testing.F) {
 			t.Fatalf("Builder diverged from the oracle:\n got %s\nwant %s", got, want)
 		}
 
-		// The dense mode over the whole ID range [0, mod).
+		// The stream builder over the whole dense ID range [0, mod).
 		sb, err := NewStreamBuilder(directed, StreamOptions{DenseVertices: mod})
 		if err != nil {
 			t.Fatalf("NewStreamBuilder: %v", err)
 		}
-		dg, err := streamReplay(sb, pairs)
+		dg, err := streamReplay(sb, dense)
 		if err != nil {
 			t.Fatalf("dense stream build rejected the input: %v", err)
 		}
-		dwant := mustOracle(t, directed, denseIDs(mod), pairs)
+		dwant := mustOracle(t, directed, denseIDs(mod), dense)
 		if got, want := edgeFingerprint(dg), edgeFingerprint(dwant); got != want {
 			t.Fatalf("dense stream builder diverged from the oracle:\n got %s\nwant %s", got, want)
 		}

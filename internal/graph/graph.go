@@ -1,8 +1,9 @@
 // Package graph provides the social-graph substrate used throughout the
 // reproduction: an immutable, memory-compact directed or undirected graph
 // in compressed-sparse-row (CSR) form, a mutable Builder to construct it,
-// vertex-ID interning between external (data set) IDs and dense internal
-// indices, and set primitives used by the community scoring functions.
+// a mapping between external (data set) IDs and dense internal indices
+// ranked in ascending ID order, and set primitives used by the community
+// scoring functions.
 //
 // Conventions, following the paper's nomenclature (Table I):
 //
@@ -18,7 +19,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // VID is a dense internal vertex index in [0, NumVertices).
@@ -76,8 +77,7 @@ func (g *Graph) ExternalID(v VID) int64 { return g.ids[v] }
 // binary search over the ascending ids table. Graphs keep no interning
 // map, so their ID overhead stays at 8 bytes per vertex.
 func (g *Graph) Lookup(external int64) (VID, bool) {
-	i := sort.Search(len(g.ids), func(i int) bool { return g.ids[i] >= external })
-	if i < len(g.ids) && g.ids[i] == external {
+	if i, ok := slices.BinarySearch(g.ids, external); ok {
 		return VID(i), true
 	}
 	return 0, false
@@ -131,9 +131,8 @@ func (g *Graph) Degree(v VID) int {
 // HasEdge reports whether the arc (u,v) exists (directed), or whether the
 // edge {u,v} exists (undirected). Runs in O(log deg(u)).
 func (g *Graph) HasEdge(u, v VID) bool {
-	adj := g.OutNeighbors(u)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-	return i < len(adj) && adj[i] == v
+	_, ok := slices.BinarySearch(g.OutNeighbors(u), v)
+	return ok
 }
 
 // Edge is a single arc or edge between dense vertex indices.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -24,12 +23,9 @@ var (
 
 // StreamOptions configures a StreamBuilder.
 type StreamOptions struct {
-	// DenseVertices > 0 declares the vertex universe up front: external
-	// IDs are exactly [0, DenseVertices), every vertex exists (AddVertex
-	// is unnecessary), no interning map is built, and AddEdge is safe for
-	// concurrent use from multiple goroutines. 0 selects the sparse mode:
-	// arbitrary int64 IDs interned in ascending order, single-goroutine
-	// streaming only. Builder is a façade over the sparse mode.
+	// DenseVertices declares the vertex universe up front and is
+	// required: external IDs are exactly [0, DenseVertices) and every
+	// vertex exists. NewStreamBuilder rejects 0 with ErrEmptyGraph.
 	DenseVertices int64
 	// Workers bounds the parallelism of the finishing phase (per-row
 	// sort/dedup). 0 selects GOMAXPROCS.
@@ -40,9 +36,10 @@ type StreamOptions struct {
 // edge stream without ever materializing the edge list: pass 1 counts
 // per-vertex degrees, pass 2 writes endpoints straight into the final
 // CSR adjacency. Peak memory is O(n + m·sizeof(VID)) — the offsets,
-// cursors, and the adjacency the Graph keeps anyway. It is the package's
-// only CSR construction algorithm: duplicates and self-loops are dropped
-// and sparse-mode IDs get dense indices in ascending external-ID order.
+// cursors, and the adjacency the Graph keeps anyway. Duplicates and
+// self-loops are dropped. Concurrent producers fill rows in no fixed
+// order, so Finish sorts every row; Builder, which holds its edges,
+// fills rows by counting sort instead.
 //
 // Protocol (replay): the caller streams the edges, calls Rewind, and
 // streams the identical edge multiset again before Finish.
@@ -53,23 +50,16 @@ type StreamOptions struct {
 //	stream(sb.AddEdge)     // pass 2: identical multiset, any order
 //	g, err := sb.Finish()
 //
-// In dense mode concurrent producers may call AddEdge directly. Rewind
-// and Finish must not be called concurrently with AddEdge.
+// Concurrent producers may call AddEdge directly. Rewind and Finish must
+// not be called concurrently with AddEdge.
 type StreamBuilder struct {
 	directed bool
-	dense    bool
 	workers  int
 
 	pass int32 // 1 = counting, 2 = filling
 
-	// Sparse-mode interning (nil in dense mode). During pass 1 index maps
-	// external ID -> provisional index in first-seen order; Rewind remaps
-	// it to final ascending-ID order.
-	index map[int64]VID
-	ids   []int64
-
-	n      int64   // vertex count (fixed in dense mode, grows in sparse)
-	outCnt []int64 // pass-1 degree counts, indexed by (provisional) vertex
+	n      int64   // vertex count
+	outCnt []int64 // pass-1 degree counts, indexed by vertex
 	inCnt  []int64 // directed only
 
 	outOff, inOff   []int64
@@ -83,10 +73,14 @@ type StreamBuilder struct {
 }
 
 // NewStreamBuilder returns a StreamBuilder for a directed or undirected
-// graph. See StreamOptions for the dense and sparse modes.
+// graph over opts.DenseVertices vertices. A zero universe returns
+// ErrEmptyGraph.
 func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error) {
+	if opts.DenseVertices == 0 {
+		return nil, ErrEmptyGraph
+	}
 	if opts.DenseVertices < 0 || opts.DenseVertices > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: DenseVertices %d outside [0, %d]",
+		return nil, fmt.Errorf("%w: DenseVertices %d outside [1, %d]",
 			ErrStreamRange, opts.DenseVertices, math.MaxInt32)
 	}
 	workers := opts.Workers
@@ -97,16 +91,11 @@ func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error)
 		directed: directed,
 		workers:  workers,
 		pass:     1,
+		n:        opts.DenseVertices,
+		outCnt:   make([]int64, opts.DenseVertices),
 	}
-	if opts.DenseVertices > 0 {
-		sb.dense = true
-		sb.n = opts.DenseVertices
-		sb.outCnt = make([]int64, sb.n)
-		if directed {
-			sb.inCnt = make([]int64, sb.n)
-		}
-	} else {
-		sb.index = make(map[int64]VID)
+	if directed {
+		sb.inCnt = make([]int64, sb.n)
 	}
 	return sb, nil
 }
@@ -131,77 +120,29 @@ func (sb *StreamBuilder) takeErr() error {
 	return nil
 }
 
-// AddVertex registers an isolated vertex. In dense mode every vertex in
-// [0, DenseVertices) already exists, so this only validates the range.
-// Sparse mode interns the ID during pass 1.
-func (sb *StreamBuilder) AddVertex(id int64) {
-	if sb.dense {
-		if id < 0 || id >= sb.n {
-			sb.setErr(fmt.Errorf("%w: vertex %d with %d dense vertices", ErrStreamRange, id, sb.n))
-		}
-		return
-	}
-	if sb.pass == 1 {
-		sb.intern(id)
-		return
-	}
-	if _, ok := sb.index[id]; !ok {
-		sb.setErr(fmt.Errorf("%w: vertex %d appears only in pass 2", ErrStreamMismatch, id))
-	}
-}
-
 // AddEdge streams the arc (u,v) (directed) or edge {u,v} (undirected).
-// Self-loops are ignored; duplicates are deduplicated at Finish. In
-// dense mode AddEdge is safe for concurrent use. Errors (range
-// violations, pass-2 mismatches) are latched and reported by Finish.
+// Self-loops are ignored; duplicates are deduplicated at Finish. AddEdge
+// is safe for concurrent use. Errors (range violations, pass-2
+// mismatches) are latched and reported by Finish.
 func (sb *StreamBuilder) AddEdge(u, v int64) {
 	if u == v {
 		return
 	}
+	if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
+		sb.setErr(fmt.Errorf("%w: edge (%d,%d) with %d dense vertices", ErrStreamRange, u, v, sb.n))
+		return
+	}
 	if sb.pass == 1 {
-		if sb.dense {
-			if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
-				sb.setErr(fmt.Errorf("%w: edge (%d,%d) with %d dense vertices", ErrStreamRange, u, v, sb.n))
-				return
-			}
-			atomic.AddInt64(&sb.outCnt[u], 1)
-			if sb.directed {
-				atomic.AddInt64(&sb.inCnt[v], 1)
-			} else {
-				atomic.AddInt64(&sb.outCnt[v], 1)
-			}
+		atomic.AddInt64(&sb.outCnt[u], 1)
+		if sb.directed {
+			atomic.AddInt64(&sb.inCnt[v], 1)
 		} else {
-			pu, pv := sb.intern(u), sb.intern(v)
-			sb.outCnt[pu]++
-			if sb.directed {
-				sb.inCnt[pv]++
-			} else {
-				sb.outCnt[pv]++
-			}
+			atomic.AddInt64(&sb.outCnt[v], 1)
 		}
 		sb.mPass1.Inc()
 		return
 	}
-
-	var iu, iv VID
-	if sb.dense {
-		if u < 0 || u >= sb.n || v < 0 || v >= sb.n {
-			sb.setErr(fmt.Errorf("%w: edge (%d,%d) with %d dense vertices", ErrStreamRange, u, v, sb.n))
-			return
-		}
-		iu, iv = VID(u), VID(v)
-	} else {
-		var ok bool
-		if iu, ok = sb.index[u]; !ok {
-			sb.setErr(fmt.Errorf("%w: vertex %d appears only in pass 2", ErrStreamMismatch, u))
-			return
-		}
-		if iv, ok = sb.index[v]; !ok {
-			sb.setErr(fmt.Errorf("%w: vertex %d appears only in pass 2", ErrStreamMismatch, v))
-			return
-		}
-	}
-	sb.place(iu, iv)
+	sb.place(VID(u), VID(v))
 	sb.mPass2.Inc()
 }
 
@@ -211,14 +152,14 @@ func (sb *StreamBuilder) AddEdge(u, v int64) {
 func (sb *StreamBuilder) place(iu, iv VID) {
 	pos := atomic.AddInt64(&sb.outNext[iu], 1) - 1
 	if pos >= sb.outOff[iu+1] {
-		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, sb.externalOf(iu)))
+		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, iu))
 		return
 	}
 	sb.outAdj[pos] = iv
 	if sb.directed {
 		pos = atomic.AddInt64(&sb.inNext[iv], 1) - 1
 		if pos >= sb.inOff[iv+1] {
-			sb.setErr(fmt.Errorf("%w: vertex %d receives more in-edges than counted", ErrStreamMismatch, sb.externalOf(iv)))
+			sb.setErr(fmt.Errorf("%w: vertex %d receives more in-edges than counted", ErrStreamMismatch, iv))
 			return
 		}
 		sb.inAdj[pos] = iu
@@ -226,34 +167,10 @@ func (sb *StreamBuilder) place(iu, iv VID) {
 	}
 	pos = atomic.AddInt64(&sb.outNext[iv], 1) - 1
 	if pos >= sb.outOff[iv+1] {
-		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, sb.externalOf(iv)))
+		sb.setErr(fmt.Errorf("%w: vertex %d receives more edges than counted", ErrStreamMismatch, iv))
 		return
 	}
 	sb.outAdj[pos] = iu
-}
-
-// externalOf maps a dense index back to its external ID for error text.
-func (sb *StreamBuilder) externalOf(v VID) int64 {
-	if sb.dense || int(v) >= len(sb.ids) {
-		return int64(v)
-	}
-	return sb.ids[v]
-}
-
-// intern resolves an external ID to its provisional index (pass 1 only).
-func (sb *StreamBuilder) intern(id int64) VID {
-	if p, ok := sb.index[id]; ok {
-		return p
-	}
-	p := VID(len(sb.ids))
-	sb.index[id] = p
-	sb.ids = append(sb.ids, id)
-	sb.outCnt = append(sb.outCnt, 0)
-	if sb.directed {
-		sb.inCnt = append(sb.inCnt, 0)
-	}
-	sb.n = int64(len(sb.ids))
-	return p
 }
 
 // Rewind ends the counting pass and prepares the fill pass: the caller
@@ -271,35 +188,9 @@ func (sb *StreamBuilder) Rewind() error {
 }
 
 // finalizeCounts turns the pass-1 degree counts into CSR offsets, fill
-// cursors and adjacency storage. Sparse mode first re-ranks vertices
-// into ascending external-ID order.
+// cursors and adjacency storage.
 func (sb *StreamBuilder) finalizeCounts() {
 	n := int(sb.n)
-	if !sb.dense && n > 0 {
-		order := make([]int32, n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(i, j int) bool { return sb.ids[order[i]] < sb.ids[order[j]] })
-		sortedIDs := make([]int64, n)
-		outCnt := make([]int64, n)
-		var inCnt []int64
-		if sb.directed {
-			inCnt = make([]int64, n)
-		}
-		for rank, prov := range order {
-			sortedIDs[rank] = sb.ids[prov]
-			outCnt[rank] = sb.outCnt[prov]
-			if sb.directed {
-				inCnt[rank] = sb.inCnt[prov]
-			}
-		}
-		sb.ids, sb.outCnt, sb.inCnt = sortedIDs, outCnt, inCnt
-		for rank, id := range sortedIDs {
-			sb.index[id] = VID(rank)
-		}
-	}
-
 	sb.outOff = prefixSum(sb.outCnt)
 	sb.outNext = startCursors(sb.outOff)
 	sb.outAdj = make([]VID, sb.outOff[n])
@@ -312,7 +203,7 @@ func (sb *StreamBuilder) finalizeCounts() {
 	}
 
 	peak := int64(8*(len(sb.outOff)+len(sb.outNext)+len(sb.inOff)+len(sb.inNext))) +
-		int64(4*(len(sb.outAdj)+len(sb.inAdj))) + int64(8*len(sb.ids))
+		int64(4*(len(sb.outAdj)+len(sb.inAdj)))
 	sb.gPeak.Set(peak)
 }
 
@@ -334,8 +225,7 @@ func startCursors(off []int64) []int64 {
 
 // Finish completes the build: it sorts and deduplicates every CSR row in
 // parallel, compacts the adjacency, and assembles the Graph. A build
-// without edges may Finish straight from pass 1. An empty vertex set
-// returns ErrEmptyGraph.
+// without edges may Finish straight from pass 1.
 func (sb *StreamBuilder) Finish() (*Graph, error) {
 	if sb.pass == 1 {
 		sb.finalizeCounts()
@@ -349,23 +239,20 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 	}
 
 	n := int(sb.n)
-	if n == 0 {
-		return nil, ErrEmptyGraph
-	}
 	for v := 0; v < n; v++ {
 		if sb.outNext[v] != sb.outOff[v+1] {
 			return nil, fmt.Errorf("%w: vertex %d received %d of %d counted edges",
-				ErrStreamMismatch, sb.externalOf(VID(v)), sb.outNext[v]-sb.outOff[v], sb.outOff[v+1]-sb.outOff[v])
+				ErrStreamMismatch, v, sb.outNext[v]-sb.outOff[v], sb.outOff[v+1]-sb.outOff[v])
 		}
 		if sb.directed && sb.inNext[v] != sb.inOff[v+1] {
 			return nil, fmt.Errorf("%w: vertex %d received %d of %d counted in-edges",
-				ErrStreamMismatch, sb.externalOf(VID(v)), sb.inNext[v]-sb.inOff[v], sb.inOff[v+1]-sb.inOff[v])
+				ErrStreamMismatch, v, sb.inNext[v]-sb.inOff[v], sb.inOff[v+1]-sb.inOff[v])
 		}
 	}
 
-	sb.outOff, sb.outAdj = sortDedupCompact(sb.outOff, sb.outAdj, sb.outNext, sb.workers)
+	sb.outOff, sb.outAdj = sortDedupCompact(sb.outOff, sb.outAdj, sb.workers)
 	if sb.directed {
-		sb.inOff, sb.inAdj = sortDedupCompact(sb.inOff, sb.inAdj, sb.inNext, sb.workers)
+		sb.inOff, sb.inAdj = sortDedupCompact(sb.inOff, sb.inAdj, sb.workers)
 	}
 
 	var m int64
@@ -379,12 +266,9 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 		m = int64(len(sb.outAdj)) / 2
 	}
 
-	ids := sb.ids
-	if sb.dense {
-		ids = make([]int64, n)
-		for i := range ids {
-			ids[i] = int64(i)
-		}
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
 	}
 	g := &Graph{
 		directed: sb.directed,
@@ -410,15 +294,12 @@ func (sb *StreamBuilder) totalCounted() int64 {
 	return sb.outOff[len(sb.outOff)-1]
 }
 
-// sortDedupCompact sorts every CSR row, removes duplicate entries, and
-// compacts the adjacency left so rows stay contiguous. rowLen is reused
-// as scratch for the deduplicated row lengths. Sorting and deduping are
-// embarrassingly parallel; the in-place compaction must run left to
-// right in one goroutine because a later row's destination can overlap
-// an earlier row's still-unread source (copy's memmove semantics make a
-// row's overlap with itself safe). It is a straight memory move, so
-// serializing it is cheap next to the sorts.
-func sortDedupCompact(off []int64, adj []VID, rowLen []int64, workers int) ([]int64, []VID) {
+// sortDedupCompact sorts every CSR row in parallel, then drops
+// duplicates and compacts the rows with dedupRows, whose in-place moves
+// must run left to right in one goroutine because a later row's
+// destination can overlap an earlier row's still-unread source. It is a
+// straight memory pass, so serializing it is cheap next to the sorts.
+func sortDedupCompact(off []int64, adj []VID, workers int) ([]int64, []VID) {
 	n := len(off) - 1
 	if workers > n {
 		workers = n
@@ -428,38 +309,10 @@ func sortDedupCompact(off []int64, adj []VID, rowLen []int64, workers int) ([]in
 	}
 	parallelRows(n, workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			row := adj[off[v]:off[v+1]]
-			slices.Sort(row)
-			rowLen[v] = int64(dedupRow(row))
+			slices.Sort(adj[off[v]:off[v+1]])
 		}
 	})
-
-	newOff := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		newOff[v+1] = newOff[v] + rowLen[v]
-	}
-	for v := 0; v < n; v++ {
-		if newOff[v] != off[v] {
-			copy(adj[newOff[v]:newOff[v+1]], adj[off[v]:off[v]+rowLen[v]])
-		}
-	}
-	return newOff, adj[:newOff[n]]
-}
-
-// dedupRow removes adjacent duplicates from a sorted row in place and
-// returns the deduplicated length.
-func dedupRow(row []VID) int {
-	if len(row) == 0 {
-		return 0
-	}
-	w := 1
-	for i := 1; i < len(row); i++ {
-		if row[i] != row[w-1] {
-			row[w] = row[i]
-			w++
-		}
-	}
-	return w
+	return dedupRows(off, adj)
 }
 
 // parallelRows fans fn out over contiguous row ranges.

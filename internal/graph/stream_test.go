@@ -12,9 +12,9 @@ import (
 	"gpluscircles/internal/obs"
 )
 
-// binaryBytes serializes a graph for bit-identity comparisons; the
-// binary format excludes the interning map, so dense (index-free) and
-// map-backed graphs with the same structure compare equal.
+// binaryBytes serializes a graph for bit-identity comparisons: IDs, CSR
+// offsets and adjacency, so graphs compare equal exactly when their
+// structure and ID tables do.
 func binaryBytes(t *testing.T, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -26,7 +26,7 @@ func binaryBytes(t *testing.T, g *Graph) []byte {
 
 // oracleBuild is the naive reference every CSR construction test checks
 // against: one adjacency set per external ID, then sorted rows. It shares
-// no code with StreamBuilder.
+// no code with Builder or StreamBuilder.
 func oracleBuild(directed bool, vertices []int64, pairs [][2]int64) (*Graph, error) {
 	out, in := map[int64]map[int64]bool{}, map[int64]map[int64]bool{}
 	touch := func(id int64) {
@@ -120,8 +120,8 @@ func randomPairs(rng *rand.Rand, n, count int) [][2]int64 {
 	return pairs
 }
 
-// TestStreamBuilderMatchesBuilderDense checks the dense mode against the
-// oracle and against Builder, which drives the sparse mode.
+// TestStreamBuilderMatchesBuilderDense checks the stream builder and
+// Builder against the oracle on the same dense vertex universe.
 func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(42))
@@ -158,18 +158,21 @@ func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 	}
 }
 
-// TestStreamBuilderMatchesBuilderSparse covers the sparse interning mode,
-// directly and through the Builder façade, on edge cases of the ID space
-// and of the input: every case must match the oracle, including its
-// ErrEmptyGraph verdict.
-func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
+// TestBuilderMatchesOracleSparseIDs covers Builder's two ranking paths
+// on edge cases of the ID space and of the input: the flat rank table
+// (IDs spanning a range close to their count, at either end of int64)
+// and the sorted path (negatives, wide gaps, the int64 extremes). Every
+// case must match the oracle, including its ErrEmptyGraph verdict, every
+// ID must resolve through Lookup and every absent probe must miss.
+func TestBuilderMatchesOracleSparseIDs(t *testing.T) {
 	cases := []struct {
 		name     string
 		vertices []int64
 		pairs    [][2]int64
+		absent   []int64
 	}{
 		{
-			// Negatives and wide gaps, interned in ascending order.
+			// Negatives and wide gaps, ranked in ascending order.
 			name:     "mixed IDs",
 			vertices: []int64{999},
 			pairs: [][2]int64{
@@ -177,38 +180,42 @@ func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
 				{-7, 3}, {100, -7}, {3, -7},
 			},
 		},
+		{
+			name:   "gaps and negatives",
+			pairs:  [][2]int64{{3, -7}, {1 << 40, 0}, {-1 << 40, 3}},
+			absent: []int64{-1<<40 - 1, -8, 1, 4, 1<<40 + 1},
+		},
 		{name: "duplicate AddVertex", vertices: []int64{4, 4, 2, 4}, pairs: [][2]int64{{2, 9}}},
 		{name: "isolated only", vertices: []int64{7, -3, 1 << 40}},
 		{name: "self-loops only", pairs: [][2]int64{{1, 1}, {-5, -5}}},
 		{name: "extreme IDs", pairs: [][2]int64{{-1 << 40, 1 << 40}, {math.MinInt64, math.MaxInt64}, {-1, 0}}},
+		{
+			// The largest ID is only the source of the first run of edges.
+			name:   "largest ID first",
+			pairs:  [][2]int64{{1 << 40, 5}, {1 << 40, -3}, {5, -3}},
+			absent: []int64{0, 1<<40 - 1},
+		},
+		{
+			name:   "dense negatives",
+			pairs:  [][2]int64{{-3, 2}, {2, -1}, {0, -3}, {-1, 0}, {2, -3}},
+			absent: []int64{-4, -2, 1, 3},
+		},
+		{
+			name:     "dense at MaxInt64",
+			vertices: []int64{math.MaxInt64 - 3},
+			pairs:    [][2]int64{{math.MaxInt64, math.MaxInt64 - 1}, {math.MaxInt64 - 1, math.MaxInt64}},
+			absent:   []int64{math.MaxInt64 - 2, math.MaxInt64 - 4},
+		},
+		{
+			name:   "dense at MinInt64",
+			pairs:  [][2]int64{{math.MinInt64, math.MinInt64 + 2}, {math.MinInt64 + 2, math.MinInt64 + 1}},
+			absent: []int64{math.MinInt64 + 3},
+		},
 		{name: "empty"},
 	}
 	for _, tc := range cases {
 		for _, directed := range []bool{false, true} {
 			want, wantErr := oracleBuild(directed, tc.vertices, tc.pairs)
-			check := func(how string, got *Graph, err error) {
-				t.Helper()
-				if wantErr != nil {
-					if !errors.Is(err, wantErr) {
-						t.Fatalf("%s directed=%v %s: err %v, want %v", tc.name, directed, how, err, wantErr)
-					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("%s directed=%v %s: %v", tc.name, directed, how, err)
-				}
-				if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
-					t.Fatalf("%s directed=%v %s differs from oracle:\n got %s\nwant %s",
-						tc.name, directed, how, edgeFingerprint(got), edgeFingerprint(want))
-				}
-				// Sparse graphs keep the interning map; every ID resolves.
-				for v, id := range want.ExternalIDs() {
-					if got, ok := got.Lookup(id); !ok || got != VID(v) {
-						t.Fatalf("%s %s: Lookup(%d) = (%d,%v)", tc.name, how, id, got, ok)
-					}
-				}
-			}
-
 			b := NewBuilder(directed)
 			for _, id := range tc.vertices {
 				b.AddVertex(id)
@@ -216,28 +223,30 @@ func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
 			for _, p := range tc.pairs {
 				b.AddEdge(p[0], p[1])
 			}
-			g, err := b.Build()
-			check("Builder", g, err)
-
-			sb, err := NewStreamBuilder(directed, StreamOptions{})
+			got, err := b.Build()
+			if wantErr != nil {
+				if !errors.Is(err, wantErr) {
+					t.Fatalf("%s directed=%v: err %v, want %v", tc.name, directed, err, wantErr)
+				}
+				continue
+			}
 			if err != nil {
-				t.Fatalf("NewStreamBuilder: %v", err)
+				t.Fatalf("%s directed=%v: %v", tc.name, directed, err)
 			}
-			for _, id := range tc.vertices {
-				sb.AddVertex(id)
+			if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
+				t.Fatalf("%s directed=%v differs from oracle:\n got %s\nwant %s",
+					tc.name, directed, edgeFingerprint(got), edgeFingerprint(want))
 			}
-			for _, p := range tc.pairs {
-				sb.AddEdge(p[0], p[1])
+			for v, id := range want.ExternalIDs() {
+				if gv, ok := got.Lookup(id); !ok || gv != VID(v) || got.ExternalID(gv) != id {
+					t.Fatalf("%s: Lookup(%d) = (%d,%v), want (%d,true)", tc.name, id, gv, ok, v)
+				}
 			}
-			if err := sb.Rewind(); err != nil {
-				t.Fatalf("Rewind: %v", err)
+			for _, id := range tc.absent {
+				if v, ok := got.Lookup(id); ok {
+					t.Fatalf("%s: Lookup(%d) = %d for an absent ID", tc.name, id, v)
+				}
 			}
-			// Pass 2 may replay the multiset in any order.
-			for i := len(tc.pairs) - 1; i >= 0; i-- {
-				sb.AddEdge(tc.pairs[i][0], tc.pairs[i][1])
-			}
-			g, err = sb.Finish()
-			check("StreamBuilder", g, err)
 		}
 	}
 }
@@ -333,20 +342,8 @@ func TestStreamBuilderErrors(t *testing.T) {
 			t.Fatalf("got %v, want ErrStreamMismatch", err)
 		}
 	})
-	t.Run("unknown sparse pass-2 vertex", func(t *testing.T) {
-		sb, _ := NewStreamBuilder(false, StreamOptions{})
-		sb.AddEdge(10, 20)
-		if err := sb.Rewind(); err != nil {
-			t.Fatal(err)
-		}
-		sb.AddEdge(10, 30)
-		if _, err := sb.Finish(); !errors.Is(err, ErrStreamMismatch) {
-			t.Fatalf("got %v, want ErrStreamMismatch", err)
-		}
-	})
 	t.Run("empty", func(t *testing.T) {
-		sb, _ := NewStreamBuilder(false, StreamOptions{})
-		if _, err := sb.Finish(); !errors.Is(err, ErrEmptyGraph) {
+		if _, err := NewStreamBuilder(false, StreamOptions{}); !errors.Is(err, ErrEmptyGraph) {
 			t.Fatalf("got %v, want ErrEmptyGraph", err)
 		}
 	})
@@ -364,8 +361,8 @@ func TestStreamBuilderErrors(t *testing.T) {
 }
 
 // TestStreamBuilderLookupFallback covers Lookup's binary search over the
-// ids table, which every graph relies on: dense mode here, sparse IDs
-// with gaps and negatives in TestStreamBuilderLookupSparse.
+// ids table, which every graph relies on: dense IDs here, sparse IDs
+// with gaps and negatives in TestBuilderMatchesOracleSparseIDs.
 func TestStreamBuilderLookupFallback(t *testing.T) {
 	g, err := streamFromPairs(t, false, [][2]int64{{0, 1}, {1, 2}}, StreamOptions{DenseVertices: 5})
 	if err != nil {
@@ -382,25 +379,6 @@ func TestStreamBuilderLookupFallback(t *testing.T) {
 	}
 	if _, err := g.MustLookup(-1); err == nil {
 		t.Fatal("MustLookup(-1) succeeded")
-	}
-}
-
-func TestStreamBuilderLookupSparse(t *testing.T) {
-	ids := []int64{-1 << 40, -7, 0, 3, 1 << 40}
-	g, err := streamFromPairs(t, true, [][2]int64{{3, -7}, {1 << 40, 0}, {-1 << 40, 3}}, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for want, id := range ids {
-		got, ok := g.Lookup(id)
-		if !ok || int(got) != want || g.ExternalID(got) != id {
-			t.Fatalf("Lookup(%d) = (%d,%v), want (%d,true)", id, got, ok, want)
-		}
-	}
-	for _, id := range []int64{-1<<40 - 1, -8, 1, 4, 1<<40 + 1} {
-		if v, ok := g.Lookup(id); ok {
-			t.Fatalf("Lookup(%d) = %d for an absent ID", id, v)
-		}
 	}
 }
 

@@ -25,17 +25,29 @@ func Undirected(g *Graph) (*Graph, error) {
 
 // ReciprocalEdgeCount returns, for a directed graph, the number of arcs
 // (u,v) whose reverse arc (v,u) also exists. Reciprocity = result / m.
+// Each vertex u contributes |out(u) ∩ in(u)|, counted by one merge walk
+// over its two sorted rows.
 func ReciprocalEdgeCount(g *Graph) int64 {
 	if !g.directed {
 		return 2 * g.m
 	}
 	var count int64
-	g.Edges(func(e Edge) bool {
-		if g.HasEdge(e.To, e.From) {
-			count++
+	n := VID(g.NumVertices())
+	for u := VID(0); u < n; u++ {
+		out, in := g.OutNeighbors(u), g.InNeighbors(u)
+		for i, j := 0, 0; i < len(out) && j < len(in); {
+			switch {
+			case out[i] < in[j]:
+				i++
+			case out[i] > in[j]:
+				j++
+			default:
+				count++
+				i++
+				j++
+			}
 		}
-		return true
-	})
+	}
 	return count
 }
 

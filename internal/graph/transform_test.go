@@ -53,6 +53,36 @@ func TestReciprocalEdgeCount(t *testing.T) {
 	}
 }
 
+// TestReciprocalEdgeCountMatchesHasEdge checks the row-merge count
+// against the per-arc HasEdge oracle on random directed graphs, from
+// sparse ones to reciprocal-heavy ones where most arcs come in pairs.
+func TestReciprocalEdgeCountMatchesHasEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(50)
+		pairs := randomPairs(rng, n, rng.Intn(8*n))
+		if trial%2 == 1 {
+			for _, p := range pairs[:len(pairs)*3/4] {
+				pairs = append(pairs, [2]int64{p[1], p[0]})
+			}
+		}
+		g, err := FromEdges(true, pairs)
+		if err != nil {
+			continue // only self-loops were drawn
+		}
+		var want int64
+		g.Edges(func(e Edge) bool {
+			if g.HasEdge(e.To, e.From) {
+				want++
+			}
+			return true
+		})
+		if got := ReciprocalEdgeCount(g); got != want {
+			t.Fatalf("trial %d: ReciprocalEdgeCount = %d, HasEdge oracle %d", trial, got, want)
+		}
+	}
+}
+
 func TestSubgraphKnown(t *testing.T) {
 	g, err := FromEdges(true, [][2]int64{{1, 2}, {2, 3}, {3, 1}, {3, 4}})
 	if err != nil {

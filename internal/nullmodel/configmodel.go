@@ -54,13 +54,10 @@ func directedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error) {
 	for i := range outStubs {
 		e := graph.Edge{From: outStubs[i], To: inStubs[i]}
 		edges[i] = e
-		k := pack(e.From, e.To)
-		if e.From == e.To || present.has(k) {
+		if e.From == e.To || present.add(pack(e.From, e.To)) {
 			isPending[i] = true
 			pending = append(pending, i)
-			continue
 		}
-		present.add(k)
 	}
 
 	// Repair: swap the To endpoint of a bad edge with a random accepted
@@ -126,13 +123,10 @@ func undirectedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error)
 	for i := 0; i < m; i++ {
 		e := graph.Edge{From: stubs[2*i], To: stubs[2*i+1]}
 		edges[i] = e
-		k := key(e.From, e.To)
-		if e.From == e.To || present.has(k) {
+		if e.From == e.To || present.add(key(e.From, e.To)) {
 			isPending[i] = true
 			pending = append(pending, i)
-			continue
 		}
-		present.add(k)
 	}
 	maxAttempts := 200 * (len(pending) + 1)
 	for attempt := 0; len(pending) > 0 && attempt < maxAttempts; attempt++ {

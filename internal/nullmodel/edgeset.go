@@ -52,17 +52,18 @@ func (s *edgeSet) has(k uint64) bool {
 	}
 }
 
-// add inserts k; adding a member is a no-op. The caller keeps the count
-// of keys within the n given to reset, so an empty slot always exists.
-func (s *edgeSet) add(k uint64) {
+// add inserts k and reports whether it was already a member, in which
+// case s is unchanged. The caller keeps the count of keys within the n
+// given to reset, so an empty slot always exists.
+func (s *edgeSet) add(k uint64) (present bool) {
 	mask := uint64(len(s.slots) - 1)
 	for i := s.home(k); ; i = (i + 1) & mask {
 		switch s.slots[i] {
 		case k:
-			return
+			return true
 		case emptyKey:
 			s.slots[i] = k
-			return
+			return false
 		}
 	}
 }

@@ -46,7 +46,9 @@ func applyEdgeSetOps(t *testing.T, capacity int, keys []uint64, ops []byte) {
 			if !want[k] && len(want) >= capacity {
 				continue
 			}
-			s.add(k)
+			if got := s.add(k); got != want[k] {
+				t.Fatalf("op %d: add(%#x) reported present=%v, oracle %v", i/2, k, got, want[k])
+			}
 			want[k] = true
 		case 1:
 			if got := s.has(k); got != want[k] {

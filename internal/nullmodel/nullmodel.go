@@ -50,7 +50,8 @@ func (r *rewirer) resetFrom(directed bool, n int, template []graph.Edge) {
 	r.directed = directed
 	r.n = n
 	r.edges = append(r.edges[:0], template...)
-	r.present.reset(len(template))
+	// trySwap adds both new keys before it deletes the old two.
+	r.present.reset(len(template) + 2)
 	for _, e := range r.edges {
 		r.present.add(r.key(e.From, e.To))
 	}
@@ -106,13 +107,15 @@ func (r *rewirer) trySwap(i, j int, rng *rand.Rand) (swapRecord, bool) {
 	if k1 == k2 {
 		return swapRecord{}, false
 	}
-	if r.present.has(k1) || r.present.has(k2) {
+	if r.present.add(k1) {
+		return swapRecord{}, false
+	}
+	if r.present.add(k2) {
+		r.present.del(k1)
 		return swapRecord{}, false
 	}
 	r.present.del(r.key(e1.From, e1.To))
 	r.present.del(r.key(e2.From, e2.To))
-	r.present.add(k1)
-	r.present.add(k2)
 	r.edges[i], r.edges[j] = n1, n2
 	return swapRecord{i: i, j: j, oldI: e1, oldJ: e2}, true
 }

@@ -68,6 +68,35 @@ func TestRewirePreservesDegreesDirected(t *testing.T) {
 	}
 }
 
+// TestRewireTwoEdges rewires the smallest swappable graphs. trySwap adds
+// both new keys before deleting the old two, so the edge set must hold
+// m + 2 keys with a slot to spare even when m = 2.
+func TestRewireTwoEdges(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g, err := graph.FromEdges(directed, [][2]int64{{0, 1}, {2, 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRewirer(g)
+		attempts, accepted := r.mix(50, rand.New(rand.NewSource(9)))
+		if attempts != 100 || accepted == 0 {
+			t.Fatalf("directed=%v: %d of %d swaps accepted, want some of 100", directed, accepted, attempts)
+		}
+		rg, err := r.build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !degreesEqual(g, rg) || rg.NumEdges() != 2 {
+			t.Fatalf("directed=%v: rewired graph lost its degree sequence: m=%d", directed, rg.NumEdges())
+		}
+		for _, e := range r.edges {
+			if !r.present.has(r.key(e.From, e.To)) {
+				t.Fatalf("directed=%v: edge %v missing from the edge set", directed, e)
+			}
+		}
+	}
+}
+
 func TestRewireActuallyRandomizes(t *testing.T) {
 	g := randomConnectedGraph(t, 5, 60, 200, false)
 	rg, err := Rewire(g, 10, rand.New(rand.NewSource(6)))

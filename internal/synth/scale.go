@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -190,7 +189,7 @@ type scaleGen struct {
 }
 
 // GenerateScale builds an undirected paper-scale community data set
-// through graph.StreamBuilder's dense mode: peak memory is the final CSR
+// through graph.StreamBuilder: peak memory is the final CSR
 // plus O(n) bookkeeping, never an O(m) raw-edge list. The name argument
 // labels the data set in reports. Output depends only on cfg (Shards
 // included solely for validation symmetry — it never changes the graph);
@@ -463,10 +462,5 @@ func (gen *scaleGen) emitBlock(b int, emit func(u, v int64)) {
 // pickAt resolves a uniform [0,1) draw to a weighted index; the
 // splitmix-driven counterpart of pick.
 func (p *weightedPicker) pickAt(x float64) int {
-	total := p.cum[len(p.cum)-1]
-	i := sort.SearchFloat64s(p.cum, x*total)
-	if i >= len(p.cum) {
-		i = len(p.cum) - 1
-	}
-	return i
+	return min(p.search(x*p.total), len(p.cum)-1)
 }

@@ -72,10 +72,17 @@ func (d *Dataset) GroupSizes() []int {
 // errNoRNGSeed guards generators against an unset config.
 var errBadConfig = errors.New("synth: invalid config")
 
-// weightedPicker draws indices proportionally to fixed positive weights
-// using binary search over the cumulative sum.
+// weightedPicker draws indices proportionally to fixed non-negative
+// weights. It finds a draw's index in the cumulative sums through a guide
+// table (Chen and Asau's indexed search): guide[j] is the first index
+// whose cumulative weight reaches the start of the j-th of len(cum) equal
+// slices of [0, total), so a search starts next to its answer and walks
+// to the exact index sort.SearchFloat64s would return.
 type weightedPicker struct {
-	cum []float64
+	cum   []float64
+	guide []int32
+	total float64
+	scale float64 // len(guide) / total; 0 when total is 0
 }
 
 func newWeightedPicker(weights []float64) *weightedPicker {
@@ -88,14 +95,44 @@ func newWeightedPicker(weights []float64) *weightedPicker {
 		total += w
 		cum[i] = total
 	}
-	return &weightedPicker{cum: cum}
+	n := len(cum)
+	p := &weightedPicker{cum: cum, guide: make([]int32, n), total: total}
+	if total > 0 {
+		p.scale = float64(n) / total
+	}
+	i := 0
+	for j := range p.guide {
+		start := float64(j) * total / float64(n)
+		for i < n && cum[i] < start {
+			i++
+		}
+		p.guide[j] = int32(i)
+	}
+	return p
+}
+
+// search returns sort.SearchFloat64s(p.cum, x): the first index whose
+// cumulative weight is at least x, or len(p.cum) if there is none. The
+// guide only picks the starting point; the two walks make the answer
+// exact whatever the float rounding of the table.
+func (p *weightedPicker) search(x float64) int {
+	j := len(p.guide) - 1
+	if f := x * p.scale; f >= 0 && f < float64(j) {
+		j = int(f)
+	}
+	i := int(p.guide[j])
+	for i > 0 && p.cum[i-1] >= x {
+		i--
+	}
+	for i < len(p.cum) && p.cum[i] < x {
+		i++
+	}
+	return i
 }
 
 // pick returns an index with probability proportional to its weight.
 func (p *weightedPicker) pick(rng *rand.Rand) int {
-	total := p.cum[len(p.cum)-1]
-	x := rng.Float64() * total
-	return sort.SearchFloat64s(p.cum, x)
+	return p.search(rng.Float64() * p.total)
 }
 
 // groupsFromExternal converts groups expressed in external IDs to dense

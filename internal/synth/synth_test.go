@@ -2,7 +2,9 @@ package synth
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -307,12 +309,72 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	}
 }
 
+// TestWeightedPicker checks the guide-table search against
+// sort.SearchFloat64s, its oracle, at every cumulative weight and at both
+// of its float neighbours, and checks that pick and pickAt return the
+// oracle's index for the same draw. The weight sets cover zero weights, a
+// single weight, an all-zero set and weights spanning 1e-300 to 1e300.
 func TestWeightedPicker(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := newWeightedPicker([]float64{0, 10, 0})
 	for i := 0; i < 100; i++ {
 		if got := p.pick(rng); got != 1 {
 			t.Fatalf("pick = %d, want 1 (only positive weight)", got)
+		}
+	}
+
+	var spanning []float64
+	for e := -300; e <= 300; e += 15 {
+		spanning = append(spanning, math.Pow(10, float64(e)))
+	}
+	rng.Shuffle(len(spanning), func(i, j int) { spanning[i], spanning[j] = spanning[j], spanning[i] })
+	random := make([]float64, 500)
+	for i := range random {
+		if rng.Intn(4) > 0 {
+			random[i] = rng.ExpFloat64()
+		}
+	}
+	sets := []struct {
+		name    string
+		weights []float64
+	}{
+		{"zeros around one", []float64{0, 10, 0}},
+		{"single", []float64{5}},
+		{"all zero", []float64{0, 0, 0}},
+		{"equal", []float64{1, 1, 1, 1, 1, 1, 1}},
+		{"spanning", spanning},
+		{"random", random},
+	}
+	for _, set := range sets {
+		name, p := set.name, newWeightedPicker(set.weights)
+		n := len(p.cum)
+		var probes []float64
+		for _, c := range p.cum {
+			probes = append(probes, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+		}
+		for _, x := range probes {
+			if got, want := p.search(x), sort.SearchFloat64s(p.cum, x); got != want {
+				t.Fatalf("%s: search(%g) = %d, sort.SearchFloat64s %d", name, x, got, want)
+			}
+			if p.total == 0 {
+				continue
+			}
+			for _, u := range []float64{x / p.total, math.Nextafter(x/p.total, 0), math.Nextafter(x/p.total, 1)} {
+				if u < 0 || u >= 1 {
+					continue
+				}
+				want := min(sort.SearchFloat64s(p.cum, u*p.total), n-1)
+				if got := p.pickAt(u); got != want {
+					t.Fatalf("%s: pickAt(%g) = %d, want %d", name, u, got, want)
+				}
+			}
+		}
+		draws, oracle := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for i := 0; i < 2000; i++ {
+			want := sort.SearchFloat64s(p.cum, oracle.Float64()*p.total)
+			if got := p.pick(draws); got != want {
+				t.Fatalf("%s: draw %d: pick = %d, want %d", name, i, got, want)
+			}
 		}
 	}
 }
