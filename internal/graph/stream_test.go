@@ -158,6 +158,61 @@ func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 	}
 }
 
+// sparseIDCase is one Builder input over arbitrary int64 IDs, with IDs
+// that must not resolve in the built graph.
+type sparseIDCase struct {
+	name     string
+	vertices []int64
+	pairs    [][2]int64
+	absent   []int64
+}
+
+// sparseIDCases are the ID-space edge cases shared by the Builder oracle
+// test and the StreamBuilder rank re-stream test.
+var sparseIDCases = []sparseIDCase{
+	{
+		// Negatives and wide gaps, ranked in ascending order.
+		name:     "mixed IDs",
+		vertices: []int64{999},
+		pairs: [][2]int64{
+			{100, -7}, {-7, 100}, {5, 5}, {1 << 40, 100}, {3, 1 << 40},
+			{-7, 3}, {100, -7}, {3, -7},
+		},
+	},
+	{
+		name:   "gaps and negatives",
+		pairs:  [][2]int64{{3, -7}, {1 << 40, 0}, {-1 << 40, 3}},
+		absent: []int64{-1<<40 - 1, -8, 1, 4, 1<<40 + 1},
+	},
+	{name: "duplicate AddVertex", vertices: []int64{4, 4, 2, 4}, pairs: [][2]int64{{2, 9}}},
+	{name: "isolated only", vertices: []int64{7, -3, 1 << 40}},
+	{name: "self-loops only", pairs: [][2]int64{{1, 1}, {-5, -5}}},
+	{name: "extreme IDs", pairs: [][2]int64{{-1 << 40, 1 << 40}, {math.MinInt64, math.MaxInt64}, {-1, 0}}},
+	{
+		// The largest ID is only the source of the first run of edges.
+		name:   "largest ID first",
+		pairs:  [][2]int64{{1 << 40, 5}, {1 << 40, -3}, {5, -3}},
+		absent: []int64{0, 1<<40 - 1},
+	},
+	{
+		name:   "dense negatives",
+		pairs:  [][2]int64{{-3, 2}, {2, -1}, {0, -3}, {-1, 0}, {2, -3}},
+		absent: []int64{-4, -2, 1, 3},
+	},
+	{
+		name:     "dense at MaxInt64",
+		vertices: []int64{math.MaxInt64 - 3},
+		pairs:    [][2]int64{{math.MaxInt64, math.MaxInt64 - 1}, {math.MaxInt64 - 1, math.MaxInt64}},
+		absent:   []int64{math.MaxInt64 - 2, math.MaxInt64 - 4},
+	},
+	{
+		name:   "dense at MinInt64",
+		pairs:  [][2]int64{{math.MinInt64, math.MinInt64 + 2}, {math.MinInt64 + 2, math.MinInt64 + 1}},
+		absent: []int64{math.MinInt64 + 3},
+	},
+	{name: "empty"},
+}
+
 // TestBuilderMatchesOracleSparseIDs covers Builder's two ranking paths
 // on edge cases of the ID space and of the input: the flat rank table
 // (IDs spanning a range close to their count, at either end of int64)
@@ -165,55 +220,7 @@ func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 // case must match the oracle, including its ErrEmptyGraph verdict, every
 // ID must resolve through Lookup and every absent probe must miss.
 func TestBuilderMatchesOracleSparseIDs(t *testing.T) {
-	cases := []struct {
-		name     string
-		vertices []int64
-		pairs    [][2]int64
-		absent   []int64
-	}{
-		{
-			// Negatives and wide gaps, ranked in ascending order.
-			name:     "mixed IDs",
-			vertices: []int64{999},
-			pairs: [][2]int64{
-				{100, -7}, {-7, 100}, {5, 5}, {1 << 40, 100}, {3, 1 << 40},
-				{-7, 3}, {100, -7}, {3, -7},
-			},
-		},
-		{
-			name:   "gaps and negatives",
-			pairs:  [][2]int64{{3, -7}, {1 << 40, 0}, {-1 << 40, 3}},
-			absent: []int64{-1<<40 - 1, -8, 1, 4, 1<<40 + 1},
-		},
-		{name: "duplicate AddVertex", vertices: []int64{4, 4, 2, 4}, pairs: [][2]int64{{2, 9}}},
-		{name: "isolated only", vertices: []int64{7, -3, 1 << 40}},
-		{name: "self-loops only", pairs: [][2]int64{{1, 1}, {-5, -5}}},
-		{name: "extreme IDs", pairs: [][2]int64{{-1 << 40, 1 << 40}, {math.MinInt64, math.MaxInt64}, {-1, 0}}},
-		{
-			// The largest ID is only the source of the first run of edges.
-			name:   "largest ID first",
-			pairs:  [][2]int64{{1 << 40, 5}, {1 << 40, -3}, {5, -3}},
-			absent: []int64{0, 1<<40 - 1},
-		},
-		{
-			name:   "dense negatives",
-			pairs:  [][2]int64{{-3, 2}, {2, -1}, {0, -3}, {-1, 0}, {2, -3}},
-			absent: []int64{-4, -2, 1, 3},
-		},
-		{
-			name:     "dense at MaxInt64",
-			vertices: []int64{math.MaxInt64 - 3},
-			pairs:    [][2]int64{{math.MaxInt64, math.MaxInt64 - 1}, {math.MaxInt64 - 1, math.MaxInt64}},
-			absent:   []int64{math.MaxInt64 - 2, math.MaxInt64 - 4},
-		},
-		{
-			name:   "dense at MinInt64",
-			pairs:  [][2]int64{{math.MinInt64, math.MinInt64 + 2}, {math.MinInt64 + 2, math.MinInt64 + 1}},
-			absent: []int64{math.MinInt64 + 3},
-		},
-		{name: "empty"},
-	}
-	for _, tc := range cases {
+	for _, tc := range sparseIDCases {
 		for _, directed := range []bool{false, true} {
 			want, wantErr := oracleBuild(directed, tc.vertices, tc.pairs)
 			b := NewBuilder(directed)
@@ -246,6 +253,85 @@ func TestBuilderMatchesOracleSparseIDs(t *testing.T) {
 				if v, ok := got.Lookup(id); ok {
 					t.Fatalf("%s: Lookup(%d) = %d for an absent ID", tc.name, id, v)
 				}
+			}
+		}
+	}
+}
+
+// restreamRanks rebuilds g through StreamBuilder: each pair's endpoints
+// are replaced by their VIDs in g, pass 1 streams the pairs in order and
+// pass 2 replays them in reverse, as any replay order must give the same
+// graph. Self-loops, which neither builder keeps, are skipped, since a
+// vertex seen only in a self-loop has no VID in g.
+func restreamRanks(t *testing.T, g *Graph, pairs [][2]int64) *Graph {
+	t.Helper()
+	sb, err := NewStreamBuilder(g.Directed(), StreamOptions{DenseVertices: int64(g.NumVertices())})
+	if err != nil {
+		t.Fatalf("NewStreamBuilder: %v", err)
+	}
+	var ranks [][2]int64
+	for _, p := range pairs {
+		if p[0] == p[1] {
+			continue
+		}
+		u, uok := g.Lookup(p[0])
+		v, vok := g.Lookup(p[1])
+		if !uok || !vok {
+			t.Fatalf("edge %v has an endpoint missing from the built graph", p)
+		}
+		ranks = append(ranks, [2]int64{int64(u), int64(v)})
+	}
+	for _, p := range ranks {
+		sb.AddEdge(p[0], p[1])
+	}
+	if err := sb.Rewind(); err != nil {
+		t.Fatalf("Rewind: %v", err)
+	}
+	for i := len(ranks) - 1; i >= 0; i-- {
+		sb.AddEdge(ranks[i][0], ranks[i][1])
+	}
+	got, err := sb.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	return got
+}
+
+// sameRows reports whether a and b have the same direction, edge count
+// and CSR rows; their ID tables are not compared.
+func sameRows(a, b *Graph) bool {
+	return a.directed == b.directed && a.m == b.m &&
+		slices.Equal(a.outOff, b.outOff) && slices.Equal(a.outAdj, b.outAdj) &&
+		slices.Equal(a.inOff, b.inOff) && slices.Equal(a.inAdj, b.inAdj)
+}
+
+// TestStreamBuilderMatchesBuilderSparse streams the ranks of every
+// sparse-ID case through StreamBuilder and checks that its sorted,
+// deduplicated rows equal the counting-sort rows Builder built from the
+// raw IDs. A case with no vertex must be refused by both as empty.
+func TestStreamBuilderMatchesBuilderSparse(t *testing.T) {
+	for _, tc := range sparseIDCases {
+		for _, directed := range []bool{false, true} {
+			b := NewBuilder(directed)
+			for _, id := range tc.vertices {
+				b.AddVertex(id)
+			}
+			for _, p := range tc.pairs {
+				b.AddEdge(p[0], p[1])
+			}
+			g, err := b.Build()
+			if errors.Is(err, ErrEmptyGraph) {
+				if _, err := NewStreamBuilder(directed, StreamOptions{}); !errors.Is(err, ErrEmptyGraph) {
+					t.Fatalf("%s directed=%v: StreamBuilder err %v, want ErrEmptyGraph", tc.name, directed, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s directed=%v: %v", tc.name, directed, err)
+			}
+			if got := restreamRanks(t, g, tc.pairs); !sameRows(got, g) {
+				t.Fatalf("%s directed=%v: StreamBuilder rows differ from Builder:\n got %s\nwant %s",
+					tc.name, directed, edgeFingerprint(got), edgeFingerprint(g))
 			}
 		}
 	}
@@ -362,7 +448,7 @@ func TestStreamBuilderErrors(t *testing.T) {
 
 // TestStreamBuilderLookupFallback covers Lookup's binary search over the
 // ids table, which every graph relies on: dense IDs here, sparse IDs
-// with gaps and negatives in TestBuilderMatchesOracleSparseIDs.
+// with gaps and negatives in TestStreamBuilderLookupSparse.
 func TestStreamBuilderLookupFallback(t *testing.T) {
 	g, err := streamFromPairs(t, false, [][2]int64{{0, 1}, {1, 2}}, StreamOptions{DenseVertices: 5})
 	if err != nil {
@@ -379,6 +465,42 @@ func TestStreamBuilderLookupFallback(t *testing.T) {
 	}
 	if _, err := g.MustLookup(-1); err == nil {
 		t.Fatal("MustLookup(-1) succeeded")
+	}
+}
+
+// TestStreamBuilderLookupSparse resolves IDs with gaps and negatives in
+// a Builder graph, then checks that the StreamBuilder graph over their
+// ranks resolves each rank to itself and holds the same rows.
+func TestStreamBuilderLookupSparse(t *testing.T) {
+	ids := []int64{-1 << 40, -7, 0, 3, 1 << 40}
+	pairs := [][2]int64{{3, -7}, {1 << 40, 0}, {-1 << 40, 3}}
+	b := NewBuilder(true)
+	for _, p := range pairs {
+		b.AddEdge(p[0], p[1])
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want, id := range ids {
+		got, ok := g.Lookup(id)
+		if !ok || int(got) != want || g.ExternalID(got) != id {
+			t.Fatalf("Lookup(%d) = (%d,%v), want (%d,true)", id, got, ok, want)
+		}
+	}
+	for _, id := range []int64{-1<<40 - 1, -8, 1, 4, 1<<40 + 1} {
+		if v, ok := g.Lookup(id); ok {
+			t.Fatalf("Lookup(%d) = %d for an absent ID", id, v)
+		}
+	}
+	sg := restreamRanks(t, g, pairs)
+	for v := range ids {
+		if got, ok := sg.Lookup(int64(v)); !ok || int(got) != v {
+			t.Fatalf("stream Lookup(%d) = (%d,%v), want (%d,true)", v, got, ok, v)
+		}
+	}
+	if !sameRows(sg, g) {
+		t.Fatalf("StreamBuilder rows differ from Builder:\n got %s\nwant %s", edgeFingerprint(sg), edgeFingerprint(g))
 	}
 }
 
