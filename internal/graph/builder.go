@@ -133,11 +133,16 @@ func (b *Builder) rank(chunks [][][2]int64) (ids []int64, from, to []VID, err er
 				table[uint64(e[1])-uint64(lo)] = 1
 			}
 		}
+		n := 0
+		for _, present := range table {
+			n += int(present)
+		}
+		if n > math.MaxInt32 {
+			return nil, nil, nil, errTooManyVertices
+		}
+		ids = make([]int64, 0, n)
 		for i, present := range table {
 			if present != 0 {
-				if len(ids) == math.MaxInt32 {
-					return nil, nil, nil, errTooManyVertices
-				}
 				table[i] = VID(len(ids))
 				ids = append(ids, lo+int64(i))
 			}
@@ -152,52 +157,30 @@ func (b *Builder) rank(chunks [][][2]int64) (ids []int64, from, to []VID, err er
 		return ids, from, to, nil
 	}
 
-	// Edge lists tend to repeat a source over a run of edges, so a source
-	// equal to the previous edge's is neither gathered nor searched again.
-	ids = make([]int64, 0, refs+1)
-	ids = append(ids, b.vertices...)
-	ids = append(ids, hi) // the run cache below starts at hi
-	prev := hi
+	all := make([]int64, 0, refs)
+	all = append(all, b.vertices...)
 	for _, c := range chunks {
 		for _, e := range c {
-			if e[0] != prev {
-				ids = append(ids, e[0])
-				prev = e[0]
-			}
-			ids = append(ids, e[1])
+			all = append(all, e[0], e[1])
 		}
 	}
-	slices.Sort(ids)
-	ids = slices.Clip(slices.Compact(ids))
-	if len(ids) > math.MaxInt32 {
+	slices.Sort(all)
+	all = slices.Compact(all)
+	if len(all) > math.MaxInt32 {
 		return nil, nil, nil, errTooManyVertices
 	}
-	prev, prevRank := hi, VID(len(ids)-1)
+	// A copy of exact size, so the graph does not keep the gathered refs.
+	ids = append(make([]int64, 0, len(all)), all...)
 	k := 0
 	for _, c := range chunks {
 		for _, e := range c {
-			if e[0] != prev {
-				prev, prevRank = e[0], searchID(ids, e[0])
-			}
-			from[k], to[k] = prevRank, searchID(ids, e[1])
+			u, _ := slices.BinarySearch(ids, e[0])
+			v, _ := slices.BinarySearch(ids, e[1])
+			from[k], to[k] = VID(u), VID(v)
 			k++
 		}
 	}
 	return ids, from, to, nil
-}
-
-// searchID returns the index of id in the ascending ids, which must hold
-// it. The loop has no data-dependent branch.
-func searchID(ids []int64, id int64) VID {
-	base, n := 0, len(ids)
-	for n > 1 {
-		half := n / 2
-		if ids[base+half] <= id {
-			base += half
-		}
-		n -= half
-	}
-	return VID(base)
 }
 
 // errTooManyVertices rejects a vertex set that VID cannot index.

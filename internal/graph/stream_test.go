@@ -189,7 +189,7 @@ var sparseIDCases = []sparseIDCase{
 	{name: "self-loops only", pairs: [][2]int64{{1, 1}, {-5, -5}}},
 	{name: "extreme IDs", pairs: [][2]int64{{-1 << 40, 1 << 40}, {math.MinInt64, math.MaxInt64}, {-1, 0}}},
 	{
-		// The largest ID is only the source of the first run of edges.
+		// The largest ID appears only as a source, first in the buffer.
 		name:   "largest ID first",
 		pairs:  [][2]int64{{1 << 40, 5}, {1 << 40, -3}, {5, -3}},
 		absent: []int64{0, 1<<40 - 1},
@@ -217,8 +217,9 @@ var sparseIDCases = []sparseIDCase{
 // on edge cases of the ID space and of the input: the flat rank table
 // (IDs spanning a range close to their count, at either end of int64)
 // and the sorted path (negatives, wide gaps, the int64 extremes). Every
-// case must match the oracle, including its ErrEmptyGraph verdict, every
-// ID must resolve through Lookup and every absent probe must miss.
+// case must match the oracle, including its ErrEmptyGraph verdict, the
+// graph must keep its ids in an exact-size table, every ID must resolve
+// through Lookup and every absent probe must miss.
 func TestBuilderMatchesOracleSparseIDs(t *testing.T) {
 	for _, tc := range sparseIDCases {
 		for _, directed := range []bool{false, true} {
@@ -243,6 +244,10 @@ func TestBuilderMatchesOracleSparseIDs(t *testing.T) {
 			if !bytes.Equal(binaryBytes(t, got), binaryBytes(t, want)) {
 				t.Fatalf("%s directed=%v differs from oracle:\n got %s\nwant %s",
 					tc.name, directed, edgeFingerprint(got), edgeFingerprint(want))
+			}
+			if len(got.ids) != cap(got.ids) {
+				t.Fatalf("%s directed=%v: ids len %d cap %d, want an exact-size table",
+					tc.name, directed, len(got.ids), cap(got.ids))
 			}
 			for v, id := range want.ExternalIDs() {
 				if gv, ok := got.Lookup(id); !ok || gv != VID(v) || got.ExternalID(gv) != id {
