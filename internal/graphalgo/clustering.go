@@ -20,6 +20,27 @@ import (
 func LocalClustering(g *graph.Graph) ([]float64, error) {
 	k := TriangleKernelOf(g)
 	d, release := k.dagFor(g)
+	out := k.localClustering(d)
+	if release != nil {
+		release()
+	}
+	return out, nil
+}
+
+// sweepClustering is LocalClustering over a kernel and DAG of its own.
+// It leaves g out of the kernel cache, which would keep g alive, so a
+// graph sampled once (an evolution snapshot, a robustness rerun's data
+// set) is freed with its caller.
+func sweepClustering(g *graph.Graph) []float64 {
+	k := newTriangleKernel(g.Base())
+	d := new(triDAG)
+	k.fill(d, g)
+	return k.localClustering(d)
+}
+
+// localClustering enumerates each triangle of d once and credits all
+// three corners, then turns the counts into coefficients by vertex id.
+func (k *TriangleKernel) localClustering(d *triDAG) []float64 {
 	n := k.n
 	counts := make([]int64, n) // triangles through each vertex, rank space
 	for r := 0; r < n; r++ {
@@ -58,15 +79,22 @@ func LocalClustering(g *graph.Graph) ([]float64, error) {
 		}
 		out[v] = 2 * float64(links) / (float64(deg) * float64(deg-1))
 	}
-	if release != nil {
-		release()
-	}
-	return out, nil
+	return out
 }
+
+// sweepShare sets where SampledClustering stops counting vertex by
+// vertex: from n/sweepShare samples on, one sweep over every triangle
+// costs less than stamping each sample's neighbourhood.
+// On the five suite data sets at scale 0.5 (2-core VM), the sweep broke
+// even at 13–39 % of the vertices sampled. On Google+ with 1,500 of its
+// 1,670 vertices sampled it took 11–15 ms against 61 ms vertex by vertex.
+const sweepShare = 4
 
 // SampledClustering computes local clustering coefficients for `samples`
 // uniformly chosen vertices (without replacement; when samples >= n it
-// degrades to the full computation).
+// returns every vertex's, as LocalClustering does). From n/sweepShare
+// samples on, the values are read off one sweep over every triangle;
+// they are the same bits either way.
 //
 // Vertex selection uses a sparse partial Fisher–Yates shuffle: only the
 // first `samples` draws of the permutation are realized, so picking a few
@@ -81,9 +109,17 @@ func SampledClustering(g *graph.Graph, samples int, rng *rand.Rand) ([]float64, 
 	}
 	n := g.NumVertices()
 	if samples >= n {
-		return LocalClustering(g)
+		return sweepClustering(g), nil
 	}
 	picks := partialPerm(n, samples, rng)
+	if sweepShare*samples >= n {
+		all := sweepClustering(g)
+		out := make([]float64, samples)
+		for i, v := range picks {
+			out[i] = all[v]
+		}
+		return out, nil
+	}
 	out := make([]float64, 0, samples)
 	s := triScratchPool.Get().(*triScratch)
 	for _, v := range picks {

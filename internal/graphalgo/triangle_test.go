@@ -436,7 +436,9 @@ func TestQuickSetTrianglesMatchesNaive(t *testing.T) {
 // Every value SampledClustering returns equals, bit for bit, the
 // LocalClustering value at the vertex it sampled: on undirected graphs,
 // on directed graphs with about half the arcs reciprocated, and on a
-// rewired overlay's graph. A hub linked to every vertex gives long rows.
+// rewired overlay's graph, with sample counts on both sides of the
+// n/sweepShare switch to the full sweep. A hub linked to every vertex
+// gives long rows.
 func TestSampledClusteringMatchesLocalClustering(t *testing.T) {
 	check := func(name string, g *graph.Graph) {
 		t.Helper()
@@ -445,7 +447,7 @@ func TestSampledClusteringMatchesLocalClustering(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := g.NumVertices()
-		for _, samples := range []int{1, n / 3, n - 1} {
+		for _, samples := range []int{1, n / 8, (n - 1) / sweepShare, n/sweepShare + 1, n / 3, n - 1} {
 			got, err := SampledClustering(g, samples, rand.New(rand.NewSource(int64(samples))))
 			if err != nil {
 				t.Fatal(err)
@@ -484,6 +486,24 @@ func TestSampledClusteringMatchesLocalClustering(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("overlay directed=%v seed %d", base.Directed(), seed), &ov.Graph)
+		}
+	}
+}
+
+// SampledClustering sweeps over a kernel of its own on both sides of
+// n/sweepShare, so the graphs it samples stay out of the kernel cache.
+func TestSampledClusteringLeavesKernelCache(t *testing.T) {
+	g, err := graph.FromEdges(false, randomEdges(rand.New(rand.NewSource(5)), 40, 160))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	for _, samples := range []int{n/sweepShare + 1, n} {
+		if _, err := SampledClustering(g, samples, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, cached := triKernels.Load(g); cached {
+			t.Fatalf("%d of %d samples: the graph entered the kernel cache", samples, n)
 		}
 	}
 }
