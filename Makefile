@@ -1,10 +1,10 @@
 GO        ?= go
 DATE      := $(shell date +%Y-%m-%d)
 BENCH_OUT ?= BENCH_$(DATE).json
-# Hot paths of the concurrent experiment engine plus the scoring and
-# degree-fitting kernels, and the disabled-instrumentation fast path
-# (must stay at 0 allocs/op).
-BENCH     ?= RunAll|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder|Fig3DegreeFit|PowerLawFit
+# Hot paths of the concurrent experiment engine plus data-set generation,
+# the scoring and degree-fitting kernels, and the disabled-instrumentation
+# fast path (must stay at 0 allocs/op).
+BENCH     ?= RunAll|SuiteGenerate|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder|Fig3DegreeFit|PowerLawFit
 BENCHTIME ?= 1x
 # make profile output directory.
 PROFILE_DIR ?= profile

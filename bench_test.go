@@ -73,9 +73,11 @@ func suite(b *testing.B) *core.Suite {
 	return benchSuite
 }
 
-// BenchmarkTable2DatasetComparison regenerates Table II: profiles of the
+// BenchmarkTable2DatasetComparison renders Table II: profiles of the
 // ego-joined and BFS-crawl graphs (diameter, ASP, degree fits,
-// clustering).
+// clustering). It times rendering only: the suite has generated the data
+// sets and memoized their profiles before the timer starts, so
+// generation and building show in BenchmarkSuiteGenerate instead.
 func BenchmarkTable2DatasetComparison(b *testing.B) {
 	s := suite(b)
 	e, err := core.ExperimentByID("table2")
@@ -90,8 +92,9 @@ func BenchmarkTable2DatasetComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3DatasetSummary regenerates Table III: the four-data-set
-// summary.
+// BenchmarkTable3DatasetSummary renders Table III, the four-data-set
+// summary, from data sets the suite has already generated: like Table
+// II's benchmark it times rendering only.
 func BenchmarkTable3DatasetSummary(b *testing.B) {
 	s := suite(b)
 	e, err := core.ExperimentByID("table3")
@@ -435,16 +438,49 @@ func BenchmarkParallelDistances(b *testing.B) {
 
 // --- Substrate micro-benchmarks -----------------------------------------
 
+// BenchmarkSuiteGenerate times data-set generation, graph build
+// included: each iteration asks a fresh suite for one registry data set
+// at the scale perfbench's report set-up uses, so the sub-benchmarks
+// add up to the generation a report or a warm circled start runs.
+func BenchmarkSuiteGenerate(b *testing.B) {
+	for _, name := range core.DatasetNames() {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := core.NewSuite(core.SuiteOptions{Scale: 0.5, Seed: 1})
+				if _, err := s.DatasetByName(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGraphBuild measures CSR construction throughput on the
 // Google+-like edge multiset: dense keeps the generator's external IDs,
 // which Builder ranks through its flat table; sparse spreads them over
-// int64 with a multiplier, so Builder sorts and binary-searches them.
+// int64 with a multiplier, so Builder sorts and binary-searches them;
+// vids hands graph.FromArcs the ids table and the arcs as VIDs, as the
+// dense-ID generators and derived graphs do.
 func BenchmarkGraphBuild(b *testing.B) {
 	s := suite(b)
 	gp, err := s.GPlus()
 	if err != nil {
 		b.Fatal(err)
 	}
+	ids := gp.Graph.ExternalIDs()
+	var from, to []graph.VID
+	gp.Graph.Edges(func(e graph.Edge) bool {
+		from, to = append(from, e.From), append(to, e.To)
+		return true
+	})
+	b.Run("vids", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := graph.FromArcs(true, ids, from, to); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	spreads := []struct {
 		name string
 		mul  int64

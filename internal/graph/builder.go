@@ -81,20 +81,52 @@ func (b *Builder) Build() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := len(ids)
-	if n == 0 {
+	if len(ids) == 0 {
 		return nil, ErrEmptyGraph
 	}
-	g := &Graph{directed: b.directed, ids: ids}
-	g.outOff, g.outAdj = csr(n, from, to, !b.directed)
-	if b.directed {
+	return fill(b.directed, ids, from, to), nil
+}
+
+// FromArcs builds the graph on the vertices ids, which must be strictly
+// ascending: VID i is the vertex ids[i]. The arcs from[k]→to[k] (edges,
+// when undirected) are given as VIDs. Self-loops and duplicate arcs are
+// dropped, as Builder drops them. The graph keeps ids, so callers must
+// not modify it afterwards; it may be shared with other graphs.
+func FromArcs(directed bool, ids []int64, from, to []VID) (*Graph, error) {
+	n := len(ids)
+	switch {
+	case n == 0:
+		return nil, ErrEmptyGraph
+	case n > math.MaxInt32:
+		return nil, errTooManyVertices
+	case len(from) != len(to):
+		return nil, fmt.Errorf("graph: %d arc sources for %d targets", len(from), len(to))
+	}
+	for i := 1; i < n; i++ {
+		if ids[i] <= ids[i-1] {
+			return nil, fmt.Errorf("graph: vertex IDs not strictly ascending at index %d (%d after %d)", i, ids[i], ids[i-1])
+		}
+	}
+	for k := range from {
+		if uint32(from[k]) >= uint32(n) || uint32(to[k]) >= uint32(n) {
+			return nil, fmt.Errorf("graph: arc %d (%d→%d) outside the %d vertices", k, from[k], to[k], n)
+		}
+	}
+	return fill(directed, ids, from, to), nil
+}
+
+// fill builds the graph on ids from arcs known to be in range.
+func fill(directed bool, ids []int64, from, to []VID) *Graph {
+	g := &Graph{directed: directed, ids: ids}
+	g.outOff, g.outAdj = csr(len(ids), from, to, !directed)
+	if directed {
 		g.inOff, g.inAdj = transpose(g.outOff, g.outAdj)
 		g.m = int64(len(g.outAdj))
 	} else {
 		g.inOff, g.inAdj = g.outOff, g.outAdj
 		g.m = int64(len(g.outAdj)) / 2
 	}
-	return g, nil
+	return g
 }
 
 // rank assigns the buffered IDs dense indices in ascending ID order. It
@@ -190,8 +222,9 @@ var errTooManyVertices = fmt.Errorf("graph: more than %d vertices", math.MaxInt3
 // of their reverses too when both is set. Two counting-sort scatters
 // leave every row ascending without a comparison sort: the first groups
 // the sources by target, the second (transpose) visits the targets in
-// ascending order and appends each to its sources' rows. One left-to-right
-// pass then drops adjacent duplicates and compacts the rows.
+// ascending order and appends each to its sources' rows. Between the
+// two, each group drops its self-loop and repeated sources, so the
+// second scatter fills an adjacency of exactly the final size.
 func csr(n int, from, to []VID, both bool) ([]int64, []VID) {
 	off := make([]int64, n+1)
 	for _, v := range to {
@@ -216,8 +249,23 @@ func csr(n int, from, to []VID, both bool) ([]int64, []VID) {
 			next[u]++
 		}
 	}
-	off, adj := transpose(off, src)
-	return dedupRows(off, adj)
+	// seen[u] == v+1 once group v holds source u. A group's writes never
+	// pass its own unread entries, so one left-to-right pass compacts.
+	seen := make([]VID, n)
+	var w int64
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
+		off[v] = w
+		for _, u := range src[lo:hi] {
+			if u != VID(v) && seen[u] != VID(v)+1 {
+				seen[u] = VID(v) + 1
+				src[w] = u
+				w++
+			}
+		}
+	}
+	off[n] = w
+	return transpose(off, src[:w])
 }
 
 // transpose returns the CSR of the reverse arcs of (off, adj): row v
@@ -241,27 +289,6 @@ func transpose(off []int64, adj []VID) ([]int64, []VID) {
 		}
 	}
 	return tOff, tAdj
-}
-
-// dedupRows drops adjacent duplicates from every ascending row of
-// (off, adj) and compacts the rows left, rewriting off in place. A row's
-// writes never pass its own unread entries, so one left-to-right pass
-// suffices.
-func dedupRows(off []int64, adj []VID) ([]int64, []VID) {
-	n := len(off) - 1
-	var w int64
-	for v := 0; v < n; v++ {
-		lo, hi := off[v], off[v+1]
-		off[v] = w
-		for i := lo; i < hi; i++ {
-			if i == lo || adj[i] != adj[w-1] {
-				adj[w] = adj[i]
-				w++
-			}
-		}
-	}
-	off[n] = w
-	return off, adj[:w]
 }
 
 // FromEdges is a convenience constructor building a graph directly from a

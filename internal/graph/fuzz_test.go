@@ -50,9 +50,10 @@ func edgeFingerprint(g *Graph) string {
 // FuzzBuilder feeds the Builder arbitrary edge soup — duplicates,
 // self-loops, unordered endpoints — and checks the built graph against
 // the naive oracle and every structural invariant, checks the stream
-// builder against the oracle too, then round-trips the graph through an
-// identity-rewired Overlay and Materialize back to an equal graph. With
-// scattered set the IDs are drawn from scatteredIDs instead of [0, 16).
+// builder and FromArcs on the dense IDs against the oracle too, then
+// round-trips the graph through an identity-rewired Overlay and
+// Materialize back to an equal graph. With scattered set the IDs are
+// drawn from scatteredIDs instead of [0, 16).
 func FuzzBuilder(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 1}, false, false)
 	f.Add([]byte{0, 0, 1, 1, 2, 2}, true, false)       // all self-loops
@@ -94,9 +95,22 @@ func FuzzBuilder(f *testing.F) {
 		if err != nil {
 			t.Fatalf("dense stream build rejected the input: %v", err)
 		}
-		dwant := mustOracle(t, directed, denseIDs(mod), dense)
+		dwant := mustOracle(t, directed, identityIDs(mod), dense)
 		if got, want := edgeFingerprint(dg), edgeFingerprint(dwant); got != want {
 			t.Fatalf("dense stream builder diverged from the oracle:\n got %s\nwant %s", got, want)
+		}
+
+		// FromArcs over the same dense vertex range, the pairs as VIDs.
+		from, to := make([]VID, len(dense)), make([]VID, len(dense))
+		for i, p := range dense {
+			from[i], to[i] = VID(p[0]), VID(p[1])
+		}
+		ag, err := FromArcs(directed, identityIDs(mod), from, to)
+		if err != nil {
+			t.Fatalf("FromArcs rejected the input: %v", err)
+		}
+		if got, want := edgeFingerprint(ag), edgeFingerprint(dwant); got != want {
+			t.Fatalf("FromArcs diverged from the oracle:\n got %s\nwant %s", got, want)
 		}
 
 		// Structural invariants: no self-loops, rows sorted and

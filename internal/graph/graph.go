@@ -73,10 +73,23 @@ func (g *Graph) NumEdges() int64 { return g.m }
 // ExternalID returns the data-set ID of the dense vertex v.
 func (g *Graph) ExternalID(v VID) int64 { return g.ids[v] }
 
-// Lookup resolves an external data-set ID to a dense vertex index by
-// binary search over the ascending ids table. Graphs keep no interning
-// map, so their ID overhead stays at 8 bytes per vertex.
+// Lookup resolves an external data-set ID to a dense vertex index. The
+// ids table ascends strictly, so when it spans exactly n consecutive IDs
+// the index is the offset from the first one; otherwise Lookup binary
+// searches the table. Graphs keep no interning map, so their ID overhead
+// stays at 8 bytes per vertex.
 func (g *Graph) Lookup(external int64) (VID, bool) {
+	n := uint64(len(g.ids))
+	if n == 0 {
+		return 0, false
+	}
+	// The differences are taken in uint64 so that they cannot overflow.
+	if first := g.ids[0]; uint64(g.ids[n-1])-uint64(first) == n-1 {
+		if d := uint64(external) - uint64(first); d < n {
+			return VID(d), true
+		}
+		return 0, false
+	}
 	if i, ok := slices.BinarySearch(g.ids, external); ok {
 		return VID(i), true
 	}

@@ -178,15 +178,8 @@ func checkSimple(adj []VID, off []int64, n int) error {
 // need to hand a sample to APIs requiring a concrete *Graph; the hot
 // sampling paths never call it.
 func (o *Overlay) Materialize() (*Graph, error) {
-	b := NewBuilder(o.directed)
-	for _, id := range o.ids {
-		b.AddVertex(id)
-	}
-	o.Edges(func(e Edge) bool {
-		b.AddEdge(o.ids[e.From], o.ids[e.To])
-		return true
-	})
-	return b.Build()
+	from, to := arcList(&o.Graph)
+	return FromArcs(o.directed, o.ids, from, to)
 }
 
 // OverlayArena pools overlays of a single parent graph so repeated

@@ -266,13 +266,9 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 		m = int64(len(sb.outAdj)) / 2
 	}
 
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
 	g := &Graph{
 		directed: sb.directed,
-		ids:      ids,
+		ids:      identityIDs(n),
 		outOff:   sb.outOff,
 		outAdj:   sb.outAdj,
 		m:        m,
@@ -313,6 +309,27 @@ func sortDedupCompact(off []int64, adj []VID, workers int) ([]int64, []VID) {
 		}
 	})
 	return dedupRows(off, adj)
+}
+
+// dedupRows drops adjacent duplicates from every ascending row of
+// (off, adj) and compacts the rows left, rewriting off in place. A row's
+// writes never pass its own unread entries, so one left-to-right pass
+// suffices.
+func dedupRows(off []int64, adj []VID) ([]int64, []VID) {
+	n := len(off) - 1
+	var w int64
+	for v := 0; v < n; v++ {
+		lo, hi := off[v], off[v+1]
+		off[v] = w
+		for i := lo; i < hi; i++ {
+			if i == lo || adj[i] != adj[w-1] {
+				adj[w] = adj[i]
+				w++
+			}
+		}
+	}
+	off[n] = w
+	return off, adj[:w]
 }
 
 // parallelRows fans fn out over contiguous row ranges.

@@ -90,15 +90,6 @@ func mustOracle(t *testing.T, directed bool, vertices []int64, pairs [][2]int64)
 	return g
 }
 
-// denseIDs returns the IDs 0..n-1.
-func denseIDs(n int) []int64 {
-	ids := make([]int64, n)
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	return ids
-}
-
 // streamFromPairs builds a graph from the pair list via StreamBuilder's
 // replay protocol.
 func streamFromPairs(t *testing.T, directed bool, pairs [][2]int64, opts StreamOptions) (*Graph, error) {
@@ -128,7 +119,7 @@ func TestStreamBuilderMatchesBuilderDense(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			n := 2 + rng.Intn(40)
 			pairs := randomPairs(rng, n, rng.Intn(200))
-			want := binaryBytes(t, mustOracle(t, directed, denseIDs(n), pairs))
+			want := binaryBytes(t, mustOracle(t, directed, identityIDs(n), pairs))
 
 			got, err := streamFromPairs(t, directed, pairs, StreamOptions{DenseVertices: int64(n)})
 			if err != nil {
@@ -354,7 +345,7 @@ func TestStreamBuilderConcurrent(t *testing.T) {
 		edgeSets[p] = randomPairs(rng, n, perProducer)
 		all = append(all, edgeSets[p]...)
 	}
-	want := mustOracle(t, false, denseIDs(n), all)
+	want := mustOracle(t, false, identityIDs(n), all)
 
 	t.Run("replay", func(t *testing.T) {
 		sb, err := NewStreamBuilder(false, StreamOptions{DenseVertices: n, Workers: producers})
@@ -451,9 +442,9 @@ func TestStreamBuilderErrors(t *testing.T) {
 	})
 }
 
-// TestStreamBuilderLookupFallback covers Lookup's binary search over the
-// ids table, which every graph relies on: dense IDs here, sparse IDs
-// with gaps and negatives in TestStreamBuilderLookupSparse.
+// TestStreamBuilderLookupFallback covers Lookup on a streamed graph's
+// dense IDs, its offset path; sparse IDs with gaps and negatives, the
+// binary search, are in TestStreamBuilderLookupSparse.
 func TestStreamBuilderLookupFallback(t *testing.T) {
 	g, err := streamFromPairs(t, false, [][2]int64{{0, 1}, {1, 2}}, StreamOptions{DenseVertices: 5})
 	if err != nil {

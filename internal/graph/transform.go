@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Undirected projects a directed graph onto an undirected one: every arc
 // (u,v) becomes the edge {u,v}, and a bidirectional pair (u,v),(v,u)
@@ -8,19 +11,27 @@ import "fmt"
 // directed-vs-undirected deviation experiment (Section IV-B). Vertex IDs
 // are preserved. Projecting an already-undirected graph returns a copy.
 func Undirected(g *Graph) (*Graph, error) {
-	b := NewBuilder(false)
-	for v := 0; v < g.NumVertices(); v++ {
-		b.AddVertex(g.ExternalID(VID(v)))
-	}
-	g.Edges(func(e Edge) bool {
-		b.AddEdge(g.ExternalID(e.From), g.ExternalID(e.To))
-		return true
-	})
-	u, err := b.Build()
+	from, to := arcList(g)
+	u, err := FromArcs(false, g.ids, from, to)
 	if err != nil {
 		return nil, fmt.Errorf("undirected projection: %w", err)
 	}
 	return u, nil
+}
+
+// arcList returns what Edges visits, every arc or each undirected edge
+// once, as parallel source and target slices.
+func arcList(g *Graph) (from, to []VID) {
+	from, to = make([]VID, 0, g.m), make([]VID, 0, g.m)
+	n := VID(g.NumVertices())
+	for u := VID(0); u < n; u++ {
+		for _, v := range g.OutNeighbors(u) {
+			if g.directed || u < v {
+				from, to = append(from, u), append(to, v)
+			}
+		}
+	}
+	return from, to
 }
 
 // ReciprocalEdgeCount returns, for a directed graph, the number of arcs
@@ -55,23 +66,26 @@ func ReciprocalEdgeCount(g *Graph) int64 {
 // preserving external IDs. Edges with an endpoint outside the set are
 // dropped. The result may contain isolated vertices.
 func Subgraph(g *Graph, members []VID) (*Graph, error) {
-	s := SetOf(g, members)
-	b := NewBuilder(g.directed)
-	for _, v := range s.Members() {
-		b.AddVertex(g.ExternalID(v))
+	// index[v] is 1 + v's VID in the subgraph, 0 for non-members; the
+	// members are ranked in ascending order, so their IDs ascend too.
+	index := make([]VID, g.NumVertices())
+	sorted := slices.Clone(members)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	ids := make([]int64, len(sorted))
+	for i, v := range sorted {
+		index[v] = VID(i) + 1
+		ids[i] = g.ids[v]
 	}
-	for _, u := range s.Members() {
+	var from, to []VID
+	for i, u := range sorted {
 		for _, v := range g.OutNeighbors(u) {
-			if !s.Contains(v) {
-				continue
+			if j := index[v]; j != 0 && (g.directed || u < v) {
+				from, to = append(from, VID(i)), append(to, j-1)
 			}
-			if !g.directed && v < u {
-				continue
-			}
-			b.AddEdge(g.ExternalID(u), g.ExternalID(v))
 		}
 	}
-	sub, err := b.Build()
+	sub, err := FromArcs(g.directed, ids, from, to)
 	if err != nil {
 		return nil, fmt.Errorf("induced subgraph: %w", err)
 	}
@@ -81,17 +95,19 @@ func Subgraph(g *Graph, members []VID) (*Graph, error) {
 // Relabel returns a copy of g whose external IDs are replaced by the dense
 // indices 0..n-1. Useful before writing compact edge lists.
 func Relabel(g *Graph) (*Graph, error) {
-	b := NewBuilder(g.directed)
-	for v := 0; v < g.NumVertices(); v++ {
-		b.AddVertex(int64(v))
-	}
-	g.Edges(func(e Edge) bool {
-		b.AddEdge(int64(e.From), int64(e.To))
-		return true
-	})
-	r, err := b.Build()
+	from, to := arcList(g)
+	r, err := FromArcs(g.directed, identityIDs(g.NumVertices()), from, to)
 	if err != nil {
 		return nil, fmt.Errorf("relabel: %w", err)
 	}
 	return r, nil
+}
+
+// identityIDs returns the ids table 0..n-1.
+func identityIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return ids
 }

@@ -165,16 +165,9 @@ func undirectedConfigModel(g *graph.Graph, rng *rand.Rand) (*graph.Graph, error)
 // buildFromEdges materializes edges (dense indices of src) into a new
 // graph carrying src's external IDs.
 func buildFromEdges(src *graph.Graph, edges []graph.Edge) (*graph.Graph, error) {
-	b := graph.NewBuilder(src.Directed())
-	for v := 0; v < src.NumVertices(); v++ {
-		b.AddVertex(src.ExternalID(graph.VID(v)))
+	from, to := make([]graph.VID, len(edges)), make([]graph.VID, len(edges))
+	for i, e := range edges {
+		from[i], to[i] = e.From, e.To
 	}
-	for _, e := range edges {
-		b.AddEdge(src.ExternalID(e.From), src.ExternalID(e.To))
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("materialize configuration model: %w", err)
-	}
-	return g, nil
+	return graph.FromArcs(src.Directed(), src.ExternalIDs(), from, to)
 }

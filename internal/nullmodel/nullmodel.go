@@ -136,14 +136,7 @@ func (r *rewirer) undo(records []swapRecord) {
 // build materializes the current edge list as an immutable graph with the
 // same external IDs as the source graph.
 func (r *rewirer) build(src *graph.Graph) (*graph.Graph, error) {
-	b := graph.NewBuilder(r.directed)
-	for v := 0; v < src.NumVertices(); v++ {
-		b.AddVertex(src.ExternalID(graph.VID(v)))
-	}
-	for _, e := range r.edges {
-		b.AddEdge(src.ExternalID(e.From), src.ExternalID(e.To))
-	}
-	g, err := b.Build()
+	g, err := buildFromEdges(src, r.edges)
 	if err != nil {
 		return nil, fmt.Errorf("materialize rewired graph: %w", err)
 	}
@@ -284,10 +277,7 @@ func havelHakimi(deg []int) (*graph.Graph, error) {
 		return nil, fmt.Errorf("%w: odd degree sum %d", ErrNotGraphical, sum)
 	}
 
-	b := graph.NewBuilder(false)
-	for i := range deg {
-		b.AddVertex(int64(i))
-	}
+	var from, to []graph.VID
 	for {
 		sort.Slice(nodes, func(i, j int) bool {
 			if nodes[i].rem != nodes[j].rem {
@@ -308,10 +298,14 @@ func havelHakimi(deg []int) (*graph.Graph, error) {
 				return nil, fmt.Errorf("%w: ran out of attachable vertices", ErrNotGraphical)
 			}
 			nodes[k].rem--
-			b.AddEdge(int64(nodes[0].id), int64(nodes[k].id))
+			from, to = append(from, graph.VID(nodes[0].id)), append(to, graph.VID(nodes[k].id))
 		}
 	}
-	g, err := b.Build()
+	ids := make([]int64, len(deg))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	g, err := graph.FromArcs(false, ids, from, to)
 	if err != nil {
 		return nil, fmt.Errorf("havel-hakimi build: %w", err)
 	}

@@ -112,15 +112,12 @@ func GenerateAGM(name string, cfg AGMConfig) (*Dataset, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.NumVertices
-	b := graph.NewBuilder(false)
-	for v := 0; v < n; v++ {
-		b.AddVertex(int64(v))
-	}
 
 	// Community sizes from a bounded power law.
+	sizePL := newBoundedPowerLaw(cfg.SizeExponent, cfg.MinCommunitySize, cfg.MaxCommunitySize)
 	sizes := make([]int, cfg.NumCommunities)
 	for i := range sizes {
-		sizes[i] = boundedPowerLawInt(rng, cfg.SizeExponent, cfg.MinCommunitySize, cfg.MaxCommunitySize)
+		sizes[i] = sizePL.draw(rng)
 	}
 
 	// Assign members by slot dealing: each joining vertex receives
@@ -186,6 +183,15 @@ func GenerateAGM(name string, cfg AGMConfig) (*Dataset, error) {
 		rawGroups[fmt.Sprintf("com%04d", ci)] = com
 	}
 
+	// The arc buffers reserve an eighth above the expected arc count;
+	// the cohesion factor below has mean 1.
+	bgEdges := int(float64(n) * cfg.BackgroundDegree / 2)
+	arcs := float64(bgEdges)
+	for _, com := range members {
+		arcs += float64(len(com)) * cfg.IntraDegree
+	}
+	from, to := make([]graph.VID, 0, int(arcs*9/8)), make([]graph.VID, 0, int(arcs*9/8))
+
 	// Intra-community wiring: each member links to IntraDegree random
 	// fellow members, scaled by a per-community log-normal cohesion
 	// factor; small tight communities become near-cliques, loose ones
@@ -198,23 +204,18 @@ func GenerateAGM(name string, cfg AGMConfig) (*Dataset, error) {
 			links := poissonApprox(rng, meanLinks)
 			for k := 0; k < links; k++ {
 				v := com[rng.Intn(len(com))]
-				if v != u {
-					b.AddEdge(u, v)
-				}
+				from, to = append(from, graph.VID(u)), append(to, graph.VID(v))
 			}
 		}
 	}
 
 	// Epsilon background graph.
-	bgEdges := int(float64(n) * cfg.BackgroundDegree / 2)
 	for k := 0; k < bgEdges; k++ {
 		u, v := rng.Int63n(int64(n)), rng.Int63n(int64(n))
-		if u != v {
-			b.AddEdge(u, v)
-		}
+		from, to = append(from, graph.VID(u)), append(to, graph.VID(v))
 	}
 
-	g, err := b.Build()
+	g, err := graph.FromArcs(false, denseIDs(n), from, to)
 	if err != nil {
 		return nil, fmt.Errorf("agm generator: %w", err)
 	}
@@ -226,19 +227,26 @@ func GenerateAGM(name string, cfg AGMConfig) (*Dataset, error) {
 	}, nil
 }
 
-// boundedPowerLawInt draws an integer in [lo, hi] with P(x) ∝ x^(−exp)
-// via inverse-transform sampling of the continuous bounded Pareto.
-func boundedPowerLawInt(rng *rand.Rand, exp float64, lo, hi int) int {
-	a, b := float64(lo), float64(hi)+0.999
-	u := rng.Float64()
+// boundedPowerLaw draws integers in [lo, hi] with P(x) ∝ x^(−exp) by
+// inverse-transform sampling of the continuous Pareto bounded to
+// [lo, hi+0.999]. The bounds' powers are computed once, so a draw costs
+// one math.Pow.
+type boundedPowerLaw struct {
+	lo, hi             int
+	pa, span, oneMinus float64
+}
+
+func newBoundedPowerLaw(exp float64, lo, hi int) boundedPowerLaw {
 	oneMinus := 1 - exp
-	x := math.Pow(u*(math.Pow(b, oneMinus)-math.Pow(a, oneMinus))+math.Pow(a, oneMinus), 1/oneMinus)
-	v := int(x)
-	if v < lo {
-		v = lo
-	}
-	if v > hi {
-		v = hi
-	}
-	return v
+	pa := math.Pow(float64(lo), oneMinus)
+	return boundedPowerLaw{lo, hi, pa, math.Pow(float64(hi)+0.999, oneMinus) - pa, oneMinus}
+}
+
+func (p boundedPowerLaw) draw(rng *rand.Rand) int {
+	return min(max(int(p.at(rng.Float64())), p.lo), p.hi)
+}
+
+// at is the bounded Pareto's inverse distribution function at u.
+func (p boundedPowerLaw) at(u float64) float64 {
+	return math.Pow(u*p.span+p.pa, 1/p.oneMinus)
 }

@@ -75,33 +75,31 @@ func GenerateCrawl(cfg CrawlConfig) (*Dataset, error) {
 
 	// Directed stub matching: out-stubs shoot at in-stubs chosen
 	// in-degree-proportionally. Self-loops and duplicates are dropped by
-	// the builder, slightly flattening the extreme tail — acceptable for
-	// a crawl-style graph.
+	// graph.FromArcs, slightly flattening the extreme tail — acceptable
+	// for a crawl-style graph.
 	inWeights := make([]float64, n)
 	for v, d := range inDeg {
 		inWeights[v] = float64(d)
 	}
 	picker := newWeightedPicker(inWeights)
 
-	b := graph.NewBuilder(true)
-	for v := 0; v < n; v++ {
-		b.AddVertex(int64(v))
-	}
 	// A sparse spanning thread keeps the crawl graph weakly connected,
 	// mimicking the BFS frontier that discovered every vertex.
+	m := n - 1
+	for _, d := range outDeg {
+		m += d
+	}
+	from, to := make([]graph.VID, 0, m), make([]graph.VID, 0, m)
 	for v := 1; v < n; v++ {
-		b.AddEdge(int64(v), int64(rng.Intn(v)))
+		from, to = append(from, graph.VID(v)), append(to, graph.VID(rng.Intn(v)))
 	}
 	for v := 0; v < n; v++ {
 		for k := 0; k < outDeg[v]; k++ {
-			t := picker.pick(rng)
-			if t != v {
-				b.AddEdge(int64(v), int64(t))
-			}
+			from, to = append(from, graph.VID(v)), append(to, graph.VID(picker.pick(rng)))
 		}
 	}
 
-	g, err := b.Build()
+	g, err := graph.FromArcs(true, denseIDs(n), from, to)
 	if err != nil {
 		return nil, fmt.Errorf("crawl generator: %w", err)
 	}
@@ -110,10 +108,10 @@ func GenerateCrawl(cfg CrawlConfig) (*Dataset, error) {
 
 // samplePowerLawDegrees draws capped power-law degree targets.
 func samplePowerLawDegrees(rng *rand.Rand, n int, alpha float64, xmin, cap int) []int {
+	pl := newBoundedPowerLaw(alpha, xmin, cap)
 	out := make([]int, n)
 	for i := range out {
-		d := boundedPowerLawInt(rng, alpha, xmin, cap)
-		out[i] = d
+		out[i] = pl.draw(rng)
 	}
 	return out
 }

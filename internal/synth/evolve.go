@@ -235,14 +235,13 @@ func Evolve(cfg EvolveConfig) (*Evolution, error) {
 
 // snapshot materializes the current state and measures it.
 func (st *evolveState) snapshot(step int, rng *rand.Rand) (Snapshot, *graph.Graph, error) {
-	b := graph.NewBuilder(true)
-	for v := range st.out {
-		b.AddVertex(int64(v))
-		for _, w := range st.out[v] {
-			b.AddEdge(int64(v), int64(w))
+	from, to := make([]graph.VID, 0, st.m), make([]graph.VID, 0, st.m)
+	for v, row := range st.out {
+		for _, w := range row {
+			from, to = append(from, graph.VID(v)), append(to, w)
 		}
 	}
-	g, err := b.Build()
+	g, err := graph.FromArcs(true, denseIDs(len(st.out)), from, to)
 	if err != nil {
 		return Snapshot{}, nil, fmt.Errorf("snapshot at step %d: %w", step, err)
 	}

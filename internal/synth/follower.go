@@ -88,7 +88,10 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 	// outAdj is kept during growth for list curation.
 	outAdj := make([][]int64, n)
 	inDeg := make([]float64, n)
-	b := graph.NewBuilder(true)
+	var from, to []graph.VID
+	arc := func(u, v int64) {
+		from, to = append(from, graph.VID(u)), append(to, graph.VID(v))
+	}
 
 	// Seed clique so early attachment has targets.
 	seedSize := cfg.OutDegree + 1
@@ -100,7 +103,7 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 			if i == j {
 				continue
 			}
-			b.AddEdge(int64(i), int64(j))
+			arc(int64(i), int64(j))
 			outAdj[i] = append(outAdj[i], int64(j))
 			inDeg[j]++
 		}
@@ -129,11 +132,11 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 			if target == v {
 				continue
 			}
-			b.AddEdge(int64(v), int64(target))
+			arc(int64(v), int64(target))
 			outAdj[v] = append(outAdj[v], int64(target))
 			inDeg[target]++
 			if rng.Float64() < cfg.Reciprocity {
-				b.AddEdge(int64(target), int64(v))
+				arc(int64(target), int64(v))
 				outAdj[target] = append(outAdj[target], int64(v))
 				inDeg[v]++
 			}
@@ -189,14 +192,14 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 			for k := 0; k < links; k++ {
 				v := list[rng.Intn(len(list))]
 				if v != u {
-					b.AddEdge(u, v)
+					arc(u, v)
 					inDeg[v]++
 				}
 			}
 		}
 	}
 
-	g, err := b.Build()
+	g, err := graph.FromArcs(true, denseIDs(n), from, to)
 	if err != nil {
 		return nil, fmt.Errorf("follower generator: %w", err)
 	}

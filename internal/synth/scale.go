@@ -214,8 +214,9 @@ func GenerateScale(name string, cfg ScaleConfig, opts ScaleOptions) (*Dataset, e
 	paramRNG := rand.New(rand.NewSource(cfg.Seed))
 	weights := make([]float64, cfg.NumCommunities)
 	cohesion := make([]float64, cfg.NumCommunities)
+	sizePL := newBoundedPowerLaw(cfg.SizeExponent, cfg.MinCommunitySize, cfg.MaxCommunitySize)
 	for c := range weights {
-		weights[c] = float64(boundedPowerLawInt(paramRNG, cfg.SizeExponent, cfg.MinCommunitySize, cfg.MaxCommunitySize))
+		weights[c] = float64(sizePL.draw(paramRNG))
 		cohesion[c] = math.Exp(paramRNG.NormFloat64()*cfg.CohesionSigma - cfg.CohesionSigma*cfg.CohesionSigma/2)
 	}
 	gen := &scaleGen{

@@ -73,12 +73,9 @@ func ApplyCircleSharing(ds *Dataset, cfg SharingConfig) (*SharingResult, error) 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := ds.Graph
 
-	b := graph.NewBuilder(g.Directed())
-	for v := 0; v < g.NumVertices(); v++ {
-		b.AddVertex(g.ExternalID(graph.VID(v)))
-	}
+	from, to := make([]graph.VID, 0, g.NumEdges()), make([]graph.VID, 0, g.NumEdges())
 	g.Edges(func(e graph.Edge) bool {
-		b.AddEdge(g.ExternalID(e.From), g.ExternalID(e.To))
+		from, to = append(from, e.From), append(to, e.To)
 		return true
 	})
 
@@ -96,16 +93,16 @@ func ApplyCircleSharing(ds *Dataset, cfg SharingConfig) (*SharingResult, error) 
 					continue
 				}
 				if rng.Float64() < cfg.AdoptionP {
-					b.AddEdge(g.ExternalID(u), g.ExternalID(v))
+					from, to = append(from, u), append(to, v)
 					if g.Directed() && rng.Float64() < cfg.Reciprocity {
-						b.AddEdge(g.ExternalID(v), g.ExternalID(u))
+						from, to = append(from, v), append(to, u)
 					}
 				}
 			}
 		}
 	}
 
-	ng, err := b.Build()
+	ng, err := graph.FromArcs(g.Directed(), g.ExternalIDs(), from, to)
 	if err != nil {
 		return nil, fmt.Errorf("densified graph: %w", err)
 	}

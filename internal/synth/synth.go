@@ -135,6 +135,16 @@ func (p *weightedPicker) pick(rng *rand.Rand) int {
 	return p.search(rng.Float64() * p.total)
 }
 
+// denseIDs returns the ids table 0..n-1 of a generator that numbers its
+// vertices densely.
+func denseIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return ids
+}
+
 // groupsFromExternal converts groups expressed in external IDs to dense
 // vertex indices after the graph is built. Members missing from the graph
 // (possible when a planned vertex ended up with no edges and was never

@@ -379,12 +379,68 @@ func TestWeightedPicker(t *testing.T) {
 	}
 }
 
+// boundedPowerLawInt is the per-draw formula boundedPowerLaw hoists:
+// four math.Pow calls, three of them constant for given bounds. Its
+// value before rounding is the oracle the sampler must match bit for
+// bit.
+func boundedPowerLawInt(rng *rand.Rand, exp float64, lo, hi int) int {
+	v := int(boundedPowerLawReal(rng.Float64(), exp, lo, hi))
+	if v < lo {
+		v = lo
+	}
+	if v > hi {
+		v = hi
+	}
+	return v
+}
+
+func boundedPowerLawReal(u, exp float64, lo, hi int) float64 {
+	a, b := float64(lo), float64(hi)+0.999
+	oneMinus := 1 - exp
+	return math.Pow(u*(math.Pow(b, oneMinus)-math.Pow(a, oneMinus))+math.Pow(a, oneMinus), 1/oneMinus)
+}
+
 func TestBoundedPowerLawIntBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
+	pl := newBoundedPowerLaw(2.5, 5, 50)
 	for i := 0; i < 1000; i++ {
-		v := boundedPowerLawInt(rng, 2.5, 5, 50)
+		v := pl.draw(rng)
 		if v < 5 || v > 50 {
 			t.Fatalf("value %d outside [5,50]", v)
+		}
+	}
+}
+
+// TestBoundedPowerLawMatchesOracle requires the hoisted sampler to give
+// the four-Pow formula's float64 bits for random u, for u = 0 and
+// u = 1−2^−53 (the largest Float64 below 1), at exponents next to 1 and
+// with a single-value range, and the same draws from equal RNG streams.
+func TestBoundedPowerLawMatchesOracle(t *testing.T) {
+	cases := []struct {
+		exp    float64
+		lo, hi int
+	}{
+		{2.5, 5, 50}, {2.1, 2, 2000}, {2.2, 2, 2000}, {2.0, 8, 300},
+		{1 + 1e-9, 1, 1000}, {1 - 1e-9, 1, 1000}, {0.5, 3, 40},
+		{3, 7, 7}, {2.1, 1, 1}, {1 + 1e-9, 4, 4},
+	}
+	rng := rand.New(rand.NewSource(29))
+	for _, tc := range cases {
+		pl := newBoundedPowerLaw(tc.exp, tc.lo, tc.hi)
+		us := []float64{0, 1 - 0x1p-53}
+		for i := 0; i < 20000; i++ {
+			us = append(us, rng.Float64())
+		}
+		for _, u := range us {
+			if got, want := pl.at(u), boundedPowerLawReal(u, tc.exp, tc.lo, tc.hi); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("exp %v [%d, %d] u %v: sampler %v, formula %v", tc.exp, tc.lo, tc.hi, u, got, want)
+			}
+		}
+		a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for i := 0; i < 1000; i++ {
+			if got, want := pl.draw(a), boundedPowerLawInt(b, tc.exp, tc.lo, tc.hi); got != want {
+				t.Fatalf("exp %v [%d, %d] draw %d: sampler %d, formula %d", tc.exp, tc.lo, tc.hi, i, got, want)
+			}
 		}
 	}
 }
