@@ -91,14 +91,14 @@ bench-tri:
 		-benchmem -benchtime=$(BENCHTIME) -json . | tee $(TRI_BENCH_OUT)
 
 # Record the NCP sweep benchmarks: the approximate-PPR network community
-# profile over the shared Google+ data set, serial and fanned out, plus
-# the push layer alone (32 stratified seeds, push and sweep ordering).
-# Both sweeps produce the same curve by contract, so the pair isolates
-# fan-out scaling. BENCHTIME=1x is the CI smoke; raise it for recorded
-# runs.
+# profile over the shared Google+ data set, serial and fanned out, the
+# push layer alone (32 stratified seeds, push and sweep ordering), and
+# whole in-process /v1/ncp requests at the request defaults. Both sweeps
+# produce the same curve by contract, so the pair isolates fan-out
+# scaling. BENCHTIME=1x is the CI smoke; raise it for recorded runs.
 NCP_BENCH_OUT ?= BENCH_$(DATE)-ncp.json
 bench-ncp:
-	$(GO) test -run='^$$' -bench='NCPSweep|PPRPush' \
+	$(GO) test -run='^$$' -bench='NCPSweep|PPRPush|NCPHandler' \
 		-benchmem -benchtime=$(BENCHTIME) -json . | tee $(NCP_BENCH_OUT)
 
 # Profile one full circlebench run: CPU profile, heap profile, execution
@@ -116,10 +116,11 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target) over all twelve fuzz
+# Coverage-guided fuzz smoke (FUZZTIME per target) over all thirteen fuzz
 # targets: the graph core's inputs from outside (Builder edge soup,
 # Overlay exact-degree fill, the binary CSR reader), the sweep-cut
-# kernel, the null model's flat edge set against a map, the SNAP text
+# kernel, the PPR push against its reference oracle, the null model's
+# flat edge set against a map, the SNAP text
 # parsers, the fast degree-fitting kernels against their reference
 # oracles, the Hurwitz zeta function over arbitrary (s, q), and the
 # /v1/score and /v1/ncp request decoders.
@@ -129,6 +130,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzOverlayFillFromEdges$$' -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepCut$$' -fuzztime=$(FUZZTIME) ./internal/graphalgo/
+	$(GO) test -run='^$$' -fuzz='^FuzzPPRPush$$' -fuzztime=$(FUZZTIME) ./internal/detect/
 	$(GO) test -run='^$$' -fuzz='^FuzzEdgeSet$$' -fuzztime=$(FUZZTIME) ./internal/nullmodel/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/

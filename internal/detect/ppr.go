@@ -42,20 +42,22 @@ type PPRVector struct {
 	// Support lists the vertices with positive approximate score p(v),
 	// ascending by vertex id.
 	Support []graph.VID
-	// Touched lists every vertex with nonzero p or residual r, ascending;
-	// a superset of Support. Mass conservation holds over Touched.
+	// Touched lists every vertex the push reached, each once, in the
+	// order mass first reached it (the seed first); a superset of
+	// Support. Mass conservation holds over Touched.
 	Touched []graph.VID
 	// Pushes counts the push operations performed.
 	Pushes int
 
-	p, r []float64
+	p     []float64
+	slots []pprSlot
 }
 
 // Score returns the approximate PPR mass p(u).
 func (v *PPRVector) Score(u graph.VID) float64 { return v.p[u] }
 
 // Residual returns the unpushed residual mass r(u).
-func (v *PPRVector) Residual(u graph.VID) float64 { return v.r[u] }
+func (v *PPRVector) Residual(u graph.VID) float64 { return v.slots[u].r }
 
 // DegreeNormalizedOrder returns the support sorted by p(v)/deg(v)
 // descending — the sweep ordering of local spectral clustering. Ties
@@ -102,9 +104,8 @@ func (v *PPRVector) DegreeNormalizedOrder(g *graph.Graph) []graph.VID {
 // touched by the previous push are cleared, not the whole arrays. Not
 // safe for concurrent use; parallel sweeps hold one PPR per worker.
 type PPR struct {
-	p, r    []float64
-	queued  []bool
-	marked  []bool // marked[v]: v is in touched
+	p       []float64
+	slots   []pprSlot
 	queue   []graph.VID
 	head    int // queue[head:] is the live FIFO
 	touched []graph.VID
@@ -112,52 +113,48 @@ type PPR struct {
 	vec     PPRVector
 }
 
-// denseTouchedShare picks how finish orders the touched set: a set of at
-// least 1/denseTouchedShare of the vertex range is listed by one scan of
-// the marks, a smaller one is sorted. The scan costs under a nanosecond
-// per vertex and the sort some ten to thirty per touched vertex, so they
-// break even near a 4 % share. Default-eps pushes from stratified seeds
-// touch 4–43 % of the Google+ benchmark graph (median 12 %).
-const denseTouchedShare = 25
+// pprSlot is one vertex's push state, fused so the spread loop reads and
+// writes one slot per neighbour. threshold is eps·deg(v), computed once
+// when mass first reaches v; a zero slot is an untouched vertex.
+type pprSlot struct {
+	r         float64
+	threshold float64
+	queued    bool
+	marked    bool // v is in touched
+}
 
 // NewPPR returns a workspace for graphs with up to n vertices.
 func NewPPR(n int) *PPR {
-	return &PPR{
-		p:      make([]float64, n),
-		r:      make([]float64, n),
-		queued: make([]bool, n),
-		marked: make([]bool, n),
-	}
+	return &PPR{p: make([]float64, n), slots: make([]pprSlot, n)}
 }
 
 func (w *PPR) grow(n int) {
 	if len(w.p) < n {
 		w.p = make([]float64, n)
-		w.r = make([]float64, n)
-		w.queued = make([]bool, n)
-		w.marked = make([]bool, n)
+		w.slots = make([]pprSlot, n)
 		w.touched = w.touched[:0]
 	}
 }
 
-// touch records the first time mass reaches v.
-func (w *PPR) touch(v graph.VID) {
-	if !w.marked[v] {
-		w.marked[v] = true
-		w.touched = append(w.touched, v)
-	}
+// mark records v, whose slot is s, as touched and sets its threshold:
+// the first time mass reaches v.
+func (w *PPR) mark(g *graph.Graph, v graph.VID, s *pprSlot, eps float64) {
+	s.marked = true
+	s.threshold = eps * float64(g.Degree(v))
+	w.touched = append(w.touched, v)
 }
 
-// enqueue appends v to the FIFO. A full buffer that is at least half
-// consumed slides its live entries to the front instead of growing, so
-// the buffer tracks the live queue rather than the total push count.
-func (w *PPR) enqueue(v graph.VID) {
+// enqueue appends v, whose slot is s, to the FIFO. A full buffer that is
+// at least half consumed slides its live entries to the front instead of
+// growing, so the buffer tracks the live queue rather than the total
+// push count.
+func (w *PPR) enqueue(v graph.VID, s *pprSlot) {
 	if len(w.queue) == cap(w.queue) && w.head >= len(w.queue)/2 {
 		w.queue = w.queue[:copy(w.queue, w.queue[w.head:])]
 		w.head = 0
 	}
 	w.queue = append(w.queue, v)
-	w.queued[v] = true
+	s.queued = true
 }
 
 // Push computes an approximate PPR vector personalized on seed with the
@@ -184,24 +181,25 @@ func (w *PPR) Push(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector,
 	// Lazy clear: only what the previous push dirtied.
 	for _, v := range w.touched {
 		w.p[v] = 0
-		w.r[v] = 0
-		w.queued[v] = false
-		w.marked[v] = false
+		w.slots[v] = pprSlot{}
 	}
 	w.touched = w.touched[:0]
+	w.support = w.support[:0]
 	w.queue = w.queue[:0]
 	w.head = 0
 
-	w.r[seed] = 1
-	w.touch(seed)
+	eps := opts.Eps
+	s := &w.slots[seed]
+	w.mark(g, seed, s, eps)
 	if g.Degree(seed) == 0 {
 		// An isolated seed holds all mass forever: the walk can never
 		// leave, so the exact PPR vector is the indicator of the seed.
 		w.p[seed] = 1
-		w.r[seed] = 0
-		return w.finish(n, 0), nil
+		w.support = append(w.support, seed)
+		return w.finish(0), nil
 	}
-	w.enqueue(seed)
+	s.r = 1
+	w.enqueue(seed, s)
 
 	directed := g.Directed()
 	pushes := 0
@@ -211,64 +209,59 @@ func (w *PPR) Push(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector,
 		}
 		u := w.queue[w.head]
 		w.head++
-		w.queued[u] = false
-		deg := float64(g.Degree(u))
-		ru := w.r[u]
-		if ru < opts.Eps*deg {
+		su := &w.slots[u]
+		su.queued = false
+		ru := su.r
+		if ru < su.threshold {
 			// Stale queue entry: the residual was pushed below threshold
 			// by an earlier pop before this one drained.
 			continue
 		}
 		pushes++
-		w.p[u] += opts.Alpha * ru
-		w.r[u] = 0
-		share := (1 - opts.Alpha) * ru / deg
-		spread := func(v graph.VID) {
-			w.touch(v)
-			w.r[v] += share
-			if !w.queued[v] && w.r[v] >= opts.Eps*float64(g.Degree(v)) {
-				w.enqueue(v)
-			}
+		// alpha·r(u) can round to zero, so u joins the support when its
+		// score first turns positive, not when it is first pushed.
+		pu := w.p[u]
+		w.p[u] = pu + opts.Alpha*ru
+		if pu == 0 && w.p[u] > 0 { //lint:ignore floateq p(u) starts at exactly 0 and never falls: this is its first rise
+			w.support = append(w.support, u)
 		}
-		for _, v := range g.OutNeighbors(u) {
-			spread(v)
-		}
+		su.r = 0
+		share := (1 - opts.Alpha) * ru / float64(g.Degree(u))
+		w.spread(g, g.OutNeighbors(u), share, eps)
 		if directed {
-			for _, v := range g.InNeighbors(u) {
-				spread(v)
-			}
+			w.spread(g, g.InNeighbors(u), share, eps)
 		}
 	}
-	return w.finish(n, pushes), nil
+	return w.finish(pushes), nil
 }
 
-// finish orders the touched set of a push over n vertices, collects the
-// support from it, and materializes the result vector. A large touched
-// set is listed by one scan of the marks, in O(n); a small one is
-// sorted, in O(t log t).
-func (w *PPR) finish(n, pushes int) *PPRVector {
-	if len(w.touched)*denseTouchedShare >= n {
-		w.touched = w.touched[:0]
-		for v, m := range w.marked[:n] {
-			if m {
-				w.touched = append(w.touched, graph.VID(v))
-			}
+// spread adds share to the residual of every vertex in nbrs and queues
+// those that reach their threshold.
+func (w *PPR) spread(g *graph.Graph, nbrs []graph.VID, share, eps float64) {
+	for _, v := range nbrs {
+		s := &w.slots[v]
+		if !s.marked {
+			w.mark(g, v, s, eps)
 		}
-	} else {
-		slices.Sort(w.touched)
-	}
-	w.support = w.support[:0]
-	for _, v := range w.touched {
-		if w.p[v] > 0 {
-			w.support = append(w.support, v)
+		s.r += share
+		if !s.queued && s.r >= s.threshold {
+			w.enqueue(v, s)
 		}
 	}
+}
+
+// finish puts the support, recorded as scores turned positive, in
+// ascending order and materializes the result vector. The order must
+// stay ascending: DegreeNormalizedOrder's permutation depends on the
+// order of its input.
+func (w *PPR) finish(pushes int) *PPRVector {
+	slices.Sort(w.support)
 	w.vec = PPRVector{
 		Support: w.support,
 		Touched: w.touched,
 		Pushes:  pushes,
 		p:       w.p,
-		r:       w.r,
+		slots:   w.slots,
 	}
 	return &w.vec
 }

@@ -183,17 +183,15 @@ func randomPPREdges(rng *rand.Rand, n, m int) [][2]int64 {
 	return edges
 }
 
-// checkTouchedSupport asserts the ordered-set contract of a push result:
-// Touched equals its own sorted, deduplicated copy and holds exactly the
-// vertices that carry mass, and Support is the part of Touched with
-// positive score.
+// checkTouchedSupport asserts the set contract of a push result: Touched
+// is deduplicated and holds exactly the vertices that carry mass, and
+// Support is the part of Touched with positive score, ascending.
 func checkTouchedSupport(t *testing.T, g *graph.Graph, vec *PPRVector) {
 	t.Helper()
-	want := slices.Clone(vec.Touched)
-	slices.Sort(want)
-	want = slices.Compact(want)
-	if !slices.Equal(vec.Touched, want) {
-		t.Fatalf("Touched (%d) is not sorted and deduplicated", len(vec.Touched))
+	touched := slices.Clone(vec.Touched)
+	slices.Sort(touched)
+	if len(slices.Compact(touched)) != len(vec.Touched) {
+		t.Fatalf("Touched (%d) repeats a vertex", len(vec.Touched))
 	}
 	var reached, support []graph.VID
 	for v := graph.VID(0); int(v) < g.NumVertices(); v++ {
@@ -204,7 +202,7 @@ func checkTouchedSupport(t *testing.T, g *graph.Graph, vec *PPRVector) {
 			support = append(support, v)
 		}
 	}
-	if !slices.Equal(vec.Touched, reached) {
+	if !slices.Equal(touched, reached) {
 		t.Fatalf("Touched has %d vertices, %d carry mass", len(vec.Touched), len(reached))
 	}
 	if !slices.Equal(vec.Support, support) {
@@ -254,24 +252,25 @@ func vertex(t *testing.T, g *graph.Graph, id int64) graph.VID {
 	return v
 }
 
-// Both ways finish orders the touched set — the scan of the marks for a
-// large share of the vertex range, the sort for a small one — must give
-// the same ordered, deduplicated set, on fresh and on reused workspaces,
-// including one reused across graphs of different sizes.
+// Touched and Support must keep their set contract, and match a fresh
+// workspace's result, on fresh and on reused workspaces, including one
+// reused across graphs of different sizes: a push that reaches a large
+// share of the vertex range, one that stays in a small region of a large
+// graph, and one that touches every vertex of a graph smaller than the
+// workspace.
 func TestPPRTouchedAndSupportOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dense := pprGraph(t, true, randomPPREdges(rng, 3000, 30000))
 	sparse := ringAndClique(t)
-	small := clique(t, 12) // every vertex touched: the scan on a workspace larger than the graph
+	small := clique(t, 12)
 	cases := []struct {
 		name  string
 		g     *graph.Graph
 		seeds []graph.VID
-		scan  bool
 	}{
-		{"dense", dense, []graph.VID{0, 1499, 2999}, true},
-		{"sparse", sparse, []graph.VID{vertex(t, sparse, 0), vertex(t, sparse, 12345), vertex(t, sparse, 20003)}, false},
-		{"small", small, []graph.VID{0, 11}, true},
+		{"dense", dense, []graph.VID{0, 1499, 2999}},
+		{"sparse", sparse, []graph.VID{vertex(t, sparse, 0), vertex(t, sparse, 12345), vertex(t, sparse, 20003)}},
+		{"small", small, []graph.VID{0, 11}},
 	}
 	shared := NewPPR(small.NumVertices())
 	for round := 0; round < 2; round++ {
@@ -281,9 +280,8 @@ func TestPPRTouchedAndSupportOrdered(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 				}
-				n := tc.g.NumVertices()
-				if scan := len(vec.Touched)*denseTouchedShare >= n; scan != tc.scan {
-					t.Fatalf("%s seed %d: %d of %d touched takes scan=%v, want %v", tc.name, seed, len(vec.Touched), n, scan, tc.scan)
+				if vec.Touched[0] != seed {
+					t.Fatalf("%s seed %d: Touched starts at %d, want the seed", tc.name, seed, vec.Touched[0])
 				}
 				checkTouchedSupport(t, tc.g, vec)
 				checkMassAndResidual(t, tc.g, vec, 1e-4)
@@ -366,5 +364,181 @@ func TestDegreeNormalizedOrderMatchesSortSlice(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d): order differs from sort.Slice", trial, len(p))
 		}
+	}
+}
+
+// refVector is referencePush's result: dense p and r, the touched set
+// ascending, the support collected from it, and the push count.
+type refVector struct {
+	p, r             []float64
+	touched, support []graph.VID
+	pushes           int
+}
+
+// referencePush is the push as it stood before the fused per-vertex
+// slots and the recorded support: separate residual, queued and marked
+// arrays, eps·deg recomputed at every test, and a touched set sorted at
+// the end with the support collected from it. It is the oracle Push must
+// match bit for bit.
+func referencePush(g *graph.Graph, seed graph.VID, opts PPROptions) refVector {
+	n := g.NumVertices()
+	opts = opts.withDefaults()
+	ref := refVector{p: make([]float64, n), r: make([]float64, n)}
+	queued := make([]bool, n)
+	marked := make([]bool, n)
+	var queue []graph.VID
+	touch := func(v graph.VID) {
+		if !marked[v] {
+			marked[v] = true
+			ref.touched = append(ref.touched, v)
+		}
+	}
+	ref.r[seed] = 1
+	touch(seed)
+	if g.Degree(seed) == 0 {
+		ref.p[seed] = 1
+		ref.r[seed] = 0
+	} else {
+		queue = append(queue, seed)
+		queued[seed] = true
+	}
+	for len(queue) > 0 {
+		if opts.MaxPush > 0 && ref.pushes >= opts.MaxPush {
+			break
+		}
+		u := queue[0]
+		queue = queue[1:]
+		queued[u] = false
+		deg := float64(g.Degree(u))
+		ru := ref.r[u]
+		if ru < opts.Eps*deg {
+			continue
+		}
+		ref.pushes++
+		ref.p[u] += opts.Alpha * ru
+		ref.r[u] = 0
+		share := (1 - opts.Alpha) * ru / deg
+		spread := func(v graph.VID) {
+			touch(v)
+			ref.r[v] += share
+			if !queued[v] && ref.r[v] >= opts.Eps*float64(g.Degree(v)) {
+				queue = append(queue, v)
+				queued[v] = true
+			}
+		}
+		for _, v := range g.OutNeighbors(u) {
+			spread(v)
+		}
+		if g.Directed() {
+			for _, v := range g.InNeighbors(u) {
+				spread(v)
+			}
+		}
+	}
+	slices.Sort(ref.touched)
+	for _, v := range ref.touched {
+		if ref.p[v] > 0 {
+			ref.support = append(ref.support, v)
+		}
+	}
+	return ref
+}
+
+// checkPushMatchesReference pushes seed on w and requires referencePush's
+// result: the same touched set, the same bits of p and r on it, the same
+// support and push count, and the sort.Slice permutation of the
+// reference support as the sweep order.
+func checkPushMatchesReference(t *testing.T, w *PPR, g *graph.Graph, seed graph.VID, opts PPROptions) {
+	t.Helper()
+	got, err := w.Push(g, seed, opts)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	want := referencePush(g, seed, opts)
+	touched := slices.Clone(got.Touched)
+	slices.Sort(touched)
+	if !slices.Equal(touched, want.touched) {
+		t.Fatalf("seed %d: touched %d vertices, reference %d", seed, len(touched), len(want.touched))
+	}
+	if got.Touched[0] != seed {
+		t.Fatalf("seed %d: Touched starts at %d", seed, got.Touched[0])
+	}
+	for _, v := range want.touched {
+		if math.Float64bits(got.Score(v)) != math.Float64bits(want.p[v]) ||
+			math.Float64bits(got.Residual(v)) != math.Float64bits(want.r[v]) {
+			t.Fatalf("seed %d, vertex %d: p %v vs %v, r %v vs %v", seed, v, got.Score(v), want.p[v], got.Residual(v), want.r[v])
+		}
+	}
+	if got.Pushes != want.pushes || !slices.Equal(got.Support, want.support) {
+		t.Fatalf("seed %d: pushes %d vs %d, support %d vs %d vertices", seed, got.Pushes, want.pushes, len(got.Support), len(want.support))
+	}
+	order := slices.Clone(want.support)
+	sort.Slice(order, lessByDegreeNormalized(g, want.p, order))
+	if !slices.Equal(got.DegreeNormalizedOrder(g), order) {
+		t.Fatalf("seed %d: sweep order differs from the reference's", seed)
+	}
+}
+
+// FuzzPPRPush checks Push against referencePush on graphs decoded from
+// bytes: data[0] picks the vertex count (1–64) and direction, and each
+// following byte pair is an arc (self-loops and repeats are dropped by
+// the builder; unlisted vertices stay isolated). seed picks the seed
+// vertex, eps the tolerance (non-positive selects the default) and
+// maxPush a push cap (0: none). Each input is pushed on a workspace that
+// first pushed another seed, so the lazy clear is checked too.
+func FuzzPPRPush(f *testing.F) {
+	f.Add([]byte{20, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5}, uint8(0), 1e-4, uint8(0))
+	f.Add([]byte{21, 0, 1, 1, 2, 2, 0, 3, 4}, uint8(2), 1e-300, uint8(0))
+	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 9}, uint8(30), 1e-12, uint8(7))
+	f.Add([]byte{4}, uint8(1), 0.0, uint8(0))
+	f.Add([]byte{127, 0, 1}, uint8(5), math.Inf(1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint8, eps float64, maxPush uint8) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0]>>1)%64
+		b := graph.NewBuilder(data[0]&1 == 1)
+		for v := 0; v < n; v++ {
+			b.AddVertex(int64(v))
+		}
+		for i := 1; i+1 < len(data); i += 2 {
+			b.AddEdge(int64(data[i])%int64(n), int64(data[i+1])%int64(n))
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		opts := PPROptions{Eps: eps, MaxPush: int(maxPush)}
+		s := graph.VID(int(seed) % n)
+		w := NewPPR(n)
+		if _, err := w.Push(g, graph.VID(n-1)-s, opts); err != nil {
+			t.Fatalf("warm-up push: %v", err)
+		}
+		checkPushMatchesReference(t, w, g, s, opts)
+	})
+}
+
+// A warmed workspace pushes without allocating: the lazy clear reuses
+// its arrays, and the queue, touched and support lists keep their
+// capacity from earlier pushes.
+func TestPushSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := pprGraph(t, true, randomPPREdges(rng, 500, 3000))
+	w := NewPPR(g.NumVertices())
+	seeds := []graph.VID{0, 123, 499}
+	for _, s := range seeds {
+		if _, err := w.Push(g, s, PPROptions{Eps: 1e-6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, s := range seeds {
+			if _, err := w.Push(g, s, PPROptions{Eps: 1e-6}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed Push allocated %.1f times per three pushes", allocs)
 	}
 }

@@ -21,9 +21,11 @@ const (
 	maxSweepSize   = 10000
 	maxNullSamples = 8
 	// minEps is the smallest residual tolerance a request may set (0
-	// still selects the default). A push costs about 1/eps: one Google+
-	// seed takes some 0.3 ms at the default 1e-4 but 50 ms at 1e-8 and
-	// 100 ms at 1e-10, and a request may carry maxSeeds seeds.
+	// still selects the default). A seed's cost climbs steeply as eps
+	// falls: on scale-1 Google+ the median stratified seed took 0.03 ms
+	// at the default 1e-4, 12–16 ms at 1e-6 and 42–47 ms at 1e-8
+	// (GOMAXPROCS=1, 2-core Xeon VM), and a request may carry maxSeeds
+	// seeds.
 	minEps = 1e-8
 )
 

@@ -151,29 +151,42 @@ func StratifiedSeeds(g *graph.Graph, k int, seed int64) []graph.VID {
 // maxDeg−b, and the fill pass walks ids in order, so ids ascend within a
 // bucket.
 func rankByDegree(g *graph.Graph) []graph.VID {
-	n := g.NumVertices()
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		maxDeg = max(maxDeg, g.Degree(graph.VID(v)))
+	deg := make([]int32, g.NumVertices())
+	var maxDeg int32
+	for v := range deg {
+		deg[v] = int32(g.Degree(graph.VID(v)))
+		maxDeg = max(maxDeg, deg[v])
 	}
 	// next[b] counts bucket b, then becomes its next free rank.
 	next := make([]int32, maxDeg+1)
-	for v := 0; v < n; v++ {
-		next[maxDeg-g.Degree(graph.VID(v))]++
+	for _, d := range deg {
+		next[maxDeg-d]++
 	}
 	var rank int32
 	for b, c := range next {
 		next[b] = rank
 		rank += c
 	}
-	ranked := make([]graph.VID, n)
-	for v := 0; v < n; v++ {
-		b := maxDeg - g.Degree(graph.VID(v))
+	ranked := make([]graph.VID, len(deg))
+	for v, d := range deg {
+		b := maxDeg - d
 		ranked[next[b]] = graph.VID(v)
 		next[b]++
 	}
 	return ranked
 }
+
+// workspace is one sweep worker's push and sweep-cut state. Both grow on
+// demand, so pooled workspaces serve graphs of any size, and a request
+// reuses what earlier requests allocated.
+type workspace struct {
+	ppr    *detect.PPR
+	cutter *graphalgo.SweepCutter
+}
+
+var workspaces = sync.Pool{New: func() any {
+	return &workspace{ppr: detect.NewPPR(0), cutter: graphalgo.NewSweepCutter(0)}
+}}
 
 // Sweep computes the network community profile of g: for every seed, an
 // approximate PPR push followed by a sweep-cut over the
@@ -203,13 +216,13 @@ func Sweep(g *graph.Graph, opts Options) (*Curve, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Each worker owns its push and sweep workspaces; results
-			// land in per-seed slots, so nothing here races or depends
-			// on scheduling.
-			ppr := detect.NewPPR(n)
-			cutter := graphalgo.NewSweepCutter(n)
+			// Each worker owns a pooled workspace while it runs;
+			// results land in per-seed slots, so nothing here races or
+			// depends on scheduling.
+			ws := workspaces.Get().(*workspace)
+			defer workspaces.Put(ws)
 			for i := range jobs {
-				results[i], errs[i] = sweepSeed(g, seeds[i], ppr, cutter, pprOpts, opts.MaxSize)
+				results[i], errs[i] = sweepSeed(g, seeds[i], ws.ppr, ws.cutter, pprOpts, opts.MaxSize)
 			}
 		}()
 	}

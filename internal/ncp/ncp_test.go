@@ -52,6 +52,21 @@ func plantedGraph(t *testing.T, seed int64) *graph.Graph {
 	return g
 }
 
+func cliqueGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	var edges [][2]int64
+	for u := int64(0); u < int64(n); u++ {
+		for v := u + 1; v < int64(n); v++ {
+			edges = append(edges, [2]int64{u, v})
+		}
+	}
+	g, err := graph.FromEdges(false, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func curveBytes(t *testing.T, c *Curve) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -90,6 +105,43 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Sweeps running at once share the pooled workspaces, which move between
+// graphs of different sizes; every sweep must still render its serial
+// curve's bytes.
+func TestConcurrentSweepsSharePool(t *testing.T) {
+	graphs := []*graph.Graph{plantedGraph(t, 1), plantedGraph(t, 2), cliqueGraph(t, 40)}
+	opts := Options{Seeds: 16, MaxSize: 60, Workers: 3, Seed: 5}
+	want := make([][]byte, len(graphs))
+	for i, g := range graphs {
+		c, err := Sweep(g, Options{Seeds: 16, MaxSize: 60, Workers: 1, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = curveBytes(t, c)
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < 12; k++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := Sweep(graphs[i], opts)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var buf bytes.Buffer
+			if err := c.WriteTable(&buf, "curve"); err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(buf.Bytes(), want[i]) {
+				t.Errorf("graph %d: concurrent sweep differs from the serial one", i)
+			}
+		}(k % len(graphs))
+	}
+	wg.Wait()
 }
 
 // A pooled overlay that has not been mutated is the identity view of

@@ -137,11 +137,12 @@ func GenerateAGM(name string, cfg AGMConfig) (*Dataset, error) {
 	}
 	slots := make([]int64, 0, totalSlots+16)
 	joinOrder := rng.Perm(n)
+	extra := newPoisson(extraMean)
 	for _, v := range joinOrder {
 		if len(slots) >= totalSlots {
 			break
 		}
-		k := 1 + poissonApprox(rng, extraMean)
+		k := 1 + extra.draw(rng)
 		for j := 0; j < k; j++ {
 			slots = append(slots, int64(v))
 		}
@@ -199,9 +200,9 @@ func GenerateAGM(name string, cfg AGMConfig) (*Dataset, error) {
 	// profiles.
 	for _, com := range members {
 		cohesion := math.Exp(rng.NormFloat64()*cfg.CohesionSigma - cfg.CohesionSigma*cfg.CohesionSigma/2)
-		meanLinks := cfg.IntraDegree * cohesion
+		intra := newPoisson(cfg.IntraDegree * cohesion)
 		for _, u := range com {
-			links := poissonApprox(rng, meanLinks)
+			links := intra.draw(rng)
 			for k := 0; k < links; k++ {
 				v := com[rng.Intn(len(com))]
 				from, to = append(from, graph.VID(u)), append(to, graph.VID(v))

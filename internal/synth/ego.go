@@ -365,24 +365,41 @@ func recipDamp(weight float64) float64 {
 }
 
 // poissonApprox draws an approximately Poisson-distributed count with the
-// given mean using Knuth's method for small means and a rounded normal
-// for large ones.
+// given mean; see poisson. Callers that draw many counts with one mean
+// build the sampler once instead.
 func poissonApprox(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
+	return newPoisson(mean).draw(rng)
+}
+
+// poisson draws approximately Poisson-distributed counts with a fixed
+// mean, using Knuth's method for small means and a rounded normal for
+// large ones. Knuth's limit e^−mean is computed once, when the sampler is
+// built.
+type poisson struct{ mean, limit float64 }
+
+func newPoisson(mean float64) poisson {
+	p := poisson{mean: mean}
+	if mean <= 30 {
+		p.limit = math.Exp(-mean)
+	}
+	return p
+}
+
+func (p poisson) draw(rng *rand.Rand) int {
+	if p.mean <= 0 {
 		return 0
 	}
-	if mean > 30 {
-		v := int(math.Round(rng.NormFloat64()*math.Sqrt(mean) + mean))
+	if p.mean > 30 {
+		v := int(math.Round(rng.NormFloat64()*math.Sqrt(p.mean) + p.mean))
 		if v < 0 {
 			return 0
 		}
 		return v
 	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
+	k, prod := 0, 1.0
 	for {
-		p *= rng.Float64()
-		if p <= l {
+		prod *= rng.Float64()
+		if prod <= p.limit {
 			return k
 		}
 		k++

@@ -109,8 +109,9 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 		}
 	}
 
+	followsDist := newPoisson(float64(cfg.OutDegree))
 	for v := seedSize; v < n; v++ {
-		follows := poissonApprox(rng, float64(cfg.OutDegree))
+		follows := followsDist.draw(rng)
 		if follows < 1 {
 			follows = 1
 		}
@@ -149,13 +150,15 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 	// degree cap, and themed members follow each other lightly.
 	degreeCap := cfg.MaxMemberDegreeFactor * float64(cfg.OutDegree)
 	rawGroups := map[string][]int64{}
+	sizeDist := newPoisson(float64(cfg.MeanListSize))
+	linksDist := newPoisson(cfg.MeanListInternalDegree)
 	for l := 0; l < cfg.NumLists; l++ {
 		curator := rng.Intn(n)
 		if len(outAdj[curator]) == 0 {
 			l--
 			continue
 		}
-		size := poissonApprox(rng, float64(cfg.MeanListSize))
+		size := sizeDist.draw(rng)
 		if size < 4 {
 			size = 4
 		}
@@ -188,7 +191,7 @@ func GenerateFollower(cfg FollowerConfig) (*Dataset, error) {
 		rawGroups[fmt.Sprintf("list%03d", l)] = list
 		// Themed accounts interlink sparsely.
 		for _, u := range list {
-			links := poissonApprox(rng, cfg.MeanListInternalDegree)
+			links := linksDist.draw(rng)
 			for k := 0; k < links; k++ {
 				v := list[rng.Intn(len(list))]
 				if v != u {

@@ -445,6 +445,49 @@ func TestBoundedPowerLawMatchesOracle(t *testing.T) {
 	}
 }
 
+// poissonFormula is poissonApprox as it stood before the sampler hoisted
+// e^−mean: the oracle for the draws of both.
+func poissonFormula(rng *rand.Rand, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	if mean > 30 {
+		v := int(math.Round(rng.NormFloat64()*math.Sqrt(mean) + mean))
+		if v < 0 {
+			return 0
+		}
+		return v
+	}
+	l := math.Exp(-mean)
+	k, p := 0, 1.0
+	for {
+		p *= rng.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}
+
+// A sampler built once per mean, and poissonApprox, must draw what the
+// formula draws from equal RNG streams, for means at and below 0, small
+// ones on both sides of 1, at the normal switch and above it.
+func TestPoissonSamplerMatchesFormula(t *testing.T) {
+	for _, mean := range []float64{-3, 0, 1e-300, 0.05, 0.5, 1, 4, 17.3, 30, math.Nextafter(30, 31), 50, 1e6} {
+		sampler := newPoisson(mean)
+		a, b, c := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+		for i := 0; i < 2000; i++ {
+			want := poissonFormula(c, mean)
+			if got := sampler.draw(a); got != want {
+				t.Fatalf("mean %v draw %d: sampler %d, formula %d", mean, i, got, want)
+			}
+			if got := poissonApprox(b, mean); got != want {
+				t.Fatalf("mean %v draw %d: poissonApprox %d, formula %d", mean, i, got, want)
+			}
+		}
+	}
+}
+
 func TestPoissonApproxMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, mean := range []float64{0, 0.5, 4, 50} {

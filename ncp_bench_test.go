@@ -5,12 +5,18 @@ package gpluscircles_test
 // versus fanned out over GOMAXPROCS workers. The two report the same
 // curve — the merge is worker-count-independent by contract — so the
 // pair measures pure fan-out overhead and scaling, not different work.
-// BenchmarkPPRPush isolates the push layer under the serial sweep.
+// BenchmarkPPRPush isolates the push layer under the serial sweep, and
+// BenchmarkNCPHandler times whole /v1/ncp requests in process.
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"gpluscircles/internal/detect"
+	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/ncp"
 )
 
@@ -71,6 +77,29 @@ func BenchmarkPPRPush(b *testing.B) {
 				b.Fatal(err)
 			}
 			vec.DegreeNormalizedOrder(g)
+		}
+	}
+}
+
+// BenchmarkNCPHandler times one POST /v1/ncp through ncp.Handler, in
+// process and without a network: decoding, the sweep at the request
+// defaults (32 seeds, eps 1e-4, sizes up to 400) on Google+, and
+// encoding. Requests cycle through 200 distinct seeds, as the query-ncp
+// workload sends distinct seeds, so consecutive sweeps never repeat.
+func BenchmarkNCPHandler(b *testing.B) {
+	s := suite(b)
+	if _, err := s.GPlus(); err != nil {
+		b.Fatal(err)
+	}
+	h := ncp.Handler(s, experiments.Set{experiments.NCPSweep.Name: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := fmt.Sprintf(`{"dataset":"gplus","seed":%d}`, 1+i%200)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ncp", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 }
