@@ -79,15 +79,15 @@ bench-scale:
 	$(GO) test -run='^$$' -bench='ScalePipeline|StreamBuilder' \
 		-benchmem -benchtime=$(BENCHTIME) -timeout=120m -json . | tee $(SCALE_BENCH_OUT)
 
-# Record the triangle-kernel benchmarks: the oriented-DAG kernel (serial
-# + parallel + overlay sharing) against the pre-kernel baseline it
-# replaced, plus the cohesion scoring function on top. BENCHTIME=1x is a
-# smoke; raise it (e.g. BENCHTIME=2s) for the recorded runs compared
-# with `circlebench compare`. The kernel's steady-state benchmark must
-# report 0 allocs/op and beat the Naive baseline by >=3x ns/edge.
+# Record the triangle benchmarks: the cohesion scoring function over
+# every Google+ circle, the per-set count it shares with the empirical
+# triangle null, and the per-vertex path of the sampled local clustering
+# behind Fig. 4 and the graph profiles. BENCHTIME=1x is a smoke; raise
+# it (e.g. BENCHTIME=2s) for the recorded runs compared with
+# `circlebench compare`.
 TRI_BENCH_OUT ?= BENCH_$(DATE)-tri.json
 bench-tri:
-	$(GO) test -run='^$$' -bench='Triangle|Cohesion' \
+	$(GO) test -run='^$$' -bench='Cohesion|SampledClustering' \
 		-benchmem -benchtime=$(BENCHTIME) -json . | tee $(TRI_BENCH_OUT)
 
 # Record the NCP sweep benchmarks: the approximate-PPR network community
@@ -166,5 +166,5 @@ loadsmoke:
 	LOADSMOKE_DIR=$(LOADSMOKE_DIR) ./scripts/loadsmoke.sh
 
 clean:
-	rm -f circlebench BENCH_*.json circlebench.manifest.jsonl circled.manifest.jsonl $(SERVE_COVER) $(DETECT_COVER)
+	rm -f circlebench circlebench.manifest.jsonl circled.manifest.jsonl $(SERVE_COVER) $(DETECT_COVER)
 	rm -rf $(PROFILE_DIR)

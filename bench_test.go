@@ -421,21 +421,6 @@ func BenchmarkSampledBetweenness(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelDistances measures the worker-pool distance sampler.
-func BenchmarkParallelDistances(b *testing.B) {
-	s := suite(b)
-	gp, err := s.GPlus()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graphalgo.ParallelSampledDistances(gp.Graph, 32, 0, s.RNG(int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Substrate micro-benchmarks -----------------------------------------
 
 // BenchmarkSuiteGenerate times data-set generation, graph build
@@ -594,22 +579,6 @@ func BenchmarkLabelPropagation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := detect.LabelPropagation(tw.Graph, detect.LabelPropagationOptions{}, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGreedyModularity measures CNM agglomeration on the Twitter-
-// like graph.
-func BenchmarkGreedyModularity(b *testing.B) {
-	s := suite(b)
-	tw, err := s.Twitter()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := detect.GreedyModularity(tw.Graph, detect.GreedyModularityOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/nullmodel"
+	"gpluscircles/internal/obs"
 	"gpluscircles/internal/report"
 	"gpluscircles/internal/score"
 	"gpluscircles/internal/stats"
@@ -35,8 +36,9 @@ type CohesionNullStudy struct {
 
 // CohesionNullCalibration runs the triangle-density null study over the
 // data set's groups. The empirical side draws its overlay buffers from
-// the arena (nil = private) and its sample topologies from rng.
-func CohesionNullCalibration(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand, arena *graph.OverlayArena) (*CohesionNullStudy, error) {
+// the arena (nil = private) and its sample topologies from rng, and
+// reports its sampling to rec (nil = uninstrumented).
+func CohesionNullCalibration(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand, arena *graph.OverlayArena, rec *obs.Recorder) (*CohesionNullStudy, error) {
 	if rng == nil {
 		return nil, ErrNoRNG
 	}
@@ -48,6 +50,7 @@ func CohesionNullCalibration(ds *synth.Dataset, samples int, swapsPerEdge float6
 		SwapsPerEdge: swapsPerEdge,
 		RNG:          rng,
 		Arena:        arena,
+		Recorder:     rec,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("triangle null model: %w", err)
@@ -131,7 +134,7 @@ func runCohesion(s *Suite, w io.Writer) error {
 	if samples <= 0 {
 		samples = 3
 	}
-	calib, err := CohesionNullCalibration(gp, samples, 5, s.RNG(25), s.NullArena(gp.Graph))
+	calib, err := CohesionNullCalibration(gp, samples, 5, s.RNG(25), s.NullArena(gp.Graph), s.Recorder())
 	if err != nil {
 		return err
 	}

@@ -18,7 +18,7 @@ func TestCohesionNullCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CohesionNullCalibration(gp, 3, 5, rand.New(rand.NewSource(1)), nil)
+	res, err := CohesionNullCalibration(gp, 3, 5, rand.New(rand.NewSource(1)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCohesionNullCalibrationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CohesionNullCalibration(gp, 2, 5, nil, nil); err == nil {
+	if _, err := CohesionNullCalibration(gp, 2, 5, nil, nil, nil); err == nil {
 		t.Error("nil RNG accepted")
 	}
 }

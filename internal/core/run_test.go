@@ -165,24 +165,41 @@ func TestRunExperimentCtxInstruments(t *testing.T) {
 	}
 }
 
-// TestNullAblationManifestCountsRewires runs ablation-null at scale 0.5
-// under a recorder and checks that its rewire counters reach the run
-// manifest.
+// TestNullAblationManifestCountsRewires runs ablation-null and cohesion
+// at scale 0.5 under one recorder and checks that both estimators'
+// sampling reaches the run manifest: the rewire counters, all six
+// samples (three each), and one sample-batch span per estimator.
 func TestNullAblationManifestCountsRewires(t *testing.T) {
 	opts := SuiteOptions{Scale: 0.5, Seed: 1, Recorder: obs.NewRecorder()}
-	e, err := ExperimentByID("ablation-null")
-	if err != nil {
-		t.Fatal(err)
+	s := NewSuite(opts)
+	for _, id := range []string{"ablation-null", "cohesion"} {
+		e, err := ExperimentByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunExperimentCtx(context.Background(), e, io.Discard); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := NewSuite(opts).RunExperimentCtx(context.Background(), e, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	counters := opts.Recorder.Manifest(obs.Meta{Tool: "test", Seed: 1}).Metrics.Counters
+	m := opts.Recorder.Manifest(obs.Meta{Tool: "test", Seed: 1})
+	counters := m.Metrics.Counters
 	attempts, ok := counters["nullmodel.rewire.attempts"]
 	if !ok || attempts <= 0 {
 		t.Errorf("nullmodel.rewire.attempts = %d (recorded %v), want > 0", attempts, ok)
 	}
 	if rejects, ok := counters["nullmodel.rewire.rejects"]; !ok || rejects < 0 || rejects > attempts {
 		t.Errorf("nullmodel.rewire.rejects = %d (recorded %v), want in [0, %d]", rejects, ok, attempts)
+	}
+	if got := counters["nullmodel.samples"]; got != 6 {
+		t.Errorf("nullmodel.samples = %d, want 6 (three per estimator)", got)
+	}
+	batches := m.SpansNamed("sample-batch")
+	if len(batches) != 2 {
+		t.Fatalf("%d sample-batch spans, want one per estimator", len(batches))
+	}
+	for _, b := range batches {
+		if b.Attrs["samples"] != "3" {
+			t.Errorf("sample-batch span attrs %v, want samples=3", b.Attrs)
+		}
 	}
 }

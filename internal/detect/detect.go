@@ -2,8 +2,7 @@
 // to evaluate detected groups against ground truth. The paper's outlook
 // (Section VI) proposes moving "from a global to an ego-centred view";
 // this package provides that direction: label-propagation community
-// detection, greedy modularity agglomeration (CNM, optimizing the
-// paper's Eq. 4 directly), conductance-sweep local communities
+// detection, conductance-sweep local communities
 // (optimizing Eq. 3 around a seed), restriction to ego networks (circle
 // discovery in the spirit of McAuley & Leskovec), partition modularity,
 // and balanced-F1 scoring of detected groups against planted circles.

@@ -265,8 +265,3 @@ func (w *PPR) finish(pushes int) *PPRVector {
 	}
 	return &w.vec
 }
-
-// ApproxPPR is the convenience form of PPR.Push for one-off calls.
-func ApproxPPR(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector, error) {
-	return NewPPR(g.NumVertices()).Push(g, seed, opts)
-}

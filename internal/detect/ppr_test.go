@@ -55,7 +55,7 @@ func TestPPRCliqueNearUniform(t *testing.T) {
 	const n = 30
 	const eps = 1e-7
 	g := clique(t, n)
-	vec, err := ApproxPPR(g, 0, PPROptions{Eps: eps})
+	vec, err := NewPPR(0).Push(g, 0, PPROptions{Eps: eps})
 	if err != nil {
 		t.Fatalf("push: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestPPRIsolatedSeed(t *testing.T) {
 	if !ok {
 		t.Fatal("vertex 3 missing")
 	}
-	vec, err := ApproxPPR(g, seed, PPROptions{})
+	vec, err := NewPPR(0).Push(g, seed, PPROptions{})
 	if err != nil {
 		t.Fatalf("push: %v", err)
 	}
@@ -109,10 +109,10 @@ func TestPPRIsolatedSeed(t *testing.T) {
 
 func TestPPRBadSeed(t *testing.T) {
 	g := pprGraph(t, false, [][2]int64{{0, 1}})
-	if _, err := ApproxPPR(g, -1, PPROptions{}); !errors.Is(err, ErrBadSeed) {
+	if _, err := NewPPR(0).Push(g, -1, PPROptions{}); !errors.Is(err, ErrBadSeed) {
 		t.Errorf("seed -1: got %v, want ErrBadSeed", err)
 	}
-	if _, err := ApproxPPR(g, 99, PPROptions{}); !errors.Is(err, ErrBadSeed) {
+	if _, err := NewPPR(0).Push(g, 99, PPROptions{}); !errors.Is(err, ErrBadSeed) {
 		t.Errorf("seed 99: got %v, want ErrBadSeed", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestPPRWorkspaceReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reused push: %v", err)
 	}
-	fresh, err := ApproxPPR(g, 7, PPROptions{})
+	fresh, err := NewPPR(0).Push(g, 7, PPROptions{})
 	if err != nil {
 		t.Fatalf("fresh push: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestPPRWorkspaceReuse(t *testing.T) {
 func TestPPRDegreeNormalizedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := pprGraph(t, true, randomPPREdges(rng, 50, 220))
-	vec, err := ApproxPPR(g, 1, PPROptions{Eps: 1e-5})
+	vec, err := NewPPR(0).Push(g, 1, PPROptions{Eps: 1e-5})
 	if err != nil {
 		t.Fatalf("push: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestPPRTouchedAndSupportOrdered(t *testing.T) {
 				}
 				checkTouchedSupport(t, tc.g, vec)
 				checkMassAndResidual(t, tc.g, vec, 1e-4)
-				fresh, err := ApproxPPR(tc.g, seed, PPROptions{})
+				fresh, err := NewPPR(0).Push(tc.g, seed, PPROptions{})
 				if err != nil {
 					t.Fatalf("%s seed %d: %v", tc.name, seed, err)
 				}

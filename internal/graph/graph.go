@@ -51,8 +51,7 @@ type Graph struct {
 
 // Base returns the graph whose vertex set, ids table and CSR offsets g
 // shares: the parent for the graph of an Overlay, g itself for a graph
-// built normally. Per-graph caches that depend only on the degree
-// sequence key on it.
+// built normally.
 func (g *Graph) Base() *Graph {
 	if g.base != nil {
 		return g.base

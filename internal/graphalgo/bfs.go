@@ -73,7 +73,7 @@ func newBFSState(n int) *bfsState {
 }
 
 // bfsPool recycles BFS workspaces across calls, so the distance samplers
-// and centrality sweeps stop re-allocating frontier/dist arrays per
+// and connectivity checks stop re-allocating frontier/dist arrays per
 // invocation. States are sized to the largest graph they have served and
 // re-sliced downward; the epoch counter makes reuse safe without
 // clearing.

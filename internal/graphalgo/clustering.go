@@ -14,34 +14,12 @@ import (
 // direction connects two neighbours). Vertices of degree < 2 have
 // coefficient 0.
 //
-// The sweep enumerates each triangle once on the cached oriented DAG
-// (see TriangleKernelOf) and credits all three corners, so directed
-// graphs are no longer materialized as a projected copy per call.
-func LocalClustering(g *graph.Graph) ([]float64, error) {
-	k := TriangleKernelOf(g)
-	d, release := k.dagFor(g)
-	out := k.localClustering(d)
-	if release != nil {
-		release()
-	}
-	return out, nil
-}
-
-// sweepClustering is LocalClustering over a kernel and DAG of its own.
-// It leaves g out of the kernel cache, which would keep g alive, so a
-// graph sampled once (an evolution snapshot, a robustness rerun's data
-// set) is freed with its caller.
-func sweepClustering(g *graph.Graph) []float64 {
-	k := newTriangleKernel(g.Base())
-	d := new(triDAG)
-	k.fill(d, g)
-	return k.localClustering(d)
-}
-
-// localClustering enumerates each triangle of d once and credits all
-// three corners, then turns the counts into coefficients by vertex id.
-func (k *TriangleKernel) localClustering(d *triDAG) []float64 {
-	n := k.n
+// The sweep enumerates each triangle once on an oriented DAG built for
+// the call and credits all three corners, so nothing outlives the call
+// and a graph swept once is freed with its caller.
+func LocalClustering(g *graph.Graph) []float64 {
+	d := newTriDAG(g)
+	n := g.NumVertices()
 	counts := make([]int64, n) // triangles through each vertex, rank space
 	for r := 0; r < n; r++ {
 		row := d.adj[d.off[r]:d.off[r+1]]
@@ -72,7 +50,7 @@ func (k *TriangleKernel) localClustering(d *triDAG) []float64 {
 	}
 	out := make([]float64, n)
 	for r, links := range counts {
-		v := k.order[r]
+		v := d.order[r]
 		deg := int(d.udeg[v])
 		if deg < 2 {
 			continue
@@ -98,22 +76,18 @@ const sweepShare = 4
 //
 // Vertex selection uses a sparse partial Fisher–Yates shuffle: only the
 // first `samples` draws of the permutation are realized, so picking a few
-// hundred vertices out of millions no longer allocates (or shuffles) an
-// n-entry permutation. The draw sequence differs from the historical
-// rng.Perm(n) implementation — a seeded caller sees a different (still
-// uniform, still deterministic) vertex subset than before, with identical
-// per-vertex coefficients.
+// hundred vertices out of millions allocates no n-entry permutation.
 func SampledClustering(g *graph.Graph, samples int, rng *rand.Rand) ([]float64, error) {
 	if rng == nil {
 		return nil, ErrNoRNG
 	}
 	n := g.NumVertices()
 	if samples >= n {
-		return sweepClustering(g), nil
+		return LocalClustering(g), nil
 	}
 	picks := partialPerm(n, samples, rng)
 	if sweepShare*samples >= n {
-		all := sweepClustering(g)
+		all := LocalClustering(g)
 		out := make([]float64, samples)
 		for i, v := range picks {
 			out[i] = all[v]
@@ -168,28 +142,4 @@ func localCC(g *graph.Graph, x graph.VID, s *triScratch) float64 {
 		links += stampedAbove(g, a, s.stamp, e)
 	}
 	return 2 * float64(links) / (float64(deg) * float64(deg-1))
-}
-
-// GlobalClustering returns the transitivity of the undirected projection:
-// 3 * triangles / open-plus-closed triads, or 0 for graphs without any
-// path of length two. Projection and orientation happen once per graph —
-// the cached DAG supplies both the triangle count and the projection
-// degrees, so directed graphs are no longer projected per call (let alone
-// twice, as the pre-kernel implementation did).
-func GlobalClustering(g *graph.Graph) (float64, error) {
-	k := TriangleKernelOf(g)
-	d, release := k.dagFor(g)
-	tri := k.count(d, 1)
-	var triads int64
-	for _, deg := range d.udeg[:k.n] {
-		kk := int64(deg)
-		triads += kk * (kk - 1) / 2
-	}
-	if release != nil {
-		release()
-	}
-	if triads == 0 {
-		return 0, nil
-	}
-	return 3 * float64(tri) / float64(triads), nil
 }

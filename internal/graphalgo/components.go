@@ -101,99 +101,3 @@ func IsConnected(g *graph.Graph) bool {
 	reached, _, _ := st.run(g, 0, Both)
 	return reached == g.NumVertices()
 }
-
-// StronglyConnectedComponents computes SCC labels with an iterative
-// Tarjan algorithm and returns the label slice plus component count.
-// For undirected graphs it coincides with Components.
-func StronglyConnectedComponents(g *graph.Graph) (labels []int32, count int) {
-	n := g.NumVertices()
-	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	if n == 0 {
-		return labels, 0
-	}
-
-	const unvisited = -1
-	index := make([]int32, n)
-	lowlink := make([]int32, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-
-	var (
-		stack     []graph.VID // Tarjan stack
-		nextIndex int32
-		nextLabel int32
-	)
-
-	// Explicit DFS frame: vertex plus position in its adjacency list.
-	type frame struct {
-		v  graph.VID
-		ai int
-	}
-	var call []frame
-
-	for s := 0; s < n; s++ {
-		if index[s] != unvisited {
-			continue
-		}
-		call = append(call[:0], frame{v: graph.VID(s)})
-		index[s] = nextIndex
-		lowlink[s] = nextIndex
-		nextIndex++
-		stack = append(stack, graph.VID(s))
-		onStack[s] = true
-
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			adj := g.OutNeighbors(f.v)
-			advanced := false
-			for f.ai < len(adj) {
-				w := adj[f.ai]
-				f.ai++
-				if index[w] == unvisited {
-					index[w] = nextIndex
-					lowlink[w] = nextIndex
-					nextIndex++
-					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < lowlink[f.v] {
-					lowlink[f.v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// f.v finished: pop SCC root if applicable, then propagate
-			// lowlink to the parent.
-			v := f.v
-			if lowlink[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					labels[w] = nextLabel
-					if w == v {
-						break
-					}
-				}
-				nextLabel++
-			}
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				p := call[len(call)-1].v
-				if lowlink[v] < lowlink[p] {
-					lowlink[p] = lowlink[v]
-				}
-			}
-		}
-	}
-	return labels, int(nextLabel)
-}

@@ -104,12 +104,3 @@ func SampledDistances(g *graph.Graph, sources int, rng *rand.Rand) (DistanceStat
 	}
 	return out, nil
 }
-
-// Eccentricity returns the maximum BFS distance from v to any reachable
-// vertex, treating arcs as bidirectional.
-func Eccentricity(g *graph.Graph, v graph.VID) int {
-	st := acquireBFSState(g.NumVertices())
-	defer releaseBFSState(st)
-	_, ecc, _ := st.run(g, v, Both)
-	return int(ecc)
-}

@@ -4,50 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gpluscircles/internal/graph"
 )
 
-// naiveTriangleCount is the pre-kernel forward algorithm (projection +
-// neighbour marking), kept as the reference the kernel is fuzzed against.
-func naiveTriangleCount(t *testing.T, g *graph.Graph) int64 {
-	t.Helper()
-	u := g
-	if g.Directed() {
-		var err error
-		u, err = graph.Undirected(g)
-		if err != nil {
-			t.Fatalf("projection: %v", err)
-		}
-	}
-	n := u.NumVertices()
-	marked := graph.NewSet(n)
-	var triangles int64
-	for v := 0; v < n; v++ {
-		adj := u.OutNeighbors(graph.VID(v))
-		marked.Clear()
-		for _, a := range adj {
-			if a > graph.VID(v) {
-				marked.Add(a)
-			}
-		}
-		for _, a := range adj {
-			if a <= graph.VID(v) {
-				continue
-			}
-			for _, w := range u.OutNeighbors(a) {
-				if w > a && marked.Contains(w) {
-					triangles++
-				}
-			}
-		}
-	}
-	return triangles
-}
-
-// naiveLocalClustering is the pre-kernel per-vertex implementation.
+// naiveLocalClustering is the plain per-vertex reference: project the
+// graph, then mark each vertex's neighbours and count the linked pairs.
 func naiveLocalClustering(t *testing.T, g *graph.Graph) []float64 {
 	t.Helper()
 	u := g
@@ -82,42 +48,6 @@ func naiveLocalClustering(t *testing.T, g *graph.Graph) []float64 {
 	return out
 }
 
-func TestTriangleKernelKnown(t *testing.T) {
-	cases := []struct {
-		name     string
-		directed bool
-		edges    [][2]int64
-		want     int64
-	}{
-		{"two-triangles", false, [][2]int64{{0, 1}, {1, 2}, {2, 0}, {1, 3}, {2, 3}}, 2},
-		{"k4", false, [][2]int64{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, 4},
-		{"star", false, [][2]int64{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, 0},
-		{"directed-reciprocal", true, [][2]int64{{0, 1}, {1, 0}, {1, 2}, {2, 0}}, 1},
-	}
-	for _, tc := range cases {
-		g := mustGraph(t, tc.directed, tc.edges)
-		if got := TriangleCount(g, 1); got != tc.want {
-			t.Errorf("%s: TriangleCount = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
-// Property: the kernel count matches the naive forward algorithm on
-// random directed and undirected graphs.
-func TestQuickTriangleKernelMatchesNaive(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := graph.FromEdges(seed%2 == 0, randomEdges(rng, 25, 60))
-		if err != nil {
-			return true
-		}
-		return TriangleCount(g, 1) == naiveTriangleCount(t, g)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: the DAG-enumeration LocalClustering matches the naive
 // marked-set implementation exactly (same integer counts, same float
 // expression, hence bit-identical coefficients).
@@ -128,10 +58,7 @@ func TestQuickLocalClusteringMatchesNaive(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		got, err := LocalClustering(g)
-		if err != nil {
-			return false
-		}
+		got := LocalClustering(g)
 		want := naiveLocalClustering(t, g)
 		for v := range want {
 			//lint:ignore floateq both sides compute 2*links/(k*(k-1)) from identical integers
@@ -146,66 +73,9 @@ func TestQuickLocalClusteringMatchesNaive(t *testing.T) {
 	}
 }
 
-// The parallel fan-out must be bit-identical across worker counts. The
-// graph is sized past the serial cutoff so workers actually engage.
-func TestTriangleCountWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g, err := graph.FromEdges(true, randomEdges(rng, 4000, 16000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TriangleCount(g, 1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := TriangleCount(g, workers); got != want {
-			t.Errorf("workers=%d: count %d, want %d", workers, got, want)
-		}
-	}
-}
-
-// An identity overlay (same adjacency as the parent) must count exactly
-// like the parent, via the pooled overlay-DAG path.
-func TestTriangleCountOverlayIdentity(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(11))
-		g, err := graph.FromEdges(directed, randomEdges(rng, 40, 160))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov := graph.NewOverlay(g)
-		if got, want := TriangleCount(&ov.Graph, 1), TriangleCount(g, 1); got != want {
-			t.Errorf("directed=%v: overlay count %d, parent count %d", directed, got, want)
-		}
-	}
-}
-
-// A rewired overlay must count exactly like its materialized graph.
-func TestTriangleCountOverlayMatchesMaterialized(t *testing.T) {
-	for _, directed := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(13))
-		g, err := graph.FromEdges(directed, randomEdges(rng, 30, 90))
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges := g.EdgeList()
-		swapEdges(edges, directed)
-		ov := graph.NewOverlay(g)
-		if err := ov.FillFromEdges(edges); err != nil {
-			t.Fatalf("directed=%v: fill: %v", directed, err)
-		}
-		mat, err := ov.Materialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := TriangleCount(&ov.Graph, 1), TriangleCount(mat, 1); got != want {
-			t.Errorf("directed=%v: overlay count %d, materialized count %d", directed, got, want)
-		}
-	}
-}
-
-// An overlay's graph resolves to its parent's cached kernel, so sampling
-// never adds kernels to the cache, and the clustering kernels on a
-// rewired overlay equal the same calls on its materialized graph.
-func TestTriangleKernelOverlayUsesParentKernel(t *testing.T) {
+// LocalClustering on a rewired overlay's graph equals the same call on
+// its materialized graph.
+func TestLocalClusteringOverlayMatchesMaterialized(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(29))
 		g, err := graph.FromEdges(directed, randomEdges(rng, 40, 160))
@@ -218,40 +88,49 @@ func TestTriangleKernelOverlayUsesParentKernel(t *testing.T) {
 		if err := ov.FillFromEdges(edges); err != nil {
 			t.Fatalf("directed=%v: fill: %v", directed, err)
 		}
-		if TriangleKernelOf(&ov.Graph) != TriangleKernelOf(g) {
-			t.Errorf("directed=%v: overlay resolved a kernel of its own", directed)
-		}
 		mat, err := ov.Materialize()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := LocalClustering(&ov.Graph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := LocalClustering(mat)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, want := LocalClustering(&ov.Graph), LocalClustering(mat)
 		for v := range want {
 			//lint:ignore floateq the same integer counts must give the same floats
 			if got[v] != want[v] {
 				t.Fatalf("directed=%v: vertex %d: overlay local CC %v, materialized %v", directed, v, got[v], want[v])
 			}
 		}
-		gotG, err := GlobalClustering(&ov.Graph)
+	}
+}
+
+// The clustering calls keep nothing that refers to the graph they
+// measured: after LocalClustering and SampledClustering on both sides of
+// n/sweepShare, a dropped graph is collected.
+func TestClusteringDoesNotRetainGraph(t *testing.T) {
+	collected := make(chan struct{})
+	measure := func() {
+		g, err := graph.FromEdges(true, reciprocalEdges(rand.New(rand.NewSource(31)), 80, 400, 1.0/3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantG, err := GlobalClustering(mat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		//lint:ignore floateq the same integer counts must give the same floats
-		if gotG != wantG {
-			t.Errorf("directed=%v: overlay global CC %v, materialized %v", directed, gotG, wantG)
+		runtime.SetFinalizer(g, func(*graph.Graph) { close(collected) })
+		LocalClustering(g)
+		n := g.NumVertices()
+		for _, samples := range []int{1, n / 8, n/sweepShare + 1, n} {
+			if _, err := SampledClustering(g, samples, rand.New(rand.NewSource(1))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	measure()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the graph was not collected after the clustering calls returned")
 }
 
 // swapEdges applies degree-preserving double-edge swaps where legal:
@@ -284,87 +163,6 @@ func swapEdges(edges []graph.Edge, directed bool) {
 		has[k1], has[k2] = true, true
 		edges[i], edges[i+1] = n1, n2
 	}
-}
-
-// Steady-state counting against the same graph must not allocate: the
-// kernel and its DAG are cached, and the serial pass runs in place.
-func TestTriangleCountSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g, err := graph.FromEdges(false, randomEdges(rng, 200, 800))
-	if err != nil {
-		t.Fatal(err)
-	}
-	TriangleCount(g, 1) // warm the kernel cache
-	if allocs := testing.AllocsPerRun(20, func() { TriangleCount(g, 1) }); allocs != 0 {
-		t.Errorf("TriangleCount allocated %.1f per call on a warm kernel", allocs)
-	}
-}
-
-// The galloping fallback (hub row >> low row) must agree with the plain
-// merge. A star-plus-clique graph exercises exactly that skew.
-func TestGallopingIntersection(t *testing.T) {
-	edges := make([][2]int64, 0, 256)
-	// Clique on 0..5.
-	for i := int64(0); i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			edges = append(edges, [2]int64{i, j})
-		}
-	}
-	// Hub 0 additionally linked to 6..199: its row dwarfs every other.
-	for v := int64(6); v < 200; v++ {
-		edges = append(edges, [2]int64{0, v})
-	}
-	g := mustGraph(t, false, edges)
-	want := naiveTriangleCount(t, g)
-	if got := TriangleCount(g, 1); got != want {
-		t.Errorf("skewed graph: kernel %d, naive %d", got, want)
-	}
-
-	// Unit-level: gallop and merge agree on assorted sorted slices.
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 50; trial++ {
-		short := sortedUnique(rng, 5, 1000)
-		long := sortedUnique(rng, 400, 1000)
-		var merged int64
-		i, j := 0, 0
-		for i < len(short) && j < len(long) {
-			x, y := short[i], long[j]
-			if x == y {
-				merged++
-			}
-			if x <= y {
-				i++
-			}
-			if y <= x {
-				j++
-			}
-		}
-		if got := gallopCount(short, long); got != merged {
-			t.Fatalf("trial %d: gallop %d, merge %d", trial, got, merged)
-		}
-	}
-}
-
-func sortedUnique(rng *rand.Rand, k int, max int32) []int32 {
-	seen := make(map[int32]bool, k)
-	out := make([]int32, 0, k)
-	for len(out) < k {
-		x := rng.Int31n(max)
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		x := out[i]
-		j := i - 1
-		for j >= 0 && out[j] > x {
-			out[j+1] = out[j]
-			j--
-		}
-		out[j+1] = x
-	}
-	return out
 }
 
 // naiveSetTriangles counts in-set triangles by cubic enumeration over the
@@ -442,10 +240,7 @@ func TestQuickSetTrianglesMatchesNaive(t *testing.T) {
 func TestSampledClusteringMatchesLocalClustering(t *testing.T) {
 	check := func(name string, g *graph.Graph) {
 		t.Helper()
-		full, err := LocalClustering(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := LocalClustering(g)
 		n := g.NumVertices()
 		for _, samples := range []int{1, n / 8, (n - 1) / sweepShare, n/sweepShare + 1, n / 3, n - 1} {
 			got, err := SampledClustering(g, samples, rand.New(rand.NewSource(int64(samples))))
@@ -486,24 +281,6 @@ func TestSampledClusteringMatchesLocalClustering(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("overlay directed=%v seed %d", base.Directed(), seed), &ov.Graph)
-		}
-	}
-}
-
-// SampledClustering sweeps over a kernel of its own on both sides of
-// n/sweepShare, so the graphs it samples stay out of the kernel cache.
-func TestSampledClusteringLeavesKernelCache(t *testing.T) {
-	g, err := graph.FromEdges(false, randomEdges(rand.New(rand.NewSource(5)), 40, 160))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.NumVertices()
-	for _, samples := range []int{n/sweepShare + 1, n} {
-		if _, err := SampledClustering(g, samples, rand.New(rand.NewSource(1))); err != nil {
-			t.Fatal(err)
-		}
-		if _, cached := triKernels.Load(g); cached {
-			t.Fatalf("%d of %d samples: the graph entered the kernel cache", samples, n)
 		}
 	}
 }
@@ -557,17 +334,5 @@ func TestPartialPerm(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-// GlobalClustering agrees with the pre-kernel formula on known graphs.
-func TestGlobalClusteringKernel(t *testing.T) {
-	k4 := mustGraph(t, false, [][2]int64{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}})
-	if got, err := GlobalClustering(k4); err != nil || got != 1 {
-		t.Errorf("K4 transitivity = %v (err %v), want 1", got, err)
-	}
-	star := mustGraph(t, false, [][2]int64{{0, 1}, {0, 2}, {0, 3}})
-	if got, err := GlobalClustering(star); err != nil || got != 0 {
-		t.Errorf("star transitivity = %v (err %v), want 0", got, err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // and no select. A goroutine that outlives its spawner keeps writing
 // into shared scorecards and buffers after the report is assembled —
 // exactly the failure the worker pools in internal/core and
-// internal/graphalgo avoid by joining before returning. Fire-and-forget
+// internal/ncp avoid by joining before returning. Fire-and-forget
 // goroutines that are genuinely intended must carry a //lint:ignore with
 // the reason.
 var Goroutineleak = &Analyzer{

@@ -9,8 +9,8 @@ import (
 // iteration with no visible bound on concurrency: a `range` loop (or a
 // condition-only / infinite `for`) spawning a goroutine per element can
 // launch as many goroutines as the input has items — the load-dependent
-// blowup the bounded pools in internal/serve and internal/graphalgo
-// exist to prevent. The check recognizes the project's two bounded
+// blowup the bounded pools in internal/serve and internal/ncp exist
+// to prevent. The check recognizes the project's two bounded
 // idioms and stays silent for them:
 //
 //   - a 3-clause counter loop (`for i := 0; i < workers; i++`), the

@@ -15,8 +15,8 @@ import (
 // cohesive: the paper's circles are expected to out-score size-matched
 // random sets here the same way they do on conductance.
 //
-// The triangle count runs on the graphalgo triangle kernel's set-local
-// path, so scoring works unchanged on overlays (empirical null-model
+// The triangle count is graphalgo.SetTriangles, which walks only the
+// members' rows, so scoring works unchanged on overlays (empirical null-model
 // samples) and allocates nothing in steady state.
 func Cohesion() Func {
 	return Func{
