@@ -116,10 +116,11 @@ profile:
 		> $(PROFILE_DIR)/report.txt
 	$(GO) run ./cmd/circlebench compare $(PROFILE_DIR)/run.manifest.jsonl
 
-# Coverage-guided fuzz smoke (FUZZTIME per target) over all thirteen fuzz
+# Coverage-guided fuzz smoke (FUZZTIME per target) over all fourteen fuzz
 # targets: the graph core's inputs from outside (Builder edge soup,
 # Overlay exact-degree fill, the binary CSR reader), the sweep-cut
-# kernel, the PPR push against its reference oracle, the null model's
+# kernel, the PPR push and the greedy conductance sweep against their
+# reference oracles, the null model's
 # flat edge set against a map, the SNAP text
 # parsers, the fast degree-fitting kernels against their reference
 # oracles, the Hurwitz zeta function over arbitrary (s, q), and the
@@ -131,6 +132,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadBinary$$' -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepCut$$' -fuzztime=$(FUZZTIME) ./internal/graphalgo/
 	$(GO) test -run='^$$' -fuzz='^FuzzPPRPush$$' -fuzztime=$(FUZZTIME) ./internal/detect/
+	$(GO) test -run='^$$' -fuzz='^FuzzConductanceSweep$$' -fuzztime=$(FUZZTIME) ./internal/detect/
 	$(GO) test -run='^$$' -fuzz='^FuzzEdgeSet$$' -fuzztime=$(FUZZTIME) ./internal/nullmodel/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadEdgeList$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCommunities$$' -fuzztime=$(FUZZTIME) ./internal/dataset/

@@ -595,7 +595,7 @@ func BenchmarkConductanceSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed := graph.VID(i % gp.Graph.NumVertices())
-		if _, _, err := detect.ConductanceSweep(gp.Graph, seed, detect.SweepOptions{MaxSize: 60}); err != nil {
+		if _, _, err := detect.ConductanceSweep(gp.Graph, seed, 60); err != nil {
 			b.Fatal(err)
 		}
 	}

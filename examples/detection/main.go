@@ -72,7 +72,7 @@ func run() error {
 	// 2. Local community around one circle member via conductance sweep.
 	grp := ds.Groups[0]
 	seed := grp.Members[0]
-	sweep, cond, err := detect.ConductanceSweep(ds.Graph, seed, detect.SweepOptions{MaxSize: 2 * len(grp.Members)})
+	sweep, cond, err := detect.ConductanceSweep(ds.Graph, seed, 2*len(grp.Members))
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ func CompareLocalCommunities(ds *synth.Dataset, maxCircles int, rng *rand.Rand) 
 		if maxSize < 10 {
 			maxSize = 10
 		}
-		sweep, sweepCond, err := detect.ConductanceSweep(ds.Graph, seed, detect.SweepOptions{MaxSize: maxSize})
+		sweep, sweepCond, err := detect.ConductanceSweep(ds.Graph, seed, maxSize)
 		if err != nil {
 			return nil, fmt.Errorf("sweep from %d: %w", seed, err)
 		}

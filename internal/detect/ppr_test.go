@@ -479,10 +479,29 @@ func checkPushMatchesReference(t *testing.T, w *PPR, g *graph.Graph, seed graph.
 	}
 }
 
-// FuzzPPRPush checks Push against referencePush on graphs decoded from
-// bytes: data[0] picks the vertex count (1–64) and direction, and each
-// following byte pair is an arc (self-loops and repeats are dropped by
-// the builder; unlisted vertices stay isolated). seed picks the seed
+// fuzzGraph decodes a fuzz input into a graph: data[0]>>1 picks the
+// vertex count (1–64), and each following byte pair is an arc
+// (self-loops and repeats are dropped by the builder; unlisted vertices
+// stay isolated). data must not be empty.
+func fuzzGraph(t *testing.T, data []byte, directed bool) *graph.Graph {
+	t.Helper()
+	n := 1 + int(data[0]>>1)%64
+	b := graph.NewBuilder(directed)
+	for v := 0; v < n; v++ {
+		b.AddVertex(int64(v))
+	}
+	for i := 1; i+1 < len(data); i += 2 {
+		b.AddEdge(int64(data[i])%int64(n), int64(data[i+1])%int64(n))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return g
+}
+
+// FuzzPPRPush checks Push against referencePush on graphs decoded by
+// fuzzGraph, with data[0]&1 picking the direction. seed picks the seed
 // vertex, eps the tolerance (non-positive selects the default) and
 // maxPush a push cap (0: none). Each input is pushed on a workspace that
 // first pushed another seed, so the lazy clear is checked too.
@@ -496,18 +515,8 @@ func FuzzPPRPush(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		n := 1 + int(data[0]>>1)%64
-		b := graph.NewBuilder(data[0]&1 == 1)
-		for v := 0; v < n; v++ {
-			b.AddVertex(int64(v))
-		}
-		for i := 1; i+1 < len(data); i += 2 {
-			b.AddEdge(int64(data[i])%int64(n), int64(data[i+1])%int64(n))
-		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatalf("build: %v", err)
-		}
+		g := fuzzGraph(t, data, data[0]&1 == 1)
+		n := g.NumVertices()
 		opts := PPROptions{Eps: eps, MaxPush: int(maxPush)}
 		s := graph.VID(int(seed) % n)
 		w := NewPPR(n)

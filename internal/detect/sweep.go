@@ -12,130 +12,75 @@ import (
 // ErrBadSeed is returned when a sweep seed vertex is invalid.
 var ErrBadSeed = errors.New("detect: invalid seed vertex")
 
-// SweepOptions tunes the greedy conductance sweep.
-type SweepOptions struct {
-	// MaxSize bounds the community size explored (default 200).
-	MaxSize int
-	// MinSize is the smallest community the sweep may return (default 3).
-	MinSize int
-}
+// minSweepSize is the smallest prefix the sweep returns in place of the
+// seed alone.
+const minSweepSize = 3
 
-func (o SweepOptions) withDefaults() SweepOptions {
-	if o.MaxSize <= 0 {
-		o.MaxSize = 200
-	}
-	if o.MinSize <= 0 {
-		o.MinSize = 3
-	}
-	return o
-}
-
-// ConductanceSweep grows a community around the seed vertex greedily:
-// at each step the frontier vertex whose inclusion minimizes conductance
-// joins the set, and the prefix with the lowest conductance overall is
+// ConductanceSweep grows a community of at most maxSize vertices around
+// the seed vertex greedily: at each step the frontier vertex whose
+// inclusion minimizes conductance joins the set (ties go to the smaller
+// vertex id), and the prefix with the lowest conductance overall is
 // returned. This is the classical local-community baseline built on the
 // paper's central metric (Eq. 3) — the "best possible community" around
 // a user, against which curated circles can be contrasted.
-func ConductanceSweep(g *graph.Graph, seed graph.VID, opts SweepOptions) (score.Group, float64, error) {
+//
+// links[w] counts the arcs between w and the set in either direction
+// (−1 marks members), so a joining vertex updates only its neighbours'
+// counts and scoring a candidate is O(1): a step costs
+// O(|frontier| + deg(v)) and the cut integers are exactly graph.Cut's.
+func ConductanceSweep(g *graph.Graph, seed graph.VID, maxSize int) (score.Group, float64, error) {
 	if seed < 0 || int(seed) >= g.NumVertices() {
 		return score.Group{}, 0, fmt.Errorf("%w: %d", ErrBadSeed, seed)
 	}
-	opts = opts.withDefaults()
-
-	set := graph.NewSet(g.NumVertices())
-	set.Add(seed)
-
-	// Track internal/boundary arc counts incrementally.
-	cut := graph.Cut(g, set)
-	internal := cut.Internal
-	boundary := cut.Boundary
-
-	order := []graph.VID{seed}
-	bestPrefix := 1
-	bestCond := graphalgo.SweepConductance(internal, boundary)
-
-	// frontier holds candidate vertices adjacent to the set.
-	inFrontier := graph.NewSet(g.NumVertices())
-	addFrontier := func(u graph.VID) {
-		push := func(w graph.VID) {
-			if !set.Contains(w) && !inFrontier.Contains(w) {
-				inFrontier.Add(w)
-			}
-		}
-		for _, w := range g.OutNeighbors(u) {
-			push(w)
-		}
+	links := make([]int32, g.NumVertices())
+	var frontier, order []graph.VID // frontier: non-members with links > 0
+	var internal, boundary int64
+	add := func(v graph.VID) {
+		l := int64(links[v])
+		links[v] = -1
+		internal += l
+		boundary += int64(g.Degree(v)) - 2*l
+		order = append(order, v)
+		rows := [2][]graph.VID{g.OutNeighbors(v)}
 		if g.Directed() {
-			for _, w := range g.InNeighbors(u) {
-				push(w)
-			}
+			rows[1] = g.InNeighbors(v)
 		}
-	}
-	addFrontier(seed)
-
-	// delta computes the internal/boundary changes of adding w.
-	delta := func(w graph.VID) (dInternal, dBoundary int64) {
-		var toSet, fromSet int64
-		for _, x := range g.OutNeighbors(w) {
-			if set.Contains(x) {
-				toSet++
-			}
-		}
-		if g.Directed() {
-			for _, x := range g.InNeighbors(w) {
-				if set.Contains(x) {
-					fromSet++
+		for _, row := range rows {
+			for _, w := range row {
+				if links[w] == 0 {
+					frontier = append(frontier, w)
+				}
+				if links[w] >= 0 {
+					links[w]++
 				}
 			}
-		} else {
-			fromSet = 0 // undirected adjacency already counted in toSet
 		}
-		linksIn := toSet + fromSet
-		dInternal = linksIn
-		// w's edges to the set stop being boundary; its remaining edges
-		// become boundary.
-		dBoundary = int64(g.Degree(w)) - 2*linksIn
-		return dInternal, dBoundary
 	}
+	add(seed)
+	bestPrefix, bestCond := 1, graphalgo.SweepConductance(internal, boundary)
 
-	for set.Len() < opts.MaxSize {
-		var best graph.VID = -1
-		bestNewCond := 2.0
-		var bestDI, bestDB int64
-		for _, w := range inFrontier.Members() {
-			if set.Contains(w) {
-				continue
-			}
-			di, db := delta(w)
-			if di == 0 {
-				continue // only attached vertices qualify
-			}
-			c := graphalgo.SweepConductance(internal+di, boundary+db)
+	for len(order) < maxSize && len(frontier) > 0 {
+		bi, stepCond := 0, 2.0
+		for i, w := range frontier {
+			l := int64(links[w])
+			c := graphalgo.SweepConductance(internal+l, boundary+int64(g.Degree(w))-2*l)
 			//lint:ignore floateq deterministic tie-break: equal conductance falls through to the smaller vertex id
-			if c < bestNewCond || (c == bestNewCond && (best == -1 || w < best)) {
-				best, bestNewCond = w, c
-				bestDI, bestDB = di, db
+			if c < stepCond || (c == stepCond && w < frontier[bi]) {
+				bi, stepCond = i, c
 			}
 		}
-		if best < 0 {
-			break
-		}
-		set.Add(best)
-		order = append(order, best)
-		internal += bestDI
-		boundary += bestDB
-		addFrontier(best)
-		if c := graphalgo.SweepConductance(internal, boundary); c < bestCond && set.Len() >= opts.MinSize {
-			bestCond = c
-			bestPrefix = set.Len()
+		v := frontier[bi]
+		frontier[bi] = frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		add(v) // stepCond is now the set's own conductance
+		if stepCond < bestCond && len(order) >= minSweepSize {
+			bestCond, bestPrefix = stepCond, len(order)
 		}
 	}
 
-	members := make([]graph.VID, bestPrefix)
-	copy(members, order[:bestPrefix])
 	return score.Group{
 		Name:    fmt.Sprintf("sweep-seed%d", g.ExternalID(seed)),
-		Members: members,
+		Members: order[:bestPrefix:bestPrefix],
 	}, bestCond, nil
 }
 

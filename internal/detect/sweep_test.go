@@ -2,8 +2,10 @@ package detect
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpluscircles/internal/graph"
@@ -14,7 +16,7 @@ import (
 func TestConductanceSweepFindsClique(t *testing.T) {
 	g, truth := twoCliques(t)
 	seed := truth[0][0]
-	grp, cond, err := ConductanceSweep(g, seed, SweepOptions{MaxSize: 8})
+	grp, cond, err := ConductanceSweep(g, seed, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +42,10 @@ func TestConductanceSweepFindsClique(t *testing.T) {
 
 func TestConductanceSweepBadSeed(t *testing.T) {
 	g, _ := twoCliques(t)
-	if _, _, err := ConductanceSweep(g, -1, SweepOptions{}); !errors.Is(err, ErrBadSeed) {
+	if _, _, err := ConductanceSweep(g, -1, 200); !errors.Is(err, ErrBadSeed) {
 		t.Errorf("err = %v, want ErrBadSeed", err)
 	}
-	if _, _, err := ConductanceSweep(g, graph.VID(g.NumVertices()), SweepOptions{}); !errors.Is(err, ErrBadSeed) {
+	if _, _, err := ConductanceSweep(g, graph.VID(g.NumVertices()), 200); !errors.Is(err, ErrBadSeed) {
 		t.Errorf("err = %v, want ErrBadSeed", err)
 	}
 }
@@ -59,7 +61,7 @@ func TestConductanceSweepRespectsMaxSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed, _ := g.Lookup(25)
-	grp, _, err := ConductanceSweep(g, seed, SweepOptions{MaxSize: 10})
+	grp, _, err := ConductanceSweep(g, seed, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestSweepConductanceMatchesScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp, cond, err := ConductanceSweep(g, 0, SweepOptions{MaxSize: 15})
+	grp, cond, err := ConductanceSweep(g, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestSweepConductanceEdgelessSet(t *testing.T) {
 		t.Fatalf("SweepConductance(0, 0) = %v, want 1", got)
 	}
 	isolated, _ := g.Lookup(3)
-	grp, cond, err := ConductanceSweep(g, isolated, SweepOptions{})
+	grp, cond, err := ConductanceSweep(g, isolated, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +119,125 @@ func TestSweepConductanceEdgelessSet(t *testing.T) {
 	if scored != 0 {
 		t.Fatalf("score.Conductance of an edgeless set = %v, want 0", scored)
 	}
+}
+
+// referenceSweep is the greedy sweep as first written, kept as the
+// oracle for ConductanceSweep: it rescans every frontier vertex's
+// adjacency with Set.Contains at every step.
+func referenceSweep(g *graph.Graph, seed graph.VID, maxSize int) (score.Group, float64) {
+	set := graph.NewSet(g.NumVertices())
+	set.Add(seed)
+	cut := graph.Cut(g, set)
+	internal := cut.Internal
+	boundary := cut.Boundary
+	order := []graph.VID{seed}
+	bestPrefix := 1
+	bestCond := graphalgo.SweepConductance(internal, boundary)
+
+	inFrontier := graph.NewSet(g.NumVertices())
+	addFrontier := func(u graph.VID) {
+		push := func(w graph.VID) {
+			if !set.Contains(w) && !inFrontier.Contains(w) {
+				inFrontier.Add(w)
+			}
+		}
+		for _, w := range g.OutNeighbors(u) {
+			push(w)
+		}
+		if g.Directed() {
+			for _, w := range g.InNeighbors(u) {
+				push(w)
+			}
+		}
+	}
+	addFrontier(seed)
+
+	delta := func(w graph.VID) (dInternal, dBoundary int64) {
+		var linksIn int64
+		for _, x := range g.OutNeighbors(w) {
+			if set.Contains(x) {
+				linksIn++
+			}
+		}
+		if g.Directed() {
+			for _, x := range g.InNeighbors(w) {
+				if set.Contains(x) {
+					linksIn++
+				}
+			}
+		}
+		return linksIn, int64(g.Degree(w)) - 2*linksIn
+	}
+
+	for set.Len() < maxSize {
+		var best graph.VID = -1
+		bestNewCond := 2.0
+		var bestDI, bestDB int64
+		for _, w := range inFrontier.Members() {
+			if set.Contains(w) {
+				continue
+			}
+			di, db := delta(w)
+			if di == 0 {
+				continue
+			}
+			c := graphalgo.SweepConductance(internal+di, boundary+db)
+			//lint:ignore floateq deterministic tie-break: equal conductance falls through to the smaller vertex id
+			if c < bestNewCond || (c == bestNewCond && (best == -1 || w < best)) {
+				best, bestNewCond = w, c
+				bestDI, bestDB = di, db
+			}
+		}
+		if best < 0 {
+			break
+		}
+		set.Add(best)
+		order = append(order, best)
+		internal += bestDI
+		boundary += bestDB
+		addFrontier(best)
+		if c := graphalgo.SweepConductance(internal, boundary); c < bestCond && set.Len() >= minSweepSize {
+			bestCond = c
+			bestPrefix = set.Len()
+		}
+	}
+	return score.Group{
+		Name:    fmt.Sprintf("sweep-seed%d", g.ExternalID(seed)),
+		Members: order[:bestPrefix],
+	}, bestCond
+}
+
+// checkSweepMatchesReference requires ConductanceSweep to return
+// referenceSweep's name, members in order, and conductance bits.
+func checkSweepMatchesReference(t *testing.T, g *graph.Graph, seed graph.VID, maxSize int) {
+	t.Helper()
+	got, cond, err := ConductanceSweep(g, seed, maxSize)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	want, wantCond := referenceSweep(g, seed, maxSize)
+	if got.Name != want.Name || !slices.Equal(got.Members, want.Members) ||
+		math.Float64bits(cond) != math.Float64bits(wantCond) {
+		t.Fatalf("seed %d, maxSize %d: sweep %s %v (%v), reference %s %v (%v)",
+			seed, maxSize, got.Name, got.Members, cond, want.Name, want.Members, wantCond)
+	}
+}
+
+// FuzzConductanceSweep checks ConductanceSweep against referenceSweep on
+// graphs decoded by fuzzGraph; seed picks the seed vertex and maxSize
+// caps the community (0 returns the seed alone).
+func FuzzConductanceSweep(f *testing.F) {
+	f.Add([]byte{20, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3, 2, 3}, uint8(0), uint8(8), false)
+	f.Add([]byte{21, 0, 1, 1, 0, 1, 2, 2, 3, 3, 1}, uint8(1), uint8(40), true)
+	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 9}, uint8(30), uint8(3), true)
+	f.Add([]byte{4}, uint8(1), uint8(0), false)
+	f.Fuzz(func(t *testing.T, data []byte, seed, maxSize uint8, directed bool) {
+		if len(data) == 0 {
+			return
+		}
+		g := fuzzGraph(t, data, directed)
+		checkSweepMatchesReference(t, g, graph.VID(int(seed)%g.NumVertices()), int(maxSize))
+	})
 }
 
 func TestPartitionModularityTwoCliques(t *testing.T) {
