@@ -56,12 +56,9 @@ func CompareLocalCommunities(ds *synth.Dataset, maxCircles int, rng *rand.Rand) 
 		if maxSize < 10 {
 			maxSize = 10
 		}
-		sweep, sweepCond, err := detect.ConductanceSweep(ds.Graph, seed, maxSize)
+		_, sweepCond, err := detect.ConductanceSweep(ds.Graph, seed, maxSize)
 		if err != nil {
 			return nil, fmt.Errorf("sweep from %d: %w", seed, err)
-		}
-		if len(sweep.Members) == 0 {
-			continue
 		}
 		circleCond := score.Evaluate(ctx, grp.Members, cond)["conductance"]
 		res.CircleConductance = append(res.CircleConductance, circleCond)

@@ -71,8 +71,9 @@ func (v *PPRVector) DegreeNormalizedOrder(g *graph.Graph) []graph.VID {
 	// permutation depends on the sort's comparison sequence. SortFunc
 	// runs the same pdqsort as sort.Slice, asking cmp(a, b) < 0 wherever
 	// sort.Slice asks less(a, b), so the order matches sort.Slice's.
+	deg := g.Degrees()
 	slices.SortFunc(order, func(a, b graph.VID) int {
-		da, db := g.Degree(a), g.Degree(b)
+		da, db := deg[a], deg[b]
 		if da == 0 || db == 0 {
 			switch {
 			case da != 0:
@@ -103,6 +104,11 @@ func (v *PPRVector) DegreeNormalizedOrder(g *graph.Graph) []graph.VID {
 // many seeds allocation-free in the steady state: only the vertices
 // touched by the previous push are cleared, not the whole arrays. Not
 // safe for concurrent use; parallel sweeps hold one PPR per worker.
+//
+// touched always has capacity for n+1 vertices, n the vertex range: the
+// spread loop writes every visited vertex one past the touched list and
+// keeps it only on a first touch, so that slot must exist even once all
+// n vertices are touched.
 type PPR struct {
 	p       []float64
 	slots   []pprSlot
@@ -114,34 +120,31 @@ type PPR struct {
 }
 
 // pprSlot is one vertex's push state, fused so the spread loop reads and
-// writes one slot per neighbour. threshold is eps·deg(v), computed once
-// when mass first reaches v; a zero slot is an untouched vertex.
+// writes one 16-byte slot per neighbour. deg is d(v), stored each time
+// mass reaches v; zero marks an untouched vertex (an isolated vertex is
+// reached only as the seed). The push threshold eps·d(v) is recomputed
+// from it at each comparison.
 type pprSlot struct {
-	r         float64
-	threshold float64
-	queued    bool
-	marked    bool // v is in touched
+	r      float64
+	deg    int32
+	queued bool
 }
 
 // NewPPR returns a workspace for graphs with up to n vertices.
 func NewPPR(n int) *PPR {
-	return &PPR{p: make([]float64, n), slots: make([]pprSlot, n)}
+	w := &PPR{}
+	w.grow(n)
+	return w
 }
 
+// grow sizes the workspace for n vertices, keeping the touched list's
+// n+1 capacity.
 func (w *PPR) grow(n int) {
-	if len(w.p) < n {
+	if w.touched == nil || len(w.p) < n {
 		w.p = make([]float64, n)
 		w.slots = make([]pprSlot, n)
-		w.touched = w.touched[:0]
+		w.touched = make([]graph.VID, 0, n+1)
 	}
-}
-
-// mark records v, whose slot is s, as touched and sets its threshold:
-// the first time mass reaches v.
-func (w *PPR) mark(g *graph.Graph, v graph.VID, s *pprSlot, eps float64) {
-	s.marked = true
-	s.threshold = eps * float64(g.Degree(v))
-	w.touched = append(w.touched, v)
 }
 
 // enqueue appends v, whose slot is s, to the FIFO. A full buffer that is
@@ -189,9 +192,11 @@ func (w *PPR) Push(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector,
 	w.head = 0
 
 	eps := opts.Eps
+	deg := g.Degrees()
 	s := &w.slots[seed]
-	w.mark(g, seed, s, eps)
-	if g.Degree(seed) == 0 {
+	s.deg = deg[seed]
+	w.touched = append(w.touched, seed)
+	if s.deg == 0 {
 		// An isolated seed holds all mass forever: the walk can never
 		// leave, so the exact PPR vector is the indicator of the seed.
 		w.p[seed] = 1
@@ -212,7 +217,7 @@ func (w *PPR) Push(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector,
 		su := &w.slots[u]
 		su.queued = false
 		ru := su.r
-		if ru < su.threshold {
+		if ru < eps*float64(su.deg) {
 			// Stale queue entry: the residual was pushed below threshold
 			// by an earlier pop before this one drained.
 			continue
@@ -226,28 +231,34 @@ func (w *PPR) Push(g *graph.Graph, seed graph.VID, opts PPROptions) (*PPRVector,
 			w.support = append(w.support, u)
 		}
 		su.r = 0
-		share := (1 - opts.Alpha) * ru / float64(g.Degree(u))
-		w.spread(g, g.OutNeighbors(u), share, eps)
+		share := (1 - opts.Alpha) * ru / float64(su.deg)
+		w.spread(deg, g.OutNeighbors(u), share, eps)
 		if directed {
-			w.spread(g, g.InNeighbors(u), share, eps)
+			w.spread(deg, g.InNeighbors(u), share, eps)
 		}
 	}
 	return w.finish(pushes), nil
 }
 
 // spread adds share to the residual of every vertex in nbrs and queues
-// those that reach their threshold.
-func (w *PPR) spread(g *graph.Graph, nbrs []graph.VID, share, eps float64) {
+// those that reach their threshold. Each vertex is written one past the
+// touched list, which grows over it only on a first touch (deg still
+// zero), and its degree is stored either way: no branch on first touch.
+func (w *PPR) spread(deg []int32, nbrs []graph.VID, share, eps float64) {
+	slots, touched, t := w.slots, w.touched[:cap(w.touched)], len(w.touched)
 	for _, v := range nbrs {
-		s := &w.slots[v]
-		if !s.marked {
-			w.mark(g, v, s, eps)
+		s := &slots[v]
+		touched[t] = v
+		if s.deg == 0 {
+			t++
 		}
+		s.deg = deg[v]
 		s.r += share
-		if !s.queued && s.r >= s.threshold {
+		if !s.queued && s.r >= eps*float64(s.deg) {
 			w.enqueue(v, s)
 		}
 	}
+	w.touched = touched[:t]
 }
 
 // finish puts the support, recorded as scores turned positive, in

@@ -368,11 +368,12 @@ func TestDegreeNormalizedOrderMatchesSortSlice(t *testing.T) {
 }
 
 // refVector is referencePush's result: dense p and r, the touched set
-// ascending, the support collected from it, and the push count.
+// in first-touch order and ascending, the support collected from it, and
+// the push count.
 type refVector struct {
-	p, r             []float64
-	touched, support []graph.VID
-	pushes           int
+	p, r                         []float64
+	firstTouch, touched, support []graph.VID
+	pushes                       int
 }
 
 // referencePush is the push as it stood before the fused per-vertex
@@ -435,6 +436,7 @@ func referencePush(g *graph.Graph, seed graph.VID, opts PPROptions) refVector {
 			}
 		}
 	}
+	ref.firstTouch = slices.Clone(ref.touched)
 	slices.Sort(ref.touched)
 	for _, v := range ref.touched {
 		if ref.p[v] > 0 {
@@ -445,9 +447,9 @@ func referencePush(g *graph.Graph, seed graph.VID, opts PPROptions) refVector {
 }
 
 // checkPushMatchesReference pushes seed on w and requires referencePush's
-// result: the same touched set, the same bits of p and r on it, the same
-// support and push count, and the sort.Slice permutation of the
-// reference support as the sweep order.
+// result: the same touched list in the same first-touch order, the same
+// bits of p and r on it, the same support and push count, and the
+// sort.Slice permutation of the reference support as the sweep order.
 func checkPushMatchesReference(t *testing.T, w *PPR, g *graph.Graph, seed graph.VID, opts PPROptions) {
 	t.Helper()
 	got, err := w.Push(g, seed, opts)
@@ -455,13 +457,8 @@ func checkPushMatchesReference(t *testing.T, w *PPR, g *graph.Graph, seed graph.
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	want := referencePush(g, seed, opts)
-	touched := slices.Clone(got.Touched)
-	slices.Sort(touched)
-	if !slices.Equal(touched, want.touched) {
-		t.Fatalf("seed %d: touched %d vertices, reference %d", seed, len(touched), len(want.touched))
-	}
-	if got.Touched[0] != seed {
-		t.Fatalf("seed %d: Touched starts at %d", seed, got.Touched[0])
+	if !slices.Equal(got.Touched, want.firstTouch) {
+		t.Fatalf("seed %d: touched %d vertices, reference %d, or in another order", seed, len(got.Touched), len(want.firstTouch))
 	}
 	for _, v := range want.touched {
 		if math.Float64bits(got.Score(v)) != math.Float64bits(want.p[v]) ||
@@ -525,6 +522,33 @@ func FuzzPPRPush(f *testing.F) {
 		}
 		checkPushMatchesReference(t, w, g, s, opts)
 	})
+}
+
+// TestPPRTouchedCapacity pushes at the edge of the touched list's n+1
+// capacity, where spread writes one past a list that already holds every
+// vertex: a workspace from NewPPR(n) whose push touches all n vertices of
+// a clique, and one from NewPPR(0) grown on a large clique, then reused
+// on a smaller and a larger one.
+func TestPPRTouchedCapacity(t *testing.T) {
+	opts := PPROptions{Eps: 1e-9}
+	push := func(w *PPR, g *graph.Graph, seed graph.VID) {
+		t.Helper()
+		checkPushMatchesReference(t, w, g, seed, opts)
+		if len(w.touched) != g.NumVertices() {
+			t.Fatalf("%d-vertex clique: the push touched %d vertices", g.NumVertices(), len(w.touched))
+		}
+	}
+	const n = 40
+	k := clique(t, n)
+	w := NewPPR(n)
+	push(w, k, 0)
+	push(w, k, n-1)
+
+	w = NewPPR(0)
+	push(w, clique(t, 60), 5)
+	push(w, clique(t, 12), 11)
+	push(w, clique(t, 90), 0)
+	push(w, k, 7)
 }
 
 // A warmed workspace pushes without allocating: the lazy clear reuses

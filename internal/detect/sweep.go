@@ -22,7 +22,8 @@ const minSweepSize = 3
 // vertex id), and the prefix with the lowest conductance overall is
 // returned. This is the classical local-community baseline built on the
 // paper's central metric (Eq. 3) — the "best possible community" around
-// a user, against which curated circles can be contrasted.
+// a user, against which curated circles can be contrasted. Without an
+// error the community always holds the seed, first.
 //
 // links[w] counts the arcs between w and the set in either direction
 // (−1 marks members), so a joining vertex updates only its neighbours'

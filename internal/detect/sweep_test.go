@@ -208,12 +208,16 @@ func referenceSweep(g *graph.Graph, seed graph.VID, maxSize int) (score.Group, f
 }
 
 // checkSweepMatchesReference requires ConductanceSweep to return
-// referenceSweep's name, members in order, and conductance bits.
+// referenceSweep's name, members in order, and conductance bits, and a
+// community that starts with the seed.
 func checkSweepMatchesReference(t *testing.T, g *graph.Graph, seed graph.VID, maxSize int) {
 	t.Helper()
 	got, cond, err := ConductanceSweep(g, seed, maxSize)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
+	}
+	if len(got.Members) == 0 || got.Members[0] != seed {
+		t.Fatalf("seed %d, maxSize %d: sweep members %v do not start with the seed", seed, maxSize, got.Members)
 	}
 	want, wantCond := referenceSweep(g, seed, maxSize)
 	if got.Name != want.Name || !slices.Equal(got.Members, want.Members) ||

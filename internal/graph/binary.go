@@ -95,6 +95,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if !transposed(g.outOff, g.outAdj, g.inOff, g.inAdj) {
 		return nil, fmt.Errorf("%w: in-rows are not the transposed out-rows", ErrBadBinary)
 	}
+	if err := g.fillDegrees(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadBinary, err)
+	}
 	return g, nil
 }
 

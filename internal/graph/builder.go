@@ -84,7 +84,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(ids) == 0 {
 		return nil, ErrEmptyGraph
 	}
-	return fill(b.directed, ids, from, to), nil
+	return fill(b.directed, ids, from, to)
 }
 
 // FromArcs builds the graph on the vertices ids, which must be strictly
@@ -112,11 +112,11 @@ func FromArcs(directed bool, ids []int64, from, to []VID) (*Graph, error) {
 			return nil, fmt.Errorf("graph: arc %d (%d→%d) outside the %d vertices", k, from[k], to[k], n)
 		}
 	}
-	return fill(directed, ids, from, to), nil
+	return fill(directed, ids, from, to)
 }
 
 // fill builds the graph on ids from arcs known to be in range.
-func fill(directed bool, ids []int64, from, to []VID) *Graph {
+func fill(directed bool, ids []int64, from, to []VID) (*Graph, error) {
 	g := &Graph{directed: directed, ids: ids}
 	g.outOff, g.outAdj = csr(len(ids), from, to, !directed)
 	if directed {
@@ -126,7 +126,10 @@ func fill(directed bool, ids []int64, from, to []VID) *Graph {
 		g.inOff, g.inAdj = g.outOff, g.outAdj
 		g.m = int64(len(g.outAdj)) / 2
 	}
-	return g
+	if err := g.fillDegrees(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // rank assigns the buffered IDs dense indices in ascending ID order. It

@@ -36,11 +36,11 @@ func scatter(pairs [][2]int64) [][2]int64 {
 	return out
 }
 
-// edgeFingerprint renders a graph's full structure (IDs + adjacency) for
-// equality checks.
+// edgeFingerprint renders a graph's full structure (IDs, degree array
+// and adjacency) for equality checks.
 func edgeFingerprint(g *Graph) string {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "directed=%v n=%d m=%d ids=%v\n", g.Directed(), g.NumVertices(), g.NumEdges(), g.ExternalIDs())
+	fmt.Fprintf(&buf, "directed=%v n=%d m=%d ids=%v deg=%v\n", g.Directed(), g.NumVertices(), g.NumEdges(), g.ExternalIDs(), g.Degrees())
 	for v := 0; v < g.NumVertices(); v++ {
 		fmt.Fprintf(&buf, "%d:%v;%v\n", v, g.OutNeighbors(VID(v)), g.InNeighbors(VID(v)))
 	}
@@ -85,6 +85,7 @@ func FuzzBuilder(f *testing.F) {
 		if got, want := edgeFingerprint(g), edgeFingerprint(want); got != want {
 			t.Fatalf("Builder diverged from the oracle:\n got %s\nwant %s", got, want)
 		}
+		checkDegrees(t, "Builder", g)
 
 		// The stream builder over the whole dense ID range [0, mod).
 		sb, err := NewStreamBuilder(directed, StreamOptions{DenseVertices: mod})
@@ -99,6 +100,7 @@ func FuzzBuilder(f *testing.F) {
 		if got, want := edgeFingerprint(dg), edgeFingerprint(dwant); got != want {
 			t.Fatalf("dense stream builder diverged from the oracle:\n got %s\nwant %s", got, want)
 		}
+		checkDegrees(t, "StreamBuilder", dg)
 
 		// FromArcs over the same dense vertex range, the pairs as VIDs.
 		from, to := make([]VID, len(dense)), make([]VID, len(dense))
@@ -112,6 +114,7 @@ func FuzzBuilder(f *testing.F) {
 		if got, want := edgeFingerprint(ag), edgeFingerprint(dwant); got != want {
 			t.Fatalf("FromArcs diverged from the oracle:\n got %s\nwant %s", got, want)
 		}
+		checkDegrees(t, "FromArcs", ag)
 
 		// Structural invariants: no self-loops, rows sorted and
 		// duplicate-free, degree sum consistent with m.
@@ -179,6 +182,7 @@ func FuzzOverlayFillFromEdges(f *testing.F) {
 			t.Fatalf("valid fill rejected: %v", err)
 		}
 		checkReadsLikeMaterialized(t, o)
+		checkOverlayDegrees(t, o)
 
 		// Arbitrary fill: decoded from the fuzz input over the parent's
 		// dense vertex space; most sequences violate the degree sequence
@@ -194,6 +198,7 @@ func FuzzOverlayFillFromEdges(f *testing.F) {
 		fillErr := o.FillFromEdges(arbitrary)
 		if fillErr == nil {
 			checkReadsLikeMaterialized(t, o)
+			checkOverlayDegrees(t, o)
 		}
 
 		// Error or not, the parent is untouched and the overlay remains
@@ -206,6 +211,16 @@ func FuzzOverlayFillFromEdges(f *testing.F) {
 			t.Fatalf("overlay not reusable after fill error %v:\n got %s\nwant %s", fillErr, got, before)
 		}
 	})
+}
+
+// checkOverlayDegrees asserts that a filled overlay's degrees match its
+// rows and that it reads them from its base's array.
+func checkOverlayDegrees(t *testing.T, o *Overlay) {
+	t.Helper()
+	checkDegrees(t, "Overlay", &o.Graph)
+	if od, bd := o.Degrees(), o.Base().Degrees(); len(od) == 0 || &od[0] != &bd[0] {
+		t.Fatal("the overlay does not share its base's degree array")
+	}
 }
 
 // checkReadsLikeMaterialized asserts that every read method of the
@@ -299,6 +314,7 @@ func FuzzReadBinary(f *testing.F) {
 		} else if got, want := edgeFingerprint(g), edgeFingerprint(want); got != want {
 			t.Fatalf("accepted graph is malformed:\n got %s\nwant %s", got, want)
 		}
+		checkDegrees(t, "ReadBinary", g)
 
 		var enc bytes.Buffer
 		if err := WriteBinary(&enc, g); err != nil {

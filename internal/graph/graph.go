@@ -19,6 +19,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -44,14 +45,19 @@ type Graph struct {
 	inOff []int64
 	inAdj []VID
 
+	// deg[v] is d(v), filled once when the graph is built. Every
+	// Overlay of a graph shares its array, since rewiring keeps degrees.
+	deg []int32
+
 	m int64 // arcs if directed, edges if undirected
 
-	base *Graph // graph whose ids and offsets this one shares; nil: itself
+	base *Graph // graph whose ids, offsets and degrees this one shares; nil: itself
 }
 
-// Base returns the graph whose vertex set, ids table and CSR offsets g
-// shares: the parent for the graph of an Overlay, g itself for a graph
-// built normally.
+// Base returns the graph whose vertex set, ids table, CSR offsets and
+// degree array g shares: the parent for the graph of an Overlay, g
+// itself for a graph built normally. Data derived from g's degrees alone
+// is therefore valid for every graph with the same Base.
 func (g *Graph) Base() *Graph {
 	if g.base != nil {
 		return g.base
@@ -133,11 +139,30 @@ func (g *Graph) InDegree(v VID) int {
 
 // Degree returns d(v) per the paper's nomenclature: in-degree plus
 // out-degree for directed graphs, incident-edge count for undirected.
-func (g *Graph) Degree(v VID) int {
-	if g.directed {
-		return g.OutDegree(v) + g.InDegree(v)
+func (g *Graph) Degree(v VID) int { return int(g.deg[v]) }
+
+// Degrees returns d(v) for every vertex in dense-index order as a
+// shared slice: the graph's own array, which its overlays share too.
+// Callers must not modify the returned slice.
+func (g *Graph) Degrees() []int32 { return g.deg }
+
+// fillDegrees computes g's degree array from its CSR offsets. A vertex
+// with more than MaxInt32 incident arcs (possible only for a directed
+// graph on over 2^30 vertices) is an error.
+func (g *Graph) fillDegrees() error {
+	n := len(g.ids)
+	g.deg = make([]int32, n)
+	for v := range n {
+		d := g.outOff[v+1] - g.outOff[v]
+		if g.directed {
+			d += g.inOff[v+1] - g.inOff[v]
+		}
+		if d > math.MaxInt32 {
+			return fmt.Errorf("graph: vertex %d has %d incident arcs, over %d", v, d, math.MaxInt32)
+		}
+		g.deg[v] = int32(d)
 	}
-	return g.OutDegree(v)
+	return nil
 }
 
 // HasEdge reports whether the arc (u,v) exists (directed), or whether the

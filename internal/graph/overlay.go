@@ -19,7 +19,8 @@ import (
 //
 // Memory model:
 //
-//   - Shared with the parent (never written): ids, outOff, inOff.
+//   - Shared with the parent (never written): ids, outOff, inOff and
+//     the degree array (Degrees).
 //   - Owned by the overlay (rewritten per sample): outAdj and, for
 //     directed parents, inAdj. For undirected parents inAdj aliases
 //     outAdj, mirroring Graph's layout, so an overlay costs exactly 2m

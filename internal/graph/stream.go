@@ -278,6 +278,9 @@ func (sb *StreamBuilder) Finish() (*Graph, error) {
 	} else {
 		g.inOff, g.inAdj = g.outOff, g.outAdj
 	}
+	if err := g.fillDegrees(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

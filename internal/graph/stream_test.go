@@ -77,6 +77,14 @@ func oracleBuild(directed bool, vertices []int64, pairs [][2]int64) (*Graph, err
 	if g.m = int64(len(g.outAdj)); !directed {
 		g.m /= 2
 	}
+	g.deg = make([]int32, len(g.ids))
+	for i, id := range g.ids {
+		d := len(out[id])
+		if directed {
+			d += len(in[id])
+		}
+		g.deg[i] = int32(d)
+	}
 	return g, nil
 }
 

@@ -10,7 +10,7 @@ import (
 // Sweep-cut errors. A bad ordering is a programming error in the caller
 // (orderings come from score vectors over real vertices), but the kernel
 // validates anyway so a fuzzer-found corruption fails loudly instead of
-// silently corrupting the mark bitmap across reuses.
+// silently corrupting the membership marks across reuses.
 var (
 	// ErrSweepDuplicate is returned when an ordering names a vertex twice.
 	ErrSweepDuplicate = errors.New("graphalgo: sweep ordering repeats a vertex")
@@ -29,17 +29,17 @@ var (
 // this, and FuzzSweepCut keeps it honest on arbitrary orderings).
 //
 // A SweepCutter is a reusable workspace for one vertex-range size: the
-// membership bitmap persists across calls and is cleaned up after each
+// membership marks persist across calls and are cleaned up after each
 // sweep, so steady-state sweeps allocate only when the caller-provided
 // destination slice grows. It is not safe for concurrent use; parallel
 // sweeps use one SweepCutter per worker.
 type SweepCutter struct {
-	inSet []bool
+	inSet []uint8 // 1 for a prefix member, else 0: summed, not tested
 }
 
 // NewSweepCutter returns a workspace for graphs with up to n vertices.
 func NewSweepCutter(n int) *SweepCutter {
-	return &SweepCutter{inSet: make([]bool, n)}
+	return &SweepCutter{inSet: make([]uint8, n)}
 }
 
 // SweepConductance is the paper's Eq. 3 on raw cut integers, shared by
@@ -70,7 +70,7 @@ func SweepConductance(internal, boundary int64) float64 {
 func (sc *SweepCutter) Conductances(g *graph.Graph, order []graph.VID, dst []float64) ([]float64, error) {
 	n := g.NumVertices()
 	if len(sc.inSet) < n {
-		sc.inSet = make([]bool, n)
+		sc.inSet = make([]uint8, n)
 	}
 	dst = dst[:0]
 	directed := g.Directed()
@@ -80,39 +80,37 @@ func (sc *SweepCutter) Conductances(g *graph.Graph, order []graph.VID, dst []flo
 			sc.unmark(order[:i])
 			return nil, fmt.Errorf("%w: vertex %d with %d vertices", ErrSweepRange, w, n)
 		}
-		if sc.inSet[w] {
+		if sc.inSet[w] != 0 {
 			sc.unmark(order[:i])
 			return nil, fmt.Errorf("%w: vertex %d", ErrSweepDuplicate, w)
 		}
 		// linksIn counts the arcs between w and the current prefix: they
 		// switch from boundary to internal, and w's remaining incident
 		// arcs become boundary — so the deltas need only w's adjacency.
-		var linksIn int64
+		// Adding the marks instead of testing them leaves the loop
+		// without a data-dependent branch.
+		var linksIn int
 		for _, x := range g.OutNeighbors(w) {
-			if sc.inSet[x] {
-				linksIn++
-			}
+			linksIn += int(sc.inSet[x])
 		}
 		if directed {
 			for _, x := range g.InNeighbors(w) {
-				if sc.inSet[x] {
-					linksIn++
-				}
+				linksIn += int(sc.inSet[x])
 			}
 		}
-		sc.inSet[w] = true
-		internal += linksIn
-		boundary += int64(g.Degree(w)) - 2*linksIn
+		sc.inSet[w] = 1
+		internal += int64(linksIn)
+		boundary += int64(g.Degree(w)) - 2*int64(linksIn)
 		dst = append(dst, SweepConductance(internal, boundary))
 	}
 	sc.unmark(order)
 	return dst, nil
 }
 
-// unmark clears the membership bits of a processed prefix so the
+// unmark clears the membership marks of a processed prefix so the
 // workspace is reusable without an O(n) wipe.
 func (sc *SweepCutter) unmark(order []graph.VID) {
 	for _, w := range order {
-		sc.inSet[w] = false
+		sc.inSet[w] = 0
 	}
 }

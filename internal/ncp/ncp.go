@@ -147,15 +147,14 @@ func StratifiedSeeds(g *graph.Graph, k int, seed int64) []graph.VID {
 }
 
 // rankByDegree lists g's vertices by degree descending, ties ascending by
-// id, with a counting sort in O(n + maxDeg): bucket b holds degree
-// maxDeg−b, and the fill pass walks ids in order, so ids ascend within a
-// bucket.
+// id, with a counting sort in O(n + maxDeg) over the graph's own degree
+// array: bucket b holds degree maxDeg−b, and the fill pass walks ids in
+// order, so ids ascend within a bucket.
 func rankByDegree(g *graph.Graph) []graph.VID {
-	deg := make([]int32, g.NumVertices())
+	deg := g.Degrees()
 	var maxDeg int32
-	for v := range deg {
-		deg[v] = int32(g.Degree(graph.VID(v)))
-		maxDeg = max(maxDeg, deg[v])
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
 	}
 	// next[b] counts bucket b, then becomes its next free rank.
 	next := make([]int32, maxDeg+1)
