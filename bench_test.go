@@ -215,7 +215,7 @@ func BenchmarkAblationNullModel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CompareNullModels(gp, 2, 3, s.RNG(int64(i))); err != nil {
+		if _, err := core.CompareNullModelsArena(gp, 2, 3, s.RNG(int64(i)), nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

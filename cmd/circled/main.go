@@ -22,13 +22,14 @@
 //	GET  /metrics                   obs.Recorder snapshot as JSON
 //
 // The service runs a bounded worker pool with explicit backpressure
-// (429 + Retry-After once the queue bound is hit), coalesces identical
-// in-flight requests (one execution per unique query, counted in
-// /metrics as serve.coalesced), keeps a bounded LRU result cache in
-// front of the pool (-cache entries; hits/misses/evictions in
-// /metrics), and drains gracefully on SIGTERM or SIGINT: the listener
-// stops accepting, in-flight work finishes, and a final run manifest
-// (JSONL, same schema as circlebench's) is flushed to -manifest.
+// (429 + Retry-After once the queue bound is hit) behind one request
+// table: identical in-flight requests coalesce onto one execution
+// (counted in /metrics as serve.coalesced), and finished 200 answers
+// stay resident on a bounded LRU list (-cache entries, negative keeps
+// none; hits/misses/evictions in /metrics). It drains gracefully on
+// SIGTERM or SIGINT: the listener stops accepting, in-flight work
+// finishes, and a final run manifest (JSONL, same schema as
+// circlebench's) is flushed to -manifest.
 // Responses are deterministic for a given (scale, seed): the same query
 // always returns the same bytes, which is what makes coalescing and
 // caching sound.
@@ -70,7 +71,7 @@ func run() error {
 		workers        = cliflag.Workers(flag.CommandLine)
 		verbose        = cliflag.Verbose(flag.CommandLine)
 		queueDepth     = flag.Int("queue", 64, "accepted-but-unstarted request bound; a full queue sheds load with 429")
-		cacheSize      = flag.Int("cache", 1024, "result-cache entry bound (negative disables the cache)")
+		cacheSize      = flag.Int("cache", 1024, "result-cache entry bound (negative disables the cache, leaving coalescing alone)")
 		timeout        = flag.Duration("timeout", 30*time.Second, "per-request deadline, queue wait included")
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound after SIGTERM")
 		maxNullSamples = flag.Int("max-null-samples", 128, "cap on the per-request null_samples parameter")

@@ -11,9 +11,12 @@
 //
 // The mix is built from the service's own GET /v1/datasets inventory:
 // each request scores a randomly chosen (dataset, group) pair, and with
-// probability -dup repeats the previous request verbatim to exercise
-// the server's coalescing and result-cache paths. Every request is one
-// POST /v1/score.
+// probability -dup repeats the previous request of the mix verbatim.
+// With -c 1 the repeat arrives after its answer, so it exercises the
+// server's result cache; with more clients the previous request may
+// still be in flight on another client, so a few repeats coalesce.
+// Coalescing in bulk needs many concurrent duplicates, as in
+// make loadsmoke's 100 clients. Every request is one POST /v1/score.
 //
 // The report covers client-side p50/p95/p99/max latency of successful
 // requests, the response-class breakdown (2xx / 429 shed / other 4xx /
@@ -77,7 +80,7 @@ func run() error {
 		seed        = cliflag.Seed(flag.CommandLine)
 		jsonOut     = cliflag.JSON(flag.CommandLine)
 		verbose     = cliflag.Verbose(flag.CommandLine)
-		dup         = flag.Float64("dup", 0.25, "probability of repeating the previous request (exercises coalescing and the result cache)")
+		dup         = flag.Float64("dup", 0.25, "probability of repeating the previous request of the mix (a repeat that arrives after its answer is a result-cache hit)")
 		nullSamples = flag.Int("null-samples", 0, "null_samples parameter sent with every request")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request client timeout")
 	)

@@ -306,7 +306,7 @@ func TestCompareNullModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompareNullModels(gp, 2, 3, s.RNG(5))
+	res, err := CompareNullModelsArena(gp, 2, 3, s.RNG(5), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -328,15 +328,11 @@ type NullModelAblation struct {
 	MaxAbsDelta float64
 }
 
-// CompareNullModels runs the modularity null-model ablation.
-func CompareNullModels(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand) (*NullModelAblation, error) {
-	return CompareNullModelsArena(ds, samples, swapsPerEdge, rng, nil, nil)
-}
-
-// CompareNullModelsArena is CompareNullModels drawing the empirical
-// estimator's sample buffers from a shared overlay arena (typically
-// Suite.NullArena), so repeated ablation runs reuse them. rec, when
-// non-nil, receives the sampler's rewire and arena counters.
+// CompareNullModelsArena runs the modularity null-model ablation. The
+// empirical estimator draws its sample buffers from arena (typically
+// Suite.NullArena, so repeated ablation runs reuse them; nil allocates
+// privately). rec, when non-nil, receives the sampler's rewire and arena
+// counters.
 func CompareNullModelsArena(ds *synth.Dataset, samples int, swapsPerEdge float64, rng *rand.Rand, arena *graph.OverlayArena, rec *obs.Recorder) (*NullModelAblation, error) {
 	if rng == nil {
 		return nil, ErrNoRNG

@@ -24,15 +24,6 @@ type RobustnessResult struct {
 	FailuresByClaim map[string]int
 }
 
-// MeasureRobustness reruns the scorecard for `seeds` consecutive seeds
-// at the suite's scale, fanning the seeds out over a worker pool sized
-// to GOMAXPROCS. Each seed builds a fresh independent Suite (the
-// receiver's cached data sets are not reused), so the per-seed runs
-// share no mutable state and the result is identical to a serial run.
-func MeasureRobustness(opts SuiteOptions, seeds int) (*RobustnessResult, error) {
-	return MeasureRobustnessWorkers(opts, seeds, 0)
-}
-
 // seedOutcome is one seed's scorecard tally before the deterministic
 // merge.
 type seedOutcome struct {
@@ -42,8 +33,11 @@ type seedOutcome struct {
 	err       error
 }
 
-// MeasureRobustnessWorkers is MeasureRobustness with an explicit worker
-// count (workers <= 0 selects GOMAXPROCS; 1 runs serially). Per-seed
+// MeasureRobustnessWorkers reruns the scorecard for `seeds` consecutive
+// seeds at the suite's scale, fanning the seeds out over `workers`
+// goroutines (workers <= 0 selects GOMAXPROCS; 1 runs serially). Each
+// seed builds a fresh independent Suite (the receiver's cached data sets
+// are not reused), so the per-seed runs share no mutable state. Per-seed
 // outcomes land in a slice indexed by seed offset and are merged in seed
 // order afterwards, so the result — including FailuresByClaim contents
 // and the first error selected — is byte-for-byte independent of the
@@ -125,7 +119,7 @@ func runRobustness(s *Suite, w io.Writer) error {
 	// while still exercising the full pipeline per seed.
 	opts := s.Options()
 	opts.Scale = opts.Scale * 0.4
-	res, err := MeasureRobustness(opts, 3)
+	res, err := MeasureRobustnessWorkers(opts, 3, 0)
 	if err != nil {
 		return err
 	}

@@ -10,12 +10,12 @@ func TestMeasureRobustnessAllSeedsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed rerun in -short mode")
 	}
-	res, err := MeasureRobustness(SuiteOptions{
+	res, err := MeasureRobustnessWorkers(SuiteOptions{
 		Scale:             0.25,
 		Seed:              3,
 		DistanceSources:   12,
 		ClusteringSamples: 200,
-	}, 3)
+	}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

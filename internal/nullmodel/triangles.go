@@ -25,12 +25,6 @@ func (e *Estimator) TriangleExpectation(set *graph.Set) float64 {
 	return total / float64(len(e.overlays))
 }
 
-// TriangleFunc adapts TriangleExpectation to the
-// score.Context.NullExpectation shape.
-func (e *Estimator) TriangleFunc() func(set *graph.Set) float64 {
-	return e.TriangleExpectation
-}
-
 // ChungLuTriangles returns the analytic expected in-set triangle count
 // t(C) under the Chung–Lu model, the closed-form counterpart of
 // TriangleExpectation. With p(u,v) ≈ d_u·d_v/(2m) and x_v = d_v², the

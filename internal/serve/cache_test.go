@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"gpluscircles/internal/obs"
 	"gpluscircles/internal/serve/api"
@@ -32,59 +34,102 @@ func readAll(t *testing.T, r io.Reader) []byte {
 	return b
 }
 
-// TestResultCacheLRU exercises the cache mechanics directly: the entry
-// bound holds, evictions are counted, and a get promotes its key out of
-// eviction order.
+// TestResultCacheLRU exercises the request table's cache mechanics
+// directly: the resident bound holds, evictions are counted, a hit
+// promotes its key out of eviction order, non-200 results never stay
+// resident, and an in-flight call is never evicted.
 func TestResultCacheLRU(t *testing.T) {
 	rec := obs.NewRecorder()
-	c := newResultCache(3, rec)
+	tb := newTable(3, time.Minute, rec)
+	run := func(context.Context) ([]byte, int) { return nil, 0 }
+	// put runs one key through the table as a leader and finishes it.
+	put := func(tb *table, key string, body []byte, status int) {
+		t.Helper()
+		c, r := tb.join(key, run)
+		if r != roleLeader {
+			t.Fatalf("%s: role %d, want leader", key, r)
+		}
+		tb.finish(c, body, status)
+	}
 	for i := 0; i < 3; i++ {
-		c.add(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		put(tb, fmt.Sprintf("k%d", i), []byte{byte(i)}, http.StatusOK)
 	}
-	if c.len() != 3 {
-		t.Fatalf("len = %d, want 3", c.len())
+	if tb.ll.Len() != 3 {
+		t.Fatalf("len = %d, want 3", tb.ll.Len())
 	}
-	// Touch k0: it becomes most recent, so adding k3 must evict k1.
-	if _, ok := c.get("k0"); !ok {
-		t.Fatal("k0 missing before eviction")
+	// Hit k0: it becomes most recent, so finishing k3 must evict k1.
+	c, r := tb.join("k0", run)
+	if r != roleHit || !bytes.Equal(c.body, []byte{0}) {
+		t.Fatalf("k0: role %d body %v, want a hit on the resident bytes", r, c.body)
 	}
-	c.add("k3", []byte{3})
-	if c.len() != 3 {
-		t.Errorf("len = %d after eviction, want 3", c.len())
+	if c.ctx != nil || c.cancel != nil || c.run != nil {
+		t.Error("resident call still pins its execution state")
 	}
-	if _, ok := c.get("k1"); ok {
-		t.Error("k1 survived; LRU order ignored the promoting get")
+	put(tb, "k3", []byte{3}, http.StatusOK)
+	if tb.ll.Len() != 3 {
+		t.Errorf("len = %d after eviction, want 3", tb.ll.Len())
 	}
-	if _, ok := c.get("k0"); !ok {
+	if _, r := tb.join("k1", run); r != roleLeader {
+		t.Errorf("k1: role %d; LRU order ignored the promoting hit", r)
+	}
+	if _, r := tb.join("k0", run); r != roleHit {
 		t.Error("promoted k0 was evicted")
 	}
+	// Counting: 4 leader misses, hit k0, miss k1, hit k0.
 	snap := rec.Snapshot()
 	if got := snap.Counters["serve.cache.evictions"]; got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
-	// hits: k0, k0; misses: k1 (k0's pre-add gets count too — recount):
-	// get(k0) hit, get(k1) miss, get(k0) hit.
 	if got := snap.Counters["serve.cache.hits"]; got != 2 {
 		t.Errorf("hits = %d, want 2", got)
 	}
-	if got := snap.Counters["serve.cache.misses"]; got != 1 {
-		t.Errorf("misses = %d, want 1", got)
+	if got := snap.Counters["serve.cache.misses"]; got != 5 {
+		t.Errorf("misses = %d, want 5", got)
 	}
 
-	// Re-adding an existing key keeps the resident bytes.
-	c.add("k0", []byte("different"))
-	if body, _ := c.get("k0"); !bytes.Equal(body, []byte{0}) {
-		t.Errorf("re-add replaced resident bytes: %q", body)
+	// A non-200 result leaves the table: the next request leads afresh.
+	put(tb, "shed", []byte("queue full"), http.StatusTooManyRequests)
+	if _, r := tb.join("shed", run); r != roleLeader {
+		t.Errorf("shed: role %d after a 429, want leader", r)
 	}
 
-	// Disabled cache: no storage, no counting.
-	off := newResultCache(-1, obs.NewRecorder())
-	off.add("k", []byte("v"))
-	if _, ok := off.get("k"); ok {
-		t.Error("disabled cache returned a hit")
+	// An in-flight call is never evicted: at a bound of 1, finishing two
+	// other keys while it is held leaves its followers joined to it.
+	one := newTable(1, time.Minute, obs.NewRecorder())
+	held, _ := one.join("held", run)
+	put(one, "a", []byte("a"), http.StatusOK)
+	put(one, "b", []byte("b"), http.StatusOK)
+	if c, r := one.join("held", run); r != roleFollower || c != held {
+		t.Fatalf("held: role %d, same call %v; want a follower of the in-flight call", r, c == held)
 	}
-	if off.len() != 0 {
+	if held.waiters != 2 {
+		t.Errorf("held waiters = %d, want 2", held.waiters)
+	}
+	one.finish(held, []byte("h"), http.StatusOK)
+	<-held.done
+	if c, r := one.join("held", run); r != roleHit || !bytes.Equal(c.body, []byte("h")) {
+		t.Errorf("held: role %d after finishing, want a hit", r)
+	}
+	if one.ll.Len() != 1 {
+		t.Errorf("len = %d, want the bound 1", one.ll.Len())
+	}
+
+	// Disabled cache: coalescing alone, no residency, no counting.
+	offRec := obs.NewRecorder()
+	off := newTable(-1, time.Minute, offRec)
+	c, _ = off.join("k", run)
+	if _, r := off.join("k", run); r != roleFollower {
+		t.Errorf("disabled cache: role %d, want follower of the in-flight call", r)
+	}
+	off.finish(c, []byte("v"), http.StatusOK)
+	if _, r := off.join("k", run); r != roleLeader {
+		t.Error("disabled cache kept a finished call resident")
+	}
+	if off.ll.Len() != 0 {
 		t.Error("disabled cache reports residency")
+	}
+	if snap := offRec.Snapshot(); snap.Counters["serve.cache.hits"] != 0 || snap.Counters["serve.cache.misses"] != 0 {
+		t.Errorf("disabled cache counted traffic: %+v", snap.Counters)
 	}
 }
 
@@ -167,81 +212,5 @@ func TestCacheDisabled(t *testing.T) {
 	snap := rec.Snapshot()
 	if snap.Counters["serve.cache.hits"] != 0 || snap.Counters["serve.cache.misses"] != 0 {
 		t.Errorf("disabled cache counted traffic: %+v", snap.Counters)
-	}
-}
-
-// TestSwapSuiteInvalidatesCache: the suite generation is part of every
-// cache key, so a SwapSuite bump makes previously cached bodies
-// unreachable — the reloaded-suite-serves-stale-bytes hazard is
-// structurally closed. Unary score, characterize and key construction
-// are all checked.
-func TestSwapSuiteInvalidatesCache(t *testing.T) {
-	s := newTestServer(t, Options{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	group, _ := firstGroup(t, "gplus")
-	req := api.ScoreRequest{Dataset: "gplus", Group: group}
-
-	post := func() (bool, []byte) {
-		t.Helper()
-		resp, err := ts.Client().Post(ts.URL+"/v1/score", "application/json",
-			bytes.NewReader(mustMarshal(t, req)))
-		if err != nil {
-			t.Fatalf("post: %v", err)
-		}
-		defer resp.Body.Close()
-		body := readAll(t, resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d, body %s", resp.StatusCode, body)
-		}
-		return resp.Header.Get("X-Cache") == "hit", body
-	}
-	get := func(path string) bool {
-		t.Helper()
-		resp, err := ts.Client().Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("get %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		readAll(t, resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("get %s: status %d", path, resp.StatusCode)
-		}
-		return resp.Header.Get("X-Cache") == "hit"
-	}
-
-	keyBefore := s.genKey("characterize/gplus")
-	if hit, _ := post(); hit {
-		t.Fatal("first request claimed a cache hit")
-	}
-	hit, warm := post()
-	if !hit {
-		t.Fatal("repeat before swap was not a cache hit")
-	}
-	get("/v1/characterize/gplus")
-	if !get("/v1/characterize/gplus") {
-		t.Fatal("characterize repeat before swap was not a cache hit")
-	}
-
-	// Swap to a suite with identical options: the cached bytes would be
-	// valid by value, but the generation bump must still retire them —
-	// the server cannot know the new suite is equivalent.
-	s.SwapSuite(testSuite())
-	if keyAfter := s.genKey("characterize/gplus"); keyAfter == keyBefore {
-		t.Fatalf("generation not folded into key: %q unchanged across swap", keyAfter)
-	}
-
-	hit, fresh := post()
-	if hit {
-		t.Fatal("request after SwapSuite served a pre-swap cache entry")
-	}
-	if !bytes.Equal(fresh, warm) {
-		t.Errorf("recomputed body differs for an identical suite:\n%s\n%s", fresh, warm)
-	}
-	if get("/v1/characterize/gplus") {
-		t.Fatal("characterize after SwapSuite served a pre-swap cache entry")
-	}
-	if hit, _ := post(); !hit {
-		t.Fatal("repeat after swap did not re-warm the cache")
 	}
 }

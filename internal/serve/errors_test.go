@@ -70,9 +70,8 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 		release := make(chan struct{})
 		entered := make(chan string, 8)
 		held := newTestServer(t, Options{
-			Workers:           1,
-			QueueDepth:        1,
-			RetryAfterSeconds: 7,
+			Workers:    1,
+			QueueDepth: 1,
 			workerHook: func(c *call) {
 				entered <- c.key
 				<-release
@@ -106,8 +105,8 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if got := resp.Header.Get("Retry-After"); got != "7" {
-			t.Errorf("Retry-After = %q, want \"7\"", got)
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Errorf("Retry-After = %q, want \"1\"", got)
 		}
 		assertEnvelope(t, resp, http.StatusTooManyRequests, api.CodeQueueFull)
 	})

@@ -62,10 +62,8 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr.status, herr.code, herr.msg)
 		return
 	}
-	s.dispatch(w, r, job.key, func() func(ctx context.Context) ([]byte, int) {
-		return func(ctx context.Context) ([]byte, int) {
-			return s.runScore(ctx, job)
-		}
+	s.dispatch(w, r, job.key, func(ctx context.Context) ([]byte, int) {
+		return s.runScore(ctx, job)
 	})
 }
 
@@ -150,7 +148,7 @@ func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
 		ds:      ds,
 		members: members,
 		funcs:   fns,
-		key:     s.genKey(scoreKey(&req, members)),
+		key:     scoreKey(&req, members),
 	}, nil
 }
 
@@ -224,7 +222,7 @@ func (s *Server) runScore(ctx context.Context, job *scoreJob) ([]byte, int) {
 		return errorBody(api.CodeCancelled, "cancelled before scoring: %v", err), http.StatusServiceUnavailable
 	}
 	g := job.ds.Graph
-	sctx := s.suite.Load().ScoreContext(g)
+	sctx := s.opts.Suite.ScoreContext(g)
 	resp := api.ScoreResponse{
 		Dataset: job.req.Dataset,
 		Group:   job.req.Group,
@@ -234,7 +232,7 @@ func (s *Server) runScore(ctx context.Context, job *scoreJob) ([]byte, int) {
 		est, err := nullmodel.NewEmpiricalEstimatorCtx(ctx, g, nullmodel.EstimatorOptions{
 			Samples:  job.req.NullSamples,
 			Seed:     job.req.Seed,
-			Arena:    s.suite.Load().NullArena(g),
+			Arena:    s.opts.Suite.NullArena(g),
 			Recorder: s.rec,
 		})
 		if err != nil {
@@ -286,10 +284,8 @@ func (s *Server) handleCharacterize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr.status, herr.code, herr.msg)
 		return
 	}
-	s.dispatch(w, r, s.genKey("characterize/"+name), func() func(ctx context.Context) ([]byte, int) {
-		return func(ctx context.Context) ([]byte, int) {
-			return s.runCharacterize(ctx, name, ds)
-		}
+	s.dispatch(w, r, "characterize/"+name, func(ctx context.Context) ([]byte, int) {
+		return s.runCharacterize(ctx, name, ds)
 	})
 }
 
@@ -300,7 +296,7 @@ func (s *Server) runCharacterize(ctx context.Context, name string, ds *synth.Dat
 	if err := ctx.Err(); err != nil {
 		return errorBody(api.CodeCancelled, "cancelled before characterization: %v", err), http.StatusServiceUnavailable
 	}
-	p, err := s.suite.Load().Profile(ds)
+	p, err := s.opts.Suite.Profile(ds)
 	if err != nil {
 		return errorBody(api.CodeInternal, "characterize %s: %v", name, err), http.StatusInternalServerError
 	}

@@ -12,17 +12,16 @@
 //     sampling, graph characterization). The queue in front of it is the
 //     explicit backpressure surface: when it is full the service sheds
 //     load with 429 + Retry-After instead of accepting unbounded work.
-//   - Identical in-flight requests are coalesced singleflight-style,
-//     keyed by dataset + canonical set hash + scoring functions +
-//     null-model parameters, so a thundering herd of the same query
-//     costs one execution. Coalesced hits are counted in /metrics
-//     (serve.coalesced) and marked with an X-Coalesced response header;
-//     response bodies are byte-identical across the herd.
-//   - A bounded LRU result cache sits in front of the pool, keyed by the
-//     same canonical request hash: coalescing collapses concurrent
-//     duplicates, the cache collapses sequential ones. Hits return the
-//     original computation's exact bytes with an X-Cache: hit header and
-//     are counted as serve.cache.{hits,misses,evictions}.
+//   - One request table sits in front of the pool, keyed by dataset +
+//     canonical set hash + scoring functions + null-model parameters,
+//     and each request looks its key up once. An in-flight call
+//     coalesces identical requests, so a thundering herd of the same
+//     query costs one execution; followers are counted in /metrics
+//     (serve.coalesced), marked with an X-Coalesced response header, and
+//     receive byte-identical bodies. A finished 200 stays resident in a
+//     bounded LRU list, so a sequential repeat returns the original
+//     computation's exact bytes with an X-Cache: hit header; the result
+//     cache is counted as serve.cache.{hits,misses,evictions}.
 //   - Every queued call carries a context with the server's per-request
 //     deadline; the deadline covers queue wait, and cancellation (client
 //     gone, server draining) propagates into the null-model estimator's
@@ -54,7 +53,6 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,17 +77,15 @@ type Options struct {
 	// QueueDepth bounds the number of accepted-but-unstarted calls;
 	// <= 0 selects 64. A full queue is answered with 429 + Retry-After.
 	QueueDepth int
-	// CacheSize bounds the LRU result cache (entries); 0 selects 1024,
-	// negative disables caching entirely.
+	// CacheSize bounds the finished 200 responses kept resident in the
+	// request table (entries); 0 selects 1024, negative keeps none, which
+	// leaves coalescing alone.
 	CacheSize int
 	// RequestTimeout bounds one call from enqueue to completion
 	// (queue wait included); <= 0 selects 30s.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds the graceful-shutdown drain; <= 0 selects 10s.
 	DrainTimeout time.Duration
-	// RetryAfterSeconds is advertised in the Retry-After header of 429
-	// responses; <= 0 selects 1.
-	RetryAfterSeconds int
 	// MaxNullSamples caps the per-request null_samples parameter so one
 	// request cannot monopolize the pool; <= 0 selects 128.
 	MaxNullSamples int
@@ -106,7 +102,7 @@ type Options struct {
 	// by ServeMux pattern (e.g. "POST /v1/ncp"). This is the seam gated
 	// packages use to add endpoints without the stable serving layer
 	// importing them — the owning binary wires the handler in. Extra
-	// routes bypass the worker pool, queue and result cache; handlers
+	// routes bypass the worker pool, queue and request table; handlers
 	// are responsible for their own bounds and gating.
 	ExtraRoutes map[string]http.Handler
 
@@ -133,9 +129,6 @@ func (o Options) withDefaults() Options {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
 	}
-	if o.RetryAfterSeconds <= 0 {
-		o.RetryAfterSeconds = 1
-	}
 	if o.MaxNullSamples <= 0 {
 		o.MaxNullSamples = 128
 	}
@@ -145,20 +138,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// retryAfter is the Retry-After header value (seconds) of every 429.
+const retryAfter = "1"
+
 // Server is the analysis service. Create with NewServer, start the pool
 // with Start (ListenAndServe does both), and stop with Shutdown. A
 // Server is safe for concurrent use by the http stack.
 type Server struct {
-	opts Options
-	// suite is swappable at runtime (SwapSuite); handlers load it once
-	// per request. gen is bumped on every swap and folded into every
-	// result-cache and coalescing key, so a reloaded suite can never
-	// serve bytes computed against its predecessor.
-	suite atomic.Pointer[core.Suite]
-	gen   atomic.Uint64
+	opts  Options
 	rec   *obs.Recorder
 	mux   *http.ServeMux
-	cache *resultCache
+	table *table
 
 	queue   chan *call
 	qmu     sync.Mutex // guards qclosed and the send-vs-close race
@@ -167,8 +157,6 @@ type Server struct {
 
 	started  atomic.Bool
 	draining atomic.Bool
-
-	flight flightGroup
 
 	groupsMu sync.Mutex
 	groups   map[string]map[string][]graph.VID // dataset -> group -> members
@@ -193,7 +181,7 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:  opts,
 		rec:   opts.Recorder,
-		cache: newResultCache(opts.CacheSize, opts.Recorder),
+		table: newTable(opts.CacheSize, opts.RequestTimeout, opts.Recorder),
 		queue: make(chan *call, opts.QueueDepth),
 
 		mRequests:  opts.Recorder.Counter("serve.requests"),
@@ -205,7 +193,6 @@ func NewServer(opts Options) (*Server, error) {
 		tRequest:   opts.Recorder.Timer("serve/request"),
 		tScore:     opts.Recorder.Timer("serve/score"),
 	}
-	s.suite.Store(opts.Suite)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/score", s.handleScore)
 	mux.HandleFunc("GET /v1/characterize/{dataset}", s.handleCharacterize)
@@ -226,31 +213,6 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// SwapSuite replaces the suite serving new requests and bumps the cache
-// generation, invalidating every previously cached body and in-flight
-// coalescing key: ROADMAP's stale-bytes hazard — reload the suite,
-// keep serving old cache entries — is structurally impossible because
-// the generation is part of every key. In-flight requests finish
-// against the suite they loaded; the group index is rebuilt lazily
-// against the new suite.
-func (s *Server) SwapSuite(suite *core.Suite) {
-	if suite == nil {
-		return
-	}
-	s.suite.Store(suite)
-	s.gen.Add(1)
-	s.groupsMu.Lock()
-	s.groups = nil
-	s.groupsMu.Unlock()
-}
-
-// genKey prefixes a cache/coalescing key with the current suite
-// generation. Every dispatch key passes through here, so a key can
-// never outlive the suite whose bytes it names.
-func (s *Server) genKey(key string) string {
-	return "g" + strconv.FormatUint(s.gen.Load(), 10) + "/" + key
-}
-
 // Handler returns the service's HTTP handler, for embedding under
 // httptest or an outer mux.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -258,9 +220,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Recorder returns the recorder backing /metrics, so the owning binary
 // can flush a final manifest on exit.
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
-
-// Draining reports whether the server has begun its shutdown drain.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Start launches the worker pool. Idempotent; must be called before the
 // handler can answer pooled endpoints.
@@ -276,10 +235,9 @@ func (s *Server) Start() {
 }
 
 // worker drains the queue until it is closed, executing one call at a
-// time: it times the execution, publishes the result to every coalesced
-// waiter, retires the flight key, and feeds the result cache — 200
-// bodies only, so every future hit returns the exact bytes computed
-// here.
+// time: it times the execution and finishes the call in the request
+// table, which releases every coalesced waiter and keeps a 200 resident
+// so every future hit returns the exact bytes computed here.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for c := range s.queue {
@@ -293,11 +251,7 @@ func (s *Server) worker() {
 		if status >= 500 {
 			s.mErrors.Inc()
 		}
-		if status == http.StatusOK {
-			s.cache.add(c.key, body)
-		}
-		c.finish(body, status)
-		s.flight.forget(c.key)
+		s.table.finish(c, body, status)
 	}
 }
 
@@ -392,53 +346,43 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	return serveErr
 }
 
-// dispatch funnels one request through the result cache, coalescing,
-// the bounded queue and the wait loop. key identifies the work for
-// caching and coalescing; mkRun builds the executable for the leader.
-// The response (or backpressure error) is written to w.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, key string, mkRun func() func(ctx context.Context) ([]byte, int)) {
+// dispatch funnels one request through the request table, the bounded
+// queue and the wait loop. key identifies the work for caching and
+// coalescing; run is the executable a leader enqueues. The response (or
+// backpressure error) is written to w.
+func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, key string, run func(ctx context.Context) ([]byte, int)) {
 	start := obs.Now()
-	if body, ok := s.cache.get(key); ok {
+	c, role := s.table.join(key, run)
+	switch role {
+	case roleHit:
 		w.Header().Set("X-Cache", "hit")
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body)
+		_, _ = w.Write(c.body)
 		s.tRequest.Observe(obs.Since(start))
 		return
-	}
-	c, leader := s.flight.join(key, func() *call {
-		ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
-		return &call{
-			key:    key,
-			ctx:    ctx,
-			cancel: cancel,
-			run:    mkRun(),
-			done:   make(chan struct{}),
-		}
-	})
-	if leader {
+	case roleFollower:
+		s.mCoalesced.Inc()
+		w.Header().Set("X-Coalesced", "true")
+	case roleLeader:
 		if !s.enqueue(c) {
 			// Publish the rejection on the call so any follower that
-			// joined between join and forget completes too, then answer
-			// the leader. Queue-full and draining are both shed here.
+			// joined since join completes too, then answer the leader.
+			// Queue-full and draining are both shed here.
 			status, code, msg := http.StatusTooManyRequests, api.CodeQueueFull, "queue full"
 			if s.draining.Load() {
 				status, code, msg = http.StatusServiceUnavailable, api.CodeDraining, "draining"
 			}
-			c.finish(api.ErrorBody(code, msg), status)
-			s.flight.forget(key)
+			s.table.finish(c, api.ErrorBody(code, msg), status)
 			s.mRejected.Inc()
 		}
-	} else {
-		s.mCoalesced.Inc()
-		w.Header().Set("X-Coalesced", "true")
 	}
 
 	select {
 	case <-c.done:
 		s.tRequest.Observe(obs.Since(start))
 		if c.status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(s.opts.RetryAfterSeconds))
+			w.Header().Set("Retry-After", retryAfter)
 		}
 		if c.status == http.StatusOK {
 			s.mScored.Inc()
@@ -449,7 +393,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, key string, mk
 	case <-r.Context().Done():
 		// Client gone: abandon the wait; the last departing waiter
 		// cancels the shared call so the pool stops wasting work.
-		c.leave()
+		s.table.leave(c)
 		s.tRequest.Observe(obs.Since(start))
 	}
 }
@@ -478,7 +422,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 	s.mRequests.Inc()
 	out := make([]api.DatasetInfo, 0, len(core.DatasetNames()))
 	for _, name := range core.DatasetNames() {
-		ds, err := s.suite.Load().DatasetByName(name)
+		ds, err := s.opts.Suite.DatasetByName(name)
 		if err != nil {
 			s.mErrors.Inc()
 			writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
@@ -538,7 +482,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // suiteDataset exists so score.go can share the one lookup-and-classify
 // path for dataset resolution errors.
 func (s *Server) suiteDataset(name string) (*synth.Dataset, *httpErr) {
-	ds, err := s.suite.Load().DatasetByName(name)
+	ds, err := s.opts.Suite.DatasetByName(name)
 	if err != nil {
 		if errors.Is(err, core.ErrUnknownDataset) {
 			return nil, &httpErr{status: http.StatusNotFound, code: api.CodeUnknownDataset, msg: err.Error()}

@@ -293,7 +293,7 @@ func TestCoalescing(t *testing.T) {
 		Recorder:   rec,
 		workerHook: func(c *call) {
 			entered <- c.key
-			if strings.Contains(c.key, "/characterize/") {
+			if strings.HasPrefix(c.key, "characterize/") {
 				<-release
 			}
 		},
@@ -309,7 +309,7 @@ func TestCoalescing(t *testing.T) {
 		r.SetPathValue("dataset", "twitter")
 		s.handleCharacterize(w, r)
 	}()
-	if key := <-entered; !strings.Contains(key, "/characterize/") {
+	if key := <-entered; !strings.HasPrefix(key, "characterize/") {
 		t.Fatalf("blocker key = %q", key)
 	}
 
@@ -335,10 +335,10 @@ func TestCoalescing(t *testing.T) {
 	// The leader has registered once a score call (distinct from the
 	// blocker's characterize call) is observable in flight.
 	scoreCall := func() *call {
-		s.flight.mu.Lock()
-		defer s.flight.mu.Unlock()
-		for key, c := range s.flight.calls {
-			if strings.Contains(key, "/score/") {
+		s.table.mu.Lock()
+		defer s.table.mu.Unlock()
+		for key, c := range s.table.calls {
+			if strings.HasPrefix(key, "score/") {
 				return c
 			}
 		}
@@ -351,7 +351,11 @@ func TestCoalescing(t *testing.T) {
 		go send(i)
 	}
 	// Every follower has joined once the waiter count reaches 1+followers.
-	waitFor(t, func() bool { return leaderCall.waiters.Load() == followers+1 })
+	waitFor(t, func() bool {
+		s.table.mu.Lock()
+		defer s.table.mu.Unlock()
+		return leaderCall.waiters == followers+1
+	})
 
 	close(release)
 	wg.Wait()
@@ -391,10 +395,9 @@ func TestBackpressure(t *testing.T) {
 	entered := make(chan string, 16)
 	rec := obs.NewRecorder()
 	s := newTestServer(t, Options{
-		Workers:           1,
-		QueueDepth:        1,
-		RetryAfterSeconds: 3,
-		Recorder:          rec,
+		Workers:    1,
+		QueueDepth: 1,
+		Recorder:   rec,
 		workerHook: func(c *call) {
 			entered <- c.key
 			<-release
@@ -422,15 +425,15 @@ func TestBackpressure(t *testing.T) {
 	waitFor(t, func() bool { return len(s.queue) == 1 })
 
 	// Third, distinct again: must be shed synchronously.
-	b, _ := json.Marshal(api.ScoreRequest{Dataset: "gplus", Members: ids[:3]})
+	shed, _ := json.Marshal(api.ScoreRequest{Dataset: "gplus", Members: ids[:3]})
 	w := httptest.NewRecorder()
-	r := httptest.NewRequest("POST", "/v1/score", bytes.NewReader(b))
+	r := httptest.NewRequest("POST", "/v1/score", bytes.NewReader(shed))
 	s.handleScore(w, r)
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d, want 429 (body %s)", w.Code, w.Body.String())
 	}
-	if got := w.Header().Get("Retry-After"); got != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", got)
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
 	if e, ok := api.DecodeError(w.Body.Bytes()); !ok || e.Code != api.CodeQueueFull {
 		t.Errorf("shed body is not the queue_full envelope: %s", w.Body.String())
@@ -447,11 +450,26 @@ func TestBackpressure(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	close(entered)
 	for i, code := range codes {
 		if code != http.StatusOK {
 			t.Errorf("request %d: status %d, want 200", i, code)
 		}
+	}
+
+	// The 429 never stayed resident: resending the shed request executes
+	// it afresh.
+	executed := rec.Snapshot().Timers["serve/score"].Count
+	w = httptest.NewRecorder()
+	s.handleScore(w, httptest.NewRequest("POST", "/v1/score", bytes.NewReader(shed)))
+	close(entered)
+	if w.Code != http.StatusOK {
+		t.Errorf("resent shed request: status %d, want 200 (body %s)", w.Code, w.Body.String())
+	}
+	if w.Header().Get("X-Cache") == "hit" {
+		t.Error("resent shed request was answered from the cache")
+	}
+	if got := rec.Snapshot().Timers["serve/score"].Count; got != executed+1 {
+		t.Errorf("serve/score count = %d, want %d (the resent request executes)", got, executed+1)
 	}
 }
 
@@ -472,10 +490,10 @@ func TestClientCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan int, 1)
+	cancelled, _ := json.Marshal(api.ScoreRequest{Dataset: "twitter", Group: group, NullSamples: 4})
 	go func() {
-		b, _ := json.Marshal(api.ScoreRequest{Dataset: "twitter", Group: group, NullSamples: 4})
 		w := httptest.NewRecorder()
-		r := httptest.NewRequest("POST", "/v1/score", bytes.NewReader(b)).WithContext(ctx)
+		r := httptest.NewRequest("POST", "/v1/score", bytes.NewReader(cancelled)).WithContext(ctx)
 		s.handleScore(w, r)
 		done <- w.Code
 	}()
@@ -512,6 +530,19 @@ func TestClientCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("follow-up request did not complete")
+	}
+
+	// The single worker finished the cancelled call before the follow-up,
+	// and its 503 never stayed resident: the same request executes again.
+	w := httptest.NewRecorder()
+	s.handleScore(w, httptest.NewRequest("POST", "/v1/score", bytes.NewReader(cancelled)))
+	if w.Code != http.StatusOK {
+		t.Errorf("resent cancelled request: status %d, want 200 (body %s)", w.Code, w.Body.String())
+	}
+	select {
+	case <-calls:
+	default:
+		t.Error("resent cancelled request did not reach the pool")
 	}
 }
 
@@ -606,7 +637,7 @@ func TestDrain(t *testing.T) {
 	<-entered // the worker holds the in-flight request
 
 	cancel() // SIGTERM analog: begin the drain
-	waitFor(t, func() bool { return s.Draining() })
+	waitFor(t, func() bool { return s.draining.Load() })
 
 	// In-flight work finishes and its client gets a full response.
 	close(release)
