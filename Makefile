@@ -48,7 +48,7 @@ analyze: vet
 		echo "analyze: findings recorded in $(ANALYZE_JSON)"; \
 	fi
 	$(GO) run ./cmd/circlelint .
-	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./internal/detect/ ./internal/ncp/
+	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./internal/detect/ ./internal/ncp/ ./internal/par/
 
 # Emits machine-readable benchmark records (one JSON event per line) so
 # runs on different machines/dates can be diffed with benchstat-style
@@ -91,7 +91,8 @@ bench-tri:
 		-benchmem -benchtime=$(BENCHTIME) -json . | tee $(TRI_BENCH_OUT)
 
 # Record the NCP sweep benchmarks: the approximate-PPR network community
-# profile over the shared Google+ data set, serial and fanned out, the
+# profile over the shared Google+ data set, serial (the benchmark sets
+# GOMAXPROCS=1 itself) and fanned out over the runner's GOMAXPROCS, the
 # push layer alone (32 stratified seeds, push and sweep ordering), and
 # whole in-process /v1/ncp requests at the request defaults. Both sweeps
 # produce the same curve by contract, so the pair isolates fan-out

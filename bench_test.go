@@ -31,6 +31,7 @@ import (
 	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/nullmodel"
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/par/partest"
 	"gpluscircles/internal/powerlaw"
 	"gpluscircles/internal/sample"
 	"gpluscircles/internal/score"
@@ -332,7 +333,7 @@ func BenchmarkParallelScores(b *testing.B) {
 	fns := score.PaperFuncs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		score.EvaluateGroupsParallel(ctx, gp.Groups, fns, 0)
+		score.EvaluateGroupsParallel(ctx, gp.Groups, fns)
 	}
 }
 
@@ -668,11 +669,11 @@ func BenchmarkRunAllParallel(b *testing.B) {
 // it with one throwaway estimator round, so the benchmark loop measures
 // the allocation-free steady state (pooled overlays + pooled rewirer
 // scratch) rather than first-call warm-up.
-func nullBenchArena(b *testing.B, s *core.Suite, g *graph.Graph, samples, workers int) *graph.OverlayArena {
+func nullBenchArena(b *testing.B, s *core.Suite, g *graph.Graph, samples int) *graph.OverlayArena {
 	b.Helper()
 	arena := graph.NewOverlayArena(g)
 	est, err := nullmodel.NewEmpiricalEstimator(g, nullmodel.EstimatorOptions{
-		Samples: samples, SwapsPerEdge: 1, RNG: s.RNG(-1), Workers: workers, Arena: arena,
+		Samples: samples, SwapsPerEdge: 1, RNG: s.RNG(-1), Arena: arena,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -682,19 +683,20 @@ func nullBenchArena(b *testing.B, s *core.Suite, g *graph.Graph, samples, worker
 }
 
 // BenchmarkEmpiricalExpectation times the Viger-Latapy null-model
-// sampler on one worker (32 samples, 1 swap per edge) drawing overlay
-// buffers from a warmed shared arena.
+// sampler at GOMAXPROCS=1, so on one worker (32 samples, 1 swap per
+// edge), drawing overlay buffers from a warmed shared arena.
 func BenchmarkEmpiricalExpectation(b *testing.B) {
 	s := suite(b)
 	tw, err := s.Twitter()
 	if err != nil {
 		b.Fatal(err)
 	}
-	arena := nullBenchArena(b, s, tw.Graph, 32, 1)
+	partest.GOMAXPROCS(b, 1)
+	arena := nullBenchArena(b, s, tw.Graph, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est, err := nullmodel.NewEmpiricalEstimator(tw.Graph, nullmodel.EstimatorOptions{
-			Samples: 32, SwapsPerEdge: 1, RNG: s.RNG(int64(i)), Workers: 1, Arena: arena,
+			Samples: 32, SwapsPerEdge: 1, RNG: s.RNG(int64(i)), Arena: arena,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -704,14 +706,15 @@ func BenchmarkEmpiricalExpectation(b *testing.B) {
 }
 
 // BenchmarkEmpiricalExpectationParallel times the same sampling fanned
-// out over GOMAXPROCS workers with seeded child RNG streams.
+// out over the runner's GOMAXPROCS (set by -cpu) with seeded child RNG
+// streams.
 func BenchmarkEmpiricalExpectationParallel(b *testing.B) {
 	s := suite(b)
 	tw, err := s.Twitter()
 	if err != nil {
 		b.Fatal(err)
 	}
-	arena := nullBenchArena(b, s, tw.Graph, 32, 0)
+	arena := nullBenchArena(b, s, tw.Graph, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est, err := nullmodel.NewEmpiricalEstimator(tw.Graph, nullmodel.EstimatorOptions{

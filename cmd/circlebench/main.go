@@ -38,10 +38,13 @@
 //
 // Experiment IDs map to the paper's artifacts (table2, table3, fig2,
 // fig3, fig4, fig5, fig6, directedness, ablation-null, ablation-sampler,
-// extended-scores). Without -experiment, all run in paper order, fanned
-// out over -workers goroutines (0 = GOMAXPROCS); -workers=1 keeps the
-// serial path. The report bytes are identical either way at a given
-// seed, and never depend on instrumentation being on or off.
+// extended-scores). Without -experiment, all run in paper order, the
+// experiments fanned out over -workers goroutines (0 = GOMAXPROCS);
+// -workers=1 runs them one after another. The batches inside an
+// experiment (scoring, null sampling, NCP pushes) fan out over
+// GOMAXPROCS at every -workers value. The report bytes are identical
+// either way at a given seed, and never depend on instrumentation being
+// on or off.
 package main
 
 import (
@@ -210,8 +213,6 @@ func run() error {
 		}
 		fmt.Printf("=== %s [%s] ===\n\n", e.Title, e.ID)
 		runErr = suite.RunExperimentCtx(ctx, e, os.Stdout)
-	} else if *workers == 1 {
-		runErr = suite.RunAllCtx(ctx, os.Stdout)
 	} else {
 		runErr = suite.RunAllParallelCtx(ctx, os.Stdout, *workers)
 	}

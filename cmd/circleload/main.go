@@ -41,11 +41,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"gpluscircles/internal/cliflag"
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/par"
 	"gpluscircles/internal/serve/api"
 )
 
@@ -122,27 +122,9 @@ func run() error {
 	}
 
 	results := make([]result, *n)
-	workers := *c
-	if workers > *n {
-		workers = *n
-	}
-	var wg sync.WaitGroup
+	workers := par.Workers(*n, *c)
 	start := obs.Now()
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = fire(client, *addr, bodies[i])
-			}
-		}()
-	}
-	for i := 0; i < *n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.For(*n, workers, func(_, i int) { results[i] = fire(client, *addr, bodies[i]) })
 	wall := obs.Since(start)
 
 	rep := summarize(results, workers, wall)

@@ -18,10 +18,13 @@ func Seed(fs *flag.FlagSet) *int64 {
 	return fs.Int64("seed", 1, "deterministic seed driving every generator and sampler")
 }
 
-// Workers registers the shared -workers flag bounding a binary's worker
-// pools. 0 selects GOMAXPROCS; 1 forces the serial path.
+// Workers registers the shared -workers flag bounding a binary's
+// top-level pool: circlebench's experiment engine, circled's request
+// pool, synthgen's generator. 0 selects GOMAXPROCS. The batches inside
+// an experiment or request (scoring, null sampling, NCP pushes) fan out
+// over GOMAXPROCS whatever the flag says.
 func Workers(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	return fs.Int("workers", 0, "top-level pool size: experiment engine, request pool or generator (0 = GOMAXPROCS); scoring, null sampling and NCP batches follow GOMAXPROCS")
 }
 
 // JSON registers the shared -json flag switching a binary's primary

@@ -85,8 +85,6 @@ type Fig5Options struct {
 	// empirical null model (typically Suite.NullArena). The estimator's
 	// overlays are returned to it before CirclesVsRandom returns.
 	NullArena *graph.OverlayArena
-	// Workers bounds the scoring worker pool; 0 selects GOMAXPROCS.
-	Workers int
 	// Recorder, when non-nil, instruments the private scoring context
 	// and empirical estimator (typically Suite.Recorder). It is ignored
 	// when a shared Context is honored — that context carries its own.
@@ -124,7 +122,7 @@ func CirclesVsRandom(ds *synth.Dataset, opts Fig5Options, rng *rand.Rand) (*Fig5
 		defer done()
 	}
 
-	circleScores := score.EvaluateGroupsParallel(ctx, ds.Groups, fns, opts.Workers)
+	circleScores := score.EvaluateGroupsParallel(ctx, ds.Groups, fns)
 
 	sizes := ds.GroupSizes()
 	sets, err := sample.MatchSizes(ds.Graph, sizes, sampler, rng)
@@ -135,7 +133,7 @@ func CirclesVsRandom(ds *synth.Dataset, opts Fig5Options, rng *rand.Rand) (*Fig5
 	for i, members := range sets {
 		randomGroups[i] = score.Group{Name: fmt.Sprintf("random%04d", i), Members: members}
 	}
-	randomScores := score.EvaluateGroupsParallel(ctx, randomGroups, fns, opts.Workers)
+	randomScores := score.EvaluateGroupsParallel(ctx, randomGroups, fns)
 
 	res := &Fig5Result{Panels: make([]Fig5Panel, 0, len(fns))}
 	for _, f := range fns {
@@ -224,7 +222,7 @@ func crossNetworkWith(datasets []*synth.Dataset, fns []score.Func, ctxOf func(*g
 		}
 		// The paper-scale community sets hold thousands of groups;
 		// worker-pool evaluation matches the serial results exactly.
-		perDataset[i] = score.EvaluateGroupsParallel(ctxOf(ds.Graph), ds.Groups, fns, 0)
+		perDataset[i] = score.EvaluateGroupsParallel(ctxOf(ds.Graph), ds.Groups, fns)
 	}
 	res := &Fig6Result{Panels: make([]Fig6Panel, 0, len(fns))}
 	for _, f := range fns {
@@ -286,8 +284,8 @@ func directednessWith(ds *synth.Dataset, und *graph.Graph, dirCtx, undCtx *score
 	}
 	// The projection preserves the vertex set and external IDs, so dense
 	// indices are identical and groups carry over unchanged.
-	dirScores := score.EvaluateGroupsParallel(dirCtx, ds.Groups, fns, 0)
-	undScores := score.EvaluateGroupsParallel(undCtx, ds.Groups, fns, 0)
+	dirScores := score.EvaluateGroupsParallel(dirCtx, ds.Groups, fns)
+	undScores := score.EvaluateGroupsParallel(undCtx, ds.Groups, fns)
 
 	res := &DirectednessResult{Dataset: ds.Name, PerFunc: make(map[string]float64, len(fns))}
 	var totalSum float64
@@ -342,14 +340,14 @@ func CompareNullModelsArena(ds *synth.Dataset, samples int, swapsPerEdge float64
 	}
 	mod := []score.Func{score.Modularity()}
 
-	analytic := score.EvaluateGroupsParallel(score.NewContext(ds.Graph), ds.Groups, mod, 0)
+	analytic := score.EvaluateGroupsParallel(score.NewContext(ds.Graph), ds.Groups, mod)
 
 	ctx, done, err := newScoringContext(ds.Graph, samples, swapsPerEdge, rng, arena, rec)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
-	empirical := score.EvaluateGroupsParallel(ctx, ds.Groups, mod, 0)
+	empirical := score.EvaluateGroupsParallel(ctx, ds.Groups, mod)
 
 	res := &NullModelAblation{Dataset: ds.Name}
 	for i := range analytic["modularity"] {

@@ -11,11 +11,12 @@ import (
 	"gpluscircles/internal/core"
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/ncp"
+	"gpluscircles/internal/par/partest"
 )
 
 // ncpGoldenFile pins the NCP curve bytes of the seed Google+ data set
 // at the frozen golden suite configuration (the same one behind
-// fig5_fig6.golden). The test renders the curve once per worker count
+// fig5_fig6.golden). The test renders the curve once per GOMAXPROCS
 // in {1, 4, 8} and once against a pooled overlay view of the same
 // graph: every rendering must match the checked-in bytes exactly —
 // the tentpole determinism contract, enforced under -race in CI.
@@ -49,7 +50,8 @@ func TestGoldenNCP(t *testing.T) {
 
 	render := func(g *graph.Graph, workers int) []byte {
 		t.Helper()
-		curve, err := ncp.Sweep(g, ncp.Options{Seeds: 16, MaxSize: 100, Workers: workers, Seed: 1})
+		partest.GOMAXPROCS(t, workers)
+		curve, err := ncp.Sweep(g, ncp.Options{Seeds: 16, MaxSize: 100, Seed: 1})
 		if err != nil {
 			t.Fatalf("sweep (workers=%d): %v", workers, err)
 		}

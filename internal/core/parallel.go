@@ -5,8 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
+
+	"gpluscircles/internal/par"
 )
 
 // RunAllParallelCtx executes every registered experiment over a bounded
@@ -21,23 +21,18 @@ import (
 // concurrency, and every experiment derives its randomness from a
 // private Suite.RNG stream, so no experiment perturbs another.
 //
-// Cancellation is observed at worker-batch boundaries: a cancelled ctx
-// stops the dispatch of further experiments and marks undispatched ones
-// cancelled, while in-flight experiments run to completion (they are
-// the atomic unit). The emitted report then holds the completed prefix
-// in registry order followed by the wrapped ctx error.
+// Cancellation is observed between experiments: once ctx is cancelled,
+// every experiment not yet started is marked cancelled, while in-flight
+// experiments run to completion (they are the atomic unit). The emitted
+// report then holds the completed prefix in registry order followed by
+// the wrapped ctx error.
 //
 // Error semantics mirror RunAllCtx: the first failing experiment in
 // registry order aborts the report after its (possibly partial) section
 // has been written; later sections are discarded.
 func (s *Suite) RunAllParallelCtx(ctx context.Context, w io.Writer, workers int) error {
 	exps := Experiments()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
+	workers = par.Workers(len(exps), workers)
 	if workers <= 1 {
 		return s.RunAllCtx(ctx, w)
 	}
@@ -47,36 +42,15 @@ func (s *Suite) RunAllParallelCtx(ctx context.Context, w io.Writer, workers int)
 
 	bufs := make([]bytes.Buffer, len(exps))
 	errs := make([]error, len(exps))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				if err := ctx.Err(); err != nil {
-					errs[idx] = err
-					continue
-				}
-				errs[idx] = s.runSpanned(run, exps[idx], &bufs[idx])
-			}
-		}()
-	}
-dispatch:
-	for idx := range exps {
-		select {
-		case next <- idx:
-		case <-ctx.Done():
-			// idx and everything after it was never dispatched; mark it
-			// so the emission loop stops at the completed prefix.
-			for rest := idx; rest < len(exps); rest++ {
-				errs[rest] = ctx.Err()
-			}
-			break dispatch
+	par.For(len(exps), workers, func(_, idx int) {
+		// An experiment picked up after cancellation is marked, so the
+		// emission loop stops at the completed prefix.
+		if err := ctx.Err(); err != nil {
+			errs[idx] = err
+			return
 		}
-	}
-	close(next)
-	wg.Wait()
+		errs[idx] = s.runSpanned(run, exps[idx], &bufs[idx])
+	})
 
 	for i, e := range exps {
 		if _, err := fmt.Fprintf(w, "\n=== %s [%s] ===\n\n", e.Title, e.ID); err != nil {

@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 
+	"gpluscircles/internal/par"
 	"gpluscircles/internal/report"
 )
 
@@ -33,24 +32,17 @@ type seedOutcome struct {
 	err       error
 }
 
-// MeasureRobustnessWorkers reruns the scorecard for `seeds` consecutive
-// seeds at the suite's scale, fanning the seeds out over `workers`
-// goroutines (workers <= 0 selects GOMAXPROCS; 1 runs serially). Each
-// seed builds a fresh independent Suite (the receiver's cached data sets
-// are not reused), so the per-seed runs share no mutable state. Per-seed
+// MeasureRobustness reruns the scorecard for `seeds` consecutive seeds
+// at the suite's scale, fanning the seeds out with par.For. Each seed
+// builds a fresh independent Suite (the receiver's cached data sets are
+// not reused), so the per-seed runs share no mutable state. Per-seed
 // outcomes land in a slice indexed by seed offset and are merged in seed
 // order afterwards, so the result — including FailuresByClaim contents
-// and the first error selected — is byte-for-byte independent of the
-// worker count.
-func MeasureRobustnessWorkers(opts SuiteOptions, seeds, workers int) (*RobustnessResult, error) {
+// and the first error selected — is byte-for-byte independent of
+// GOMAXPROCS.
+func MeasureRobustness(opts SuiteOptions, seeds int) (*RobustnessResult, error) {
 	if seeds < 1 {
 		seeds = 3
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > seeds {
-		workers = seeds
 	}
 	base := opts.withDefaults()
 
@@ -74,28 +66,7 @@ func MeasureRobustnessWorkers(opts SuiteOptions, seeds, workers int) (*Robustnes
 	}
 
 	outcomes := make([]seedOutcome, seeds)
-	if workers <= 1 {
-		for i := range outcomes {
-			outcomes[i] = evalSeed(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					outcomes[i] = evalSeed(i)
-				}
-			}()
-		}
-		for i := range outcomes {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(seeds, 0, func(_, i int) { outcomes[i] = evalSeed(i) })
 
 	// Deterministic merge in seed order: the first failing seed's error
 	// wins, exactly as the serial loop would have reported it.
@@ -119,7 +90,7 @@ func runRobustness(s *Suite, w io.Writer) error {
 	// while still exercising the full pipeline per seed.
 	opts := s.Options()
 	opts.Scale = opts.Scale * 0.4
-	res, err := MeasureRobustnessWorkers(opts, 3, 0)
+	res, err := MeasureRobustness(opts, 3)
 	if err != nil {
 		return err
 	}

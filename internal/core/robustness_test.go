@@ -4,18 +4,20 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"gpluscircles/internal/par/partest"
 )
 
 func TestMeasureRobustnessAllSeedsHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed rerun in -short mode")
 	}
-	res, err := MeasureRobustnessWorkers(SuiteOptions{
+	res, err := MeasureRobustness(SuiteOptions{
 		Scale:             0.25,
 		Seed:              3,
 		DistanceSources:   12,
 		ClusteringSamples: 200,
-	}, 3, 0)
+	}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestMeasureRobustnessAllSeedsHold(t *testing.T) {
 }
 
 // TestMeasureRobustnessParallelMatchesSerial fans the per-seed
-// scorecards out over a worker pool and demands the result — and its
+// scorecards out at several GOMAXPROCS values and demands the result — and its
 // rendered report section — be byte-identical to the serial run. This
 // is the fan-out's correctness contract: parallelism must never show up
 // in the output.
@@ -49,12 +51,14 @@ func TestMeasureRobustnessParallelMatchesSerial(t *testing.T) {
 		ClusteringSamples: 120,
 	}
 	const seeds = 4
-	serial, err := MeasureRobustnessWorkers(opts, seeds, 1)
+	partest.GOMAXPROCS(t, 1)
+	serial, err := MeasureRobustness(opts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, seeds, seeds + 3} {
-		parallel, err := MeasureRobustnessWorkers(opts, seeds, workers)
+		partest.GOMAXPROCS(t, workers)
+		parallel, err := MeasureRobustness(opts, seeds)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/par"
 )
 
 // Stream-builder errors. ErrStreamPass flags API misuse (wrong phase),
@@ -83,13 +82,9 @@ func NewStreamBuilder(directed bool, opts StreamOptions) (*StreamBuilder, error)
 		return nil, fmt.Errorf("%w: DenseVertices %d outside [1, %d]",
 			ErrStreamRange, opts.DenseVertices, math.MaxInt32)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	sb := &StreamBuilder{
 		directed: directed,
-		workers:  workers,
+		workers:  opts.Workers,
 		pass:     1,
 		n:        opts.DenseVertices,
 		outCnt:   make([]int64, opts.DenseVertices),
@@ -299,15 +294,10 @@ func (sb *StreamBuilder) totalCounted() int64 {
 // destination can overlap an earlier row's still-unread source. It is a
 // straight memory pass, so serializing it is cheap next to the sorts.
 func sortDedupCompact(off []int64, adj []VID, workers int) ([]int64, []VID) {
+	const rowChunk = 1024 // rows per fan-out unit
 	n := len(off) - 1
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	parallelRows(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
+	par.For((n+rowChunk-1)/rowChunk, workers, func(_, c int) {
+		for v := c * rowChunk; v < min(n, (c+1)*rowChunk); v++ {
 			slices.Sort(adj[off[v]:off[v+1]])
 		}
 	})
@@ -333,26 +323,4 @@ func dedupRows(off []int64, adj []VID) ([]int64, []VID) {
 	}
 	off[n] = w
 	return off, adj[:w]
-}
-
-// parallelRows fans fn out over contiguous row ranges.
-func parallelRows(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 2 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -69,7 +69,7 @@ func matchAny(path string, patterns []string) bool {
 // DefaultConfig is the repo's own architecture map, the invariant the
 // layering analyzer keeps true by construction:
 //
-//	foundation   obs, stats, powerlaw, report, cliflag
+//	foundation   obs, stats, powerlaw, report, cliflag, par
 //	graph        graph (CSR core; imports only obs)
 //	kernels      score, graphalgo, sample
 //	domain       synth, nullmodel, detect, feature, dataset
@@ -90,8 +90,8 @@ func DefaultConfig() *Config {
 		}
 		return out
 	}
-	foundation := layer("obs", "stats", "powerlaw", "report", "cliflag")
-	below := layer("obs", "stats", "powerlaw", "report", "cliflag",
+	foundation := layer("obs", "stats", "powerlaw", "report", "cliflag", "par")
+	below := layer("obs", "stats", "powerlaw", "report", "cliflag", "par",
 		"graph", "score", "graphalgo", "sample",
 		"synth", "nullmodel", "detect", "feature", "dataset")
 	return &Config{
@@ -113,7 +113,7 @@ func DefaultConfig() *Config {
 			},
 			{
 				Name: "foundation-is-leaf",
-				Why:  "observability, stats and report primitives must not depend on graph or domain code",
+				Why:  "observability, stats, report and fan-out primitives must not depend on graph or domain code",
 				From: foundation,
 				To: layer("graph", "score", "graphalgo", "sample",
 					"synth", "nullmodel", "detect", "feature", "dataset"),
@@ -131,7 +131,7 @@ func DefaultConfig() *Config {
 		// serve/api is the wire contract every serving-tier client shares;
 		// serve itself is restricted below to the binary that embodies it.
 		CommandAllow: layer("cliflag", "core", "dataset", "detect", "experiments",
-			"graph", "graphalgo", "lint", "ncp", "obs", "powerlaw", "report",
+			"graph", "graphalgo", "lint", "ncp", "obs", "par", "powerlaw", "report",
 			"score", "serve", "serve/api", "synth"),
 		CommandRestrict: map[string][]string{
 			mod + "/internal/serve": {mod + "/cmd/circled"},

@@ -11,8 +11,8 @@ import (
 // join: no sync.WaitGroup-style Wait call, no channel receive or range,
 // and no select. A goroutine that outlives its spawner keeps writing
 // into shared scorecards and buffers after the report is assembled —
-// exactly the failure the worker pools in internal/core and
-// internal/ncp avoid by joining before returning. Fire-and-forget
+// exactly the failure par.For (internal/par) and the serving pool in
+// internal/serve avoid by joining before returning. Fire-and-forget
 // goroutines that are genuinely intended must carry a //lint:ignore with
 // the reason.
 var Goroutineleak = &Analyzer{

@@ -9,12 +9,12 @@ import (
 // iteration with no visible bound on concurrency: a `range` loop (or a
 // condition-only / infinite `for`) spawning a goroutine per element can
 // launch as many goroutines as the input has items — the load-dependent
-// blowup the bounded pools in internal/serve and internal/ncp exist
+// blowup the bounded pools in internal/serve and internal/par exist
 // to prevent. The check recognizes the project's two bounded
 // idioms and stays silent for them:
 //
-//   - a 3-clause counter loop (`for i := 0; i < workers; i++`), the
-//     fixed-width worker pool;
+//   - a 3-clause counter loop (`for w := 1; w < workers; w++`), the
+//     fixed-width worker pool par.For starts;
 //   - a semaphore acquire in the loop body outside the go statement (a
 //     channel send or receive executed before spawning).
 //

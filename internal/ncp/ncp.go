@@ -9,9 +9,9 @@
 //
 // The sweep is deterministic by construction: seed selection is a
 // degree-stratified draw from a private seeded stream, the per-seed
-// sweeps run on a bounded worker pool writing into indexed slots, and
-// the minima merge serially in seed order — so the curve (and every
-// byte rendered from it) is identical across worker counts, and
+// sweeps fan out with par.For writing into indexed slots, and the
+// minima merge serially in seed order — so the curve (and every byte
+// rendered from it) is identical at every GOMAXPROCS, and
 // identical between a parent graph and a pooled overlay of it.
 package ncp
 
@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -30,6 +29,7 @@ import (
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/nullmodel"
+	"gpluscircles/internal/par"
 	"gpluscircles/internal/report"
 )
 
@@ -49,9 +49,6 @@ type Options struct {
 	Alpha float64
 	// MaxSize bounds the community sizes swept (default 400).
 	MaxSize int
-	// Workers bounds the sweep worker pool; <= 0 selects GOMAXPROCS,
-	// 1 runs serially. The curve does not depend on it.
-	Workers int
 	// Seed drives the stratified seed draw; 0 selects 1.
 	Seed int64
 }
@@ -68,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSize <= 0 {
 		o.MaxSize = 400
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -190,9 +184,9 @@ var workspaces = sync.Pool{New: func() any {
 // Sweep computes the network community profile of g: for every seed, an
 // approximate PPR push followed by a sweep-cut over the
 // degree-normalized ordering, with the per-size minima merged across
-// seeds. The merge happens serially in seed order after the parallel
-// fan-out joins, so the curve is byte-identical across Workers settings
-// — asserted by the package tests and the core golden.
+// seeds. The merge happens serially in seed order after the par.For
+// fan-out joins, so the curve is byte-identical at every GOMAXPROCS —
+// asserted by the package tests and the core golden.
 func Sweep(g *graph.Graph, opts Options) (*Curve, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -204,32 +198,19 @@ func Sweep(g *graph.Graph, opts Options) (*Curve, error) {
 	pprOpts := detect.PPROptions{Alpha: opts.Alpha, Eps: opts.Eps}
 	results := make([][]float64, len(seeds))
 	errs := make([]error, len(seeds))
-	workers := opts.Workers
-	if workers > len(seeds) {
-		workers = len(seeds)
+	// Each worker slot owns a pooled workspace for the fan-out; results
+	// land in per-seed slots, so nothing here races or depends on
+	// scheduling.
+	wss := make([]*workspace, par.Workers(len(seeds), 0))
+	for w := range wss {
+		wss[w] = workspaces.Get().(*workspace)
 	}
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Each worker owns a pooled workspace while it runs;
-			// results land in per-seed slots, so nothing here races or
-			// depends on scheduling.
-			ws := workspaces.Get().(*workspace)
-			defer workspaces.Put(ws)
-			for i := range jobs {
-				results[i], errs[i] = sweepSeed(g, seeds[i], ws.ppr, ws.cutter, pprOpts, opts.MaxSize)
-			}
-		}()
+	par.For(len(seeds), len(wss), func(w, i int) {
+		results[i], errs[i] = sweepSeed(g, seeds[i], wss[w].ppr, wss[w].cutter, pprOpts, opts.MaxSize)
+	})
+	for _, ws := range wss {
+		workspaces.Put(ws)
 	}
-	for i := range seeds {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 
 	for i, err := range errs {
 		if err != nil {
@@ -282,8 +263,7 @@ func sweepSeed(g *graph.Graph, seed graph.VID, ppr *detect.PPR, cutter *graphalg
 // and returns the pointwise-minimum profile across them, merged in
 // sample order. The rewired graphs are pooled overlays from arena (nil
 // uses a private arena), so at steady state null sweeps allocate no
-// graph storage. The same Options contract applies: the result does not
-// depend on Workers.
+// graph storage. Like Sweep, the result does not depend on GOMAXPROCS.
 func NullCurve(g *graph.Graph, samples int, seed int64, arena *graph.OverlayArena, opts Options) (*Curve, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("ncp: null samples must be positive, got %d", samples)

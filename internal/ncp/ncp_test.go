@@ -15,6 +15,7 @@ import (
 	"gpluscircles/internal/core"
 	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/par/partest"
 	"gpluscircles/internal/serve/api"
 )
 
@@ -77,13 +78,14 @@ func curveBytes(t *testing.T, c *Curve) []byte {
 }
 
 // The tentpole determinism contract: the merged curve — and the bytes
-// rendered from it — are identical across worker counts.
+// rendered from it — are identical at every GOMAXPROCS.
 func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	g := plantedGraph(t, 1)
 	var want []byte
 	var wantCurve *Curve
 	for _, workers := range []int{1, 4, 8} {
-		c, err := Sweep(g, Options{Seeds: 24, MaxSize: 80, Workers: workers, Seed: 2})
+		partest.GOMAXPROCS(t, workers)
+		c, err := Sweep(g, Options{Seeds: 24, MaxSize: 80, Seed: 2})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -112,15 +114,17 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 // curve's bytes.
 func TestConcurrentSweepsSharePool(t *testing.T) {
 	graphs := []*graph.Graph{plantedGraph(t, 1), plantedGraph(t, 2), cliqueGraph(t, 40)}
-	opts := Options{Seeds: 16, MaxSize: 60, Workers: 3, Seed: 5}
+	opts := Options{Seeds: 16, MaxSize: 60, Seed: 5}
 	want := make([][]byte, len(graphs))
+	partest.GOMAXPROCS(t, 1)
 	for i, g := range graphs {
-		c, err := Sweep(g, Options{Seeds: 16, MaxSize: 60, Workers: 1, Seed: 5})
+		c, err := Sweep(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = curveBytes(t, c)
 	}
+	partest.GOMAXPROCS(t, 3)
 	var wg sync.WaitGroup
 	for k := 0; k < 12; k++ {
 		wg.Add(1)
@@ -336,7 +340,8 @@ func TestNullCurveDeterministicAcrossWorkers(t *testing.T) {
 	g := plantedGraph(t, 17)
 	var want []byte
 	for _, workers := range []int{1, 4} {
-		c, err := NullCurve(g, 2, 1, nil, Options{Seeds: 8, MaxSize: 40, Workers: workers, Seed: 1})
+		partest.GOMAXPROCS(t, workers)
+		c, err := NullCurve(g, 2, 1, nil, Options{Seeds: 8, MaxSize: 40, Seed: 1})
 		if err != nil {
 			t.Fatalf("null curve workers=%d: %v", workers, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/par/partest"
 )
 
 // A warmed Sweep takes its push and sweep-cut workspaces from the pool,
@@ -18,7 +19,8 @@ import (
 // 1 keeps the per-seed allocations (the sweep order and one
 // conductance) the same on both graphs.
 func TestSweepAllocsIndependentOfN(t *testing.T) {
-	opts := Options{Seeds: 4, Eps: 1e-5, MaxSize: 1, Workers: 1, Seed: 3}
+	partest.GOMAXPROCS(t, 1)
+	opts := Options{Seeds: 4, Eps: 1e-5, MaxSize: 1, Seed: 3}
 	small, large := cliqueGraph(t, 16), cliqueGraph(t, 256)
 	for _, g := range []*graph.Graph{large, small} {
 		if _, err := Sweep(g, opts); err != nil {

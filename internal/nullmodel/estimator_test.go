@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/par/partest"
 )
 
 // referenceExpectation reproduces the pre-overlay estimator exactly: each
@@ -80,11 +81,11 @@ func TestEstimatorMatchesRewireReference(t *testing.T) {
 			arena := graph.NewOverlayArena(g)
 			for round := 0; round < 2; round++ { // round 2 runs on pooled buffers
 				for _, workers := range []int{1, 4} {
+					partest.GOMAXPROCS(t, workers)
 					est, err := NewEmpiricalEstimator(g, EstimatorOptions{
 						Samples:      samples,
 						SwapsPerEdge: swapsPerEdge,
 						RNG:          rand.New(rand.NewSource(seed)),
-						Workers:      workers,
 						Arena:        arena,
 					})
 					if err != nil {
@@ -111,7 +112,7 @@ func TestEstimatorClosureMatchesReference(t *testing.T) {
 	g := randomConnectedGraph(t, 21, 40, 120, true)
 	ref := referenceExpectation(t, g, 4, 2, 77)
 	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
-		Samples: 4, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(77)), Workers: 2,
+		Samples: 4, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(77)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestEstimatorClosureMatchesReference(t *testing.T) {
 func TestEstimatorSharedAcrossGoroutines(t *testing.T) {
 	g := randomConnectedGraph(t, 31, 80, 300, true)
 	est, err := NewEmpiricalEstimator(g, EstimatorOptions{
-		Samples: 5, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(13)), Workers: 4,
+		Samples: 5, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(13)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestEstimatorSamplesPreserveDegrees(t *testing.T) {
 	for _, directed := range []bool{false, true} {
 		g := randomConnectedGraph(t, 51, 50, 150, directed)
 		est, err := NewEmpiricalEstimator(g, EstimatorOptions{
-			Samples: 3, SwapsPerEdge: 4, RNG: rand.New(rand.NewSource(3)), Workers: 1,
+			Samples: 3, SwapsPerEdge: 4, RNG: rand.New(rand.NewSource(3)),
 		})
 		if err != nil {
 			t.Fatal(err)

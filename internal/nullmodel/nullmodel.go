@@ -12,13 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/par"
 )
 
 var (
@@ -354,8 +354,6 @@ type EstimatorOptions struct {
 	RNG *rand.Rand
 	// Seed seeds the private stream when RNG is nil; 0 selects 1.
 	Seed int64
-	// Workers bounds the sampling worker pool; <= 0 selects GOMAXPROCS.
-	Workers int
 	// Arena supplies pooled overlay buffers. It must pool the same graph
 	// the estimator samples. Nil uses a private arena, which still pools
 	// rewiring scratch but cannot reuse overlay buffers across estimator
@@ -379,9 +377,6 @@ func (o EstimatorOptions) withDefaults() EstimatorOptions {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -422,10 +417,11 @@ func NewEmpiricalEstimatorCtx(ctx context.Context, g *graph.Graph, opts Estimato
 		return nil, errors.New("nullmodel: overlay arena pools a different graph")
 	}
 
+	workers := par.Workers(samples, 0)
 	batch := opts.Recorder.StartSpan("sample-batch")
 	if batch != nil { // attr strings would otherwise allocate on the disabled path
 		batch.SetAttr("samples", fmt.Sprint(samples))
-		batch.SetAttr("workers", fmt.Sprint(opts.Workers))
+		batch.SetAttr("workers", fmt.Sprint(workers))
 	}
 	defer batch.End()
 	mAttempts := opts.Recorder.Counter("nullmodel.rewire.attempts")
@@ -437,10 +433,6 @@ func NewEmpiricalEstimatorCtx(ctx context.Context, g *graph.Graph, opts Estimato
 	seeds := make([]int64, samples)
 	for i := range seeds {
 		seeds[i] = rng.Int63()
-	}
-	workers := opts.Workers
-	if workers > samples {
-		workers = samples
 	}
 
 	template := g.EdgeList()
@@ -465,31 +457,15 @@ func NewEmpiricalEstimatorCtx(ctx context.Context, g *graph.Graph, opts Estimato
 		}
 		overlays[i] = ov
 	}
-	if workers <= 1 {
-		scr := scratchPool.Get().(*sampleScratch)
-		for i := range overlays {
-			sampleInto(i, scr)
-		}
+	// One pooled rewiring scratch per worker slot, returned once the
+	// batch has joined.
+	scratch := make([]*sampleScratch, workers)
+	for w := range scratch {
+		scratch[w] = scratchPool.Get().(*sampleScratch)
+	}
+	par.For(samples, workers, func(w, i int) { sampleInto(i, scratch[w]) })
+	for _, scr := range scratch {
 		scratchPool.Put(scr)
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scr := scratchPool.Get().(*sampleScratch)
-				defer scratchPool.Put(scr)
-				for i := range next {
-					sampleInto(i, scr)
-				}
-			}()
-		}
-		for i := range overlays {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
 	}
 	for i, err := range errs {
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/graphalgo"
+	"gpluscircles/internal/par/partest"
 	"gpluscircles/internal/score"
 )
 
@@ -287,7 +288,7 @@ func TestQuickRewireInvariants(t *testing.T) {
 // TestEmpiricalExpectationWorkersDeterministic asserts the parallel
 // sampler is invariant under worker count: every sample owns a child RNG
 // seeded from the parent stream up front, so the estimator must return
-// identical values for 1, 2 and 8 workers at the same seed.
+// identical values at GOMAXPROCS 1, 2 and 8 for the same seed.
 func TestEmpiricalExpectationWorkersDeterministic(t *testing.T) {
 	g := randomConnectedGraph(t, 31, 80, 240, true)
 	sets := make([]*graph.Set, 5)
@@ -302,8 +303,9 @@ func TestEmpiricalExpectationWorkersDeterministic(t *testing.T) {
 
 	var baseline []float64
 	for _, workers := range []int{1, 2, 8} {
+		partest.GOMAXPROCS(t, workers)
 		est, err := NewEmpiricalEstimator(g, EstimatorOptions{
-			Samples: 6, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(123)), Workers: workers,
+			Samples: 6, SwapsPerEdge: 2, RNG: rand.New(rand.NewSource(123)),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -6,6 +6,7 @@ import (
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/graphalgo"
+	"gpluscircles/internal/par/partest"
 )
 
 func halfSet(g *graph.Graph) *graph.Set {
@@ -17,7 +18,7 @@ func halfSet(g *graph.Graph) *graph.Set {
 }
 
 // TestTriangleExpectationWorkersBitIdentical asserts the empirical
-// triangle null is byte-identical across worker counts: the per-sample
+// triangle null is byte-identical across GOMAXPROCS values: the per-sample
 // seeds fix each overlay's topology, SetTriangles computes exact integer
 // counts, and the sample-order accumulation fixes the float sum.
 func TestTriangleExpectationWorkersBitIdentical(t *testing.T) {
@@ -26,8 +27,9 @@ func TestTriangleExpectationWorkersBitIdentical(t *testing.T) {
 
 	var baseline uint64
 	for i, workers := range []int{1, 4, 8} {
+		partest.GOMAXPROCS(t, workers)
 		est, err := NewEmpiricalEstimator(g, EstimatorOptions{
-			Samples: 8, SwapsPerEdge: 3, Seed: 77, Workers: workers,
+			Samples: 8, SwapsPerEdge: 3, Seed: 77,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"gpluscircles/internal/graph"
+	"gpluscircles/internal/par/partest"
 )
 
 // randomGroups draws k random groups over the graph.
@@ -42,8 +43,9 @@ func TestEvaluateGroupsParallelMatchesSerial(t *testing.T) {
 	ctx := NewContext(g)
 
 	serial := EvaluateGroups(ctx, groups, fns)
-	for _, workers := range []int{0, 1, 2, 7} {
-		parallel := EvaluateGroupsParallel(NewContext(g), groups, fns, workers)
+	for _, workers := range []int{1, 2, 7} {
+		partest.GOMAXPROCS(t, workers)
+		parallel := EvaluateGroupsParallel(NewContext(g), groups, fns)
 		for _, f := range fns {
 			for i := range groups {
 				if serial[f.Name][i] != parallel[f.Name][i] {
@@ -60,7 +62,7 @@ func TestEvaluateGroupsParallelEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := EvaluateGroupsParallel(NewContext(g), nil, PaperFuncs(), 4)
+	out := EvaluateGroupsParallel(NewContext(g), nil, PaperFuncs())
 	for name, scores := range out {
 		if len(scores) != 0 {
 			t.Errorf("%s has %d scores for no groups", name, len(scores))
@@ -69,7 +71,7 @@ func TestEvaluateGroupsParallelEmpty(t *testing.T) {
 }
 
 // Property: parallel evaluation is deterministic and equal to serial for
-// arbitrary graphs and worker counts.
+// arbitrary graphs and GOMAXPROCS values.
 func TestQuickParallelEqualsSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -84,7 +86,8 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 		groups := randomGroups(rng, g, 1+rng.Intn(12))
 		fns := PaperFuncs()
 		serial := EvaluateGroups(NewContext(g), groups, fns)
-		parallel := EvaluateGroupsParallel(NewContext(g), groups, fns, 1+rng.Intn(8))
+		partest.GOMAXPROCS(t, 1+rng.Intn(8))
+		parallel := EvaluateGroupsParallel(NewContext(g), groups, fns)
 		for _, f := range fns {
 			for i := range groups {
 				if serial[f.Name][i] != parallel[f.Name][i] {

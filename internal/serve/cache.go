@@ -96,9 +96,11 @@ func newTable(max int, timeout time.Duration, rec *obs.Recorder) *table {
 
 // join looks key up once. A resident call is a hit and is promoted to
 // most recently used; its body is shared and must never be mutated. An
-// in-flight call gains the request as a follower. Otherwise a new call
-// running run is inserted with the request as its leader. Followers
-// and leaders are accounted as waiters.
+// in-flight call with waiters gains the request as a follower.
+// Otherwise a new call running run is inserted with the request as its
+// leader; an in-flight call every waiter has left (and so cancelled) is
+// orphaned by that insert, and finishes without touching the table.
+// Followers and leaders are accounted as waiters.
 func (t *table) join(key string, run func(ctx context.Context) ([]byte, int)) (*call, role) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -111,7 +113,7 @@ func (t *table) join(key string, run func(ctx context.Context) ([]byte, int)) (*
 	if t.max > 0 {
 		t.misses.Inc()
 	}
-	if ok {
+	if ok && c.waiters > 0 {
 		c.waiters++
 		return c, roleFollower
 	}
@@ -124,22 +126,26 @@ func (t *table) join(key string, run func(ctx context.Context) ([]byte, int)) (*
 // finish publishes an in-flight call's result and releases every
 // waiter. A 200 stays resident, evicting the least recently used
 // finished call past the bound; any other status leaves the table, so
-// the next request for the key executes afresh. The execution state is
-// dropped, so a resident call pins only its key, body and status. Must
-// be called exactly once per call.
+// the next request for the key executes afresh. An orphaned call (join
+// replaced it) neither stays resident nor deletes its replacement. The
+// execution state is dropped, so a resident call pins only its key, body
+// and status. Must be called exactly once per call.
 func (t *table) finish(c *call, body []byte, status int) {
 	t.mu.Lock()
 	c.body, c.status = body, status
 	c.cancel()
 	c.ctx, c.cancel, c.run = nil, nil, nil
-	if status == http.StatusOK && t.max > 0 {
+	switch {
+	case t.calls[c.key] != c:
+		// Orphaned: the key belongs to a newer call.
+	case status == http.StatusOK && t.max > 0:
 		c.el = t.ll.PushFront(c)
 		if t.ll.Len() > t.max {
 			oldest := t.ll.Remove(t.ll.Back()).(*call)
 			delete(t.calls, oldest.key)
 			t.evictions.Inc()
 		}
-	} else {
+	default:
 		delete(t.calls, c.key)
 	}
 	t.mu.Unlock()

@@ -133,6 +133,36 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 }
 
+// TestAbandonedCallReplaced: a request for the key of an in-flight call
+// every waiter has left leads a new call instead of following the
+// cancelled one, and the orphan's late finish leaves the new call's
+// resident entry in place.
+func TestAbandonedCallReplaced(t *testing.T) {
+	tb := newTable(4, time.Minute, obs.NewRecorder())
+	run := func(context.Context) ([]byte, int) { return nil, 0 }
+	orphan, _ := tb.join("k", run)
+	tb.leave(orphan)
+	if orphan.ctx.Err() == nil {
+		t.Fatal("last waiter left but the call was not cancelled")
+	}
+	fresh, r := tb.join("k", run)
+	if r != roleLeader || fresh == orphan {
+		t.Fatalf("role %d, same call %v; want a new leader", r, fresh == orphan)
+	}
+	if fresh.ctx.Err() != nil {
+		t.Fatal("the new call starts cancelled")
+	}
+	tb.finish(fresh, []byte("ok"), http.StatusOK)
+	tb.finish(orphan, []byte("cancelled"), http.StatusServiceUnavailable)
+	<-orphan.done
+	if tb.calls["k"] != fresh || tb.ll.Len() != 1 {
+		t.Fatalf("orphan's finish disturbed the table: resident %d, entry is fresh %v", tb.ll.Len(), tb.calls["k"] == fresh)
+	}
+	if c, r := tb.join("k", run); r != roleHit || !bytes.Equal(c.body, []byte("ok")) {
+		t.Errorf("role %d body %q, want a hit on the new call's bytes", r, c.body)
+	}
+}
+
 // TestCacheHitDeterminism: a repeated request is served from the cache
 // with the exact bytes of the original computation, marked X-Cache: hit,
 // and counted. Runs the repeat under concurrency so -race patrols the

@@ -546,6 +546,60 @@ func TestClientCancellation(t *testing.T) {
 	}
 }
 
+// TestResendAfterAbandonedCall: with the single worker held, the only
+// client of a score request leaves, which cancels its call; the same
+// request sent again must lead a fresh execution and get 200, not
+// follow the cancelled call into a coalesced 503.
+func TestResendAfterAbandonedCall(t *testing.T) {
+	release := make(chan struct{})
+	calls := make(chan *call, 1)
+	s := newTestServer(t, Options{
+		Workers: 1,
+		workerHook: func(c *call) {
+			calls <- c
+			<-release
+		},
+	})
+	var releaseOnce sync.Once
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) }) // before the drain
+	body, _ := json.Marshal(api.ScoreRequest{Dataset: "twitter", Group: firstGroupName(t, "twitter"), NullSamples: 4})
+	serve := func(ctx context.Context, out chan<- *httptest.ResponseRecorder) {
+		w := httptest.NewRecorder()
+		s.handleScore(w, httptest.NewRequest("POST", "/v1/score", bytes.NewReader(body)).WithContext(ctx))
+		out <- w
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go serve(ctx, first)
+	held := <-calls // the worker now holds the call
+	cancel()
+	<-first
+	<-held.ctx.Done()
+
+	resent := make(chan *httptest.ResponseRecorder, 1)
+	go serve(context.Background(), resent)
+	// Wait until the resend has joined the table, queued behind the held
+	// call or (wrongly) following it, before letting the worker move on.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) == 0 && s.mCoalesced.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("resent request never joined the table")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	releaseOnce.Do(func() { close(release) })
+	select {
+	case w := <-resent:
+		if w.Code != http.StatusOK || w.Header().Get("X-Coalesced") != "" {
+			t.Errorf("resent request: status %d, X-Coalesced %q; want 200 uncoalesced (body %s)",
+				w.Code, w.Header().Get("X-Coalesced"), w.Body.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("resent request did not complete")
+	}
+}
+
 // TestHammer fires a racy mix of valid, invalid and coalescable requests
 // from many goroutines across data sets; every response must be 200, a
 // documented 4xx, or a 429 shed — never a 5xx — and identical requests

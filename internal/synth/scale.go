@@ -6,11 +6,11 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/par"
 	"gpluscircles/internal/score"
 )
 
@@ -335,70 +335,26 @@ func (gen *scaleGen) buildMemberships(workers int) {
 	})
 	// Sort each community's members so downstream iteration order (and
 	// therefore phase B's edge stream) is schedule-independent.
-	var wg sync.WaitGroup
-	var cursor atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1) - 1)
-				if c >= numC {
-					return
-				}
-				slices.Sort(gen.memAdj[gen.memOff[c]:gen.memOff[c+1]])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(numC, workers, func(_, c int) {
+		slices.Sort(gen.memAdj[gen.memOff[c]:gen.memOff[c+1]])
+	})
 }
 
 // forEachVertexRange fans fn over contiguous vertex chunks.
 func (gen *scaleGen) forEachVertexRange(workers int, fn func(lo, hi int64)) {
 	n := gen.cfg.NumVertices
 	const chunk = int64(1) << bgBlockShift
-	var wg sync.WaitGroup
-	var cursor atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := cursor.Add(chunk) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(int((n+chunk-1)/chunk), workers, func(_, k int) {
+		lo := int64(k) * chunk
+		fn(lo, min(lo+chunk, n))
+	})
 }
 
-// streamAll runs every shard through a worker pool, emitting each edge
-// to emit. The edges each shard emits are fixed by the config, so which
+// streamAll fans every shard out with par.For, emitting each edge to
+// emit. The edges each shard emits are fixed by the config, so which
 // worker runs which shard never matters.
 func (gen *scaleGen) streamAll(workers int, emit func(u, v int64)) {
-	shardCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range shardCh {
-				gen.emitShard(s, emit)
-			}
-		}()
-	}
-	for s := 0; s < gen.shards; s++ {
-		shardCh <- s
-	}
-	close(shardCh)
-	wg.Wait()
+	par.For(gen.shards, workers, func(_, s int) { gen.emitShard(s, emit) })
 }
 
 // emitShard generates shard s's work units: every community and every

@@ -1,10 +1,11 @@
 package gpluscircles_test
 
 // NCP sweep benchmarks (`make bench-ncp`): the approximate-PPR network
-// community profile over the shared benchmark Google+ data set, serial
-// versus fanned out over GOMAXPROCS workers. The two report the same
-// curve — the merge is worker-count-independent by contract — so the
-// pair measures pure fan-out overhead and scaling, not different work.
+// community profile over the shared benchmark Google+ data set, at
+// GOMAXPROCS=1 (Serial) versus the runner's GOMAXPROCS (Parallel, set by
+// -cpu). The two report the same curve — the merge is independent of
+// GOMAXPROCS by contract — so the pair measures pure fan-out overhead
+// and scaling, not different work.
 // BenchmarkPPRPush isolates the push layer under the serial sweep, and
 // BenchmarkNCPHandler times whole /v1/ncp requests in process.
 
@@ -18,13 +19,12 @@ import (
 	"gpluscircles/internal/detect"
 	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/ncp"
+	"gpluscircles/internal/par/partest"
 )
 
 // benchNCPOptions keeps both benchmarks on one sweep configuration so
 // their ns/op are directly comparable in `circlebench compare`.
-func benchNCPOptions(workers int) ncp.Options {
-	return ncp.Options{Seeds: 32, MaxSize: 200, Workers: workers, Seed: 1}
-}
+var benchNCPOptions = ncp.Options{Seeds: 32, MaxSize: 200, Seed: 1}
 
 func BenchmarkNCPSweepSerial(b *testing.B) {
 	s := suite(b)
@@ -32,10 +32,11 @@ func BenchmarkNCPSweepSerial(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	partest.GOMAXPROCS(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ncp.Sweep(gp.Graph, benchNCPOptions(1)); err != nil {
+		if _, err := ncp.Sweep(gp.Graph, benchNCPOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,7 +51,7 @@ func BenchmarkNCPSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ncp.Sweep(gp.Graph, benchNCPOptions(0)); err != nil {
+		if _, err := ncp.Sweep(gp.Graph, benchNCPOptions); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +67,7 @@ func BenchmarkPPRPush(b *testing.B) {
 		b.Fatal(err)
 	}
 	g := gp.Graph
-	seeds := ncp.StratifiedSeeds(g, benchNCPOptions(1).Seeds, benchNCPOptions(1).Seed)
+	seeds := ncp.StratifiedSeeds(g, benchNCPOptions.Seeds, benchNCPOptions.Seed)
 	ppr := detect.NewPPR(g.NumVertices())
 	b.ReportAllocs()
 	b.ResetTimer()
