@@ -270,23 +270,6 @@ func BenchmarkExtensionDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkConfigurationModel measures stub-matching null-graph
-// generation, the alternative to the rewiring chain.
-func BenchmarkConfigurationModel(b *testing.B) {
-	s := suite(b)
-	tw, err := s.Twitter()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := s.RNG(79)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nullmodel.ConfigurationModel(tw.Graph, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtensionEvolution measures the creation-phase growth
 // simulator (Gong et al. context).
 func BenchmarkExtensionEvolution(b *testing.B) {

@@ -145,17 +145,3 @@ func ReadEgoCircles(r io.Reader, g *graph.Graph, prefix string, minSize int) ([]
 	}
 	return out, nil
 }
-
-// ReadEgoCirclesFile reads a (possibly gzipped) .circles file.
-func ReadEgoCirclesFile(path string, g *graph.Graph, prefix string, minSize int) ([]score.Group, error) {
-	r, closer, err := openMaybeGzip(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closer()
-	groups, err := ReadEgoCircles(r, g, prefix, minSize)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return groups, nil
-}

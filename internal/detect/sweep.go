@@ -84,21 +84,3 @@ func ConductanceSweep(g *graph.Graph, seed graph.VID, maxSize int) (score.Group,
 		Members: order[:bestPrefix:bestPrefix],
 	}, bestCond, nil
 }
-
-// PartitionModularity computes Newman's global modularity Q of a
-// partition (a set of disjoint groups): the sum of per-group
-// (m_C − E(m_C))/m terms under the configuration-model expectation —
-// the standard quality measure for detected partitions.
-func PartitionModularity(ctx *score.Context, groups []score.Group) float64 {
-	if ctx.G.NumEdges() == 0 {
-		return 0
-	}
-	m := float64(ctx.G.NumEdges())
-	var q float64
-	for _, grp := range groups {
-		set := graph.SetOf(ctx.G, grp.Members)
-		cut := graph.Cut(ctx.G, set)
-		q += (float64(cut.Internal) - ctx.ChungLuExpectation(set)) / m
-	}
-	return q
-}

@@ -243,35 +243,3 @@ func FuzzConductanceSweep(f *testing.F) {
 		checkSweepMatchesReference(t, g, graph.VID(int(seed)%g.NumVertices()), int(maxSize))
 	})
 }
-
-func TestPartitionModularityTwoCliques(t *testing.T) {
-	g, truth := twoCliques(t)
-	ctx := score.NewContext(g)
-	partition := []score.Group{
-		{Name: "a", Members: truth[0]},
-		{Name: "b", Members: truth[1]},
-	}
-	q := PartitionModularity(ctx, partition)
-	// Two cliques joined by one edge: strongly modular (Q close to 0.5).
-	if q < 0.3 {
-		t.Errorf("Q = %v, want > 0.3 for the natural partition", q)
-	}
-	// The trivial all-in-one partition has Q = 0 under the Chung-Lu
-	// expectation minus the full-set deviation; it must be worse.
-	all := []score.Group{{Name: "all", Members: g.Vertices()}}
-	if qa := PartitionModularity(ctx, all); qa >= q {
-		t.Errorf("trivial partition Q %v >= natural %v", qa, q)
-	}
-}
-
-func TestPartitionModularityAgainstLabelPropagation(t *testing.T) {
-	g, _ := twoCliques(t)
-	ctx := score.NewContext(g)
-	detected, err := LabelPropagation(g, LabelPropagationOptions{}, rand.New(rand.NewSource(81)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q := PartitionModularity(ctx, detected); q < 0.3 {
-		t.Errorf("label-propagation partition Q = %v, want > 0.3", q)
-	}
-}

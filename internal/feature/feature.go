@@ -1,10 +1,10 @@
-// Package feature handles binary profile features (the .featnames /
-// .feat / .egofeat side of the McAuley–Leskovec ego-network format) and
-// the similarity measures built on them. McAuley & Leskovec's premise —
-// restated by the paper in Section II — is that "vertices in a circle
-// share a common property or aspect"; this package makes that premise
-// measurable (feature homophily of circles vs. random sets) and provides
-// a generator that plants facet features into synthetic data sets.
+// Package feature handles binary profile features, as in the
+// McAuley–Leskovec ego-network data, and the similarity measures built on
+// them. McAuley & Leskovec's premise — restated by the paper in Section
+// II — is that "vertices in a circle share a common property or aspect";
+// this package makes that premise measurable (feature homophily of
+// circles vs. random sets) and provides a generator that plants facet
+// features into synthetic data sets.
 package feature
 
 import (

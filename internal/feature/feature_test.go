@@ -3,8 +3,6 @@ package feature
 import (
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -134,71 +132,6 @@ func TestPlantValidation(t *testing.T) {
 	cfg.FacetAdoption = 2
 	if _, err := Plant(g, nil, cfg); err == nil {
 		t.Error("bad config accepted")
-	}
-}
-
-func TestFeatureFileRoundTrip(t *testing.T) {
-	g, err := graph.FromEdges(true, [][2]int64{{100, 1}, {100, 2}, {1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := NewTable(g.NumVertices())
-	tab.Names = []string{"gender;1", "job;engineer", "school;x"}
-	v1, _ := g.Lookup(1)
-	v2, _ := g.Lookup(2)
-	owner, _ := g.Lookup(100)
-	tab.Set(v1, []int32{0, 2})
-	tab.Set(v2, []int32{1})
-	tab.Set(owner, []int32{0})
-
-	dir := t.TempDir()
-	if err := WriteEgoFeatures(dir, 100, g, tab, []graph.VID{v1, v2}); err != nil {
-		t.Fatal(err)
-	}
-
-	back := NewTable(g.NumVertices())
-	nameIndex := map[string]int32{}
-	if err := ReadEgoFeatures(dir, 100, g, back, nameIndex); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []graph.VID{v1, v2, owner} {
-		a, b := tab.Features(v), back.Features(v)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: %v -> %v", v, a, b)
-		}
-		for i := range a {
-			// Name-based remapping preserves indices here because the
-			// name table was written in order.
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d: %v -> %v", v, a, b)
-			}
-		}
-	}
-	if len(back.Names) != 3 {
-		t.Errorf("names = %v", back.Names)
-	}
-}
-
-func TestReadEgoFeaturesErrors(t *testing.T) {
-	g, err := graph.FromEdges(true, [][2]int64{{100, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	// Missing featnames.
-	tab := NewTable(g.NumVertices())
-	if err := ReadEgoFeatures(dir, 100, g, tab, map[string]int32{}); err == nil {
-		t.Error("missing featnames accepted")
-	}
-	// Bad bit value.
-	if err := os.WriteFile(filepath.Join(dir, "100.featnames"), []byte("0 f0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "100.feat"), []byte("1 x\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadEgoFeatures(dir, 100, g, tab, map[string]int32{}); err == nil {
-		t.Error("bad bit accepted")
 	}
 }
 

@@ -96,11 +96,6 @@ func TestDegreesMatchOffsets(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkDegrees(t, "Undirected", u)
-		r, err := Relabel(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDegrees(t, "Relabel", r)
 
 		// 1→2 and 4→5 swap heads to 1→5 and 4→2: every out- and
 		// in-degree (every degree, undirected) stays the same.

@@ -92,17 +92,6 @@ func Subgraph(g *Graph, members []VID) (*Graph, error) {
 	return sub, nil
 }
 
-// Relabel returns a copy of g whose external IDs are replaced by the dense
-// indices 0..n-1. Useful before writing compact edge lists.
-func Relabel(g *Graph) (*Graph, error) {
-	from, to := arcList(g)
-	r, err := FromArcs(g.directed, identityIDs(g.NumVertices()), from, to)
-	if err != nil {
-		return nil, fmt.Errorf("relabel: %w", err)
-	}
-	return r, nil
-}
-
 // identityIDs returns the ids table 0..n-1.
 func identityIDs(n int) []int64 {
 	ids := make([]int64, n)

@@ -105,25 +105,6 @@ func TestSubgraphKnown(t *testing.T) {
 	}
 }
 
-func TestRelabelDensifiesIDs(t *testing.T) {
-	g, err := FromEdges(true, [][2]int64{{1000, 2000}, {2000, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Relabel(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < r.NumVertices(); v++ {
-		if r.ExternalID(VID(v)) != int64(v) {
-			t.Errorf("ExternalID(%d) = %d, want %d", v, r.ExternalID(VID(v)), v)
-		}
-	}
-	if r.NumEdges() != g.NumEdges() {
-		t.Errorf("edge count changed: %d -> %d", g.NumEdges(), r.NumEdges())
-	}
-}
-
 // Property: undirected projection preserves reachability-relevant counts:
 // m_undirected = m_directed - reciprocal/2, and degrees never increase
 // beyond the directed total degree.

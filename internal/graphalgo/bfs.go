@@ -64,19 +64,10 @@ type bfsState struct {
 	cur   int32
 }
 
-func newBFSState(n int) *bfsState {
-	return &bfsState{
-		dist:  make([]int32, n),
-		queue: make([]graph.VID, 0, n),
-		epoch: make([]int32, n),
-	}
-}
-
 // bfsPool recycles BFS workspaces across calls, so the distance samplers
-// and connectivity checks stop re-allocating frontier/dist arrays per
-// invocation. States are sized to the largest graph they have served and
-// re-sliced downward; the epoch counter makes reuse safe without
-// clearing.
+// stop re-allocating frontier/dist arrays per invocation. States are
+// sized to the largest graph they have served and re-sliced downward; the
+// epoch counter makes reuse safe without clearing.
 var bfsPool = sync.Pool{New: func() any { return new(bfsState) }}
 
 // acquireBFSState returns a pooled workspace resized for n vertices.

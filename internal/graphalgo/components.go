@@ -89,15 +89,3 @@ func ComponentSizes(g *graph.Graph) (count, largest int) {
 	}
 	return count, largest
 }
-
-// IsConnected reports whether the graph is weakly connected (single
-// component spanning all vertices).
-func IsConnected(g *graph.Graph) bool {
-	if g.NumVertices() == 0 {
-		return true
-	}
-	st := acquireBFSState(g.NumVertices())
-	defer releaseBFSState(st)
-	reached, _, _ := st.run(g, 0, Both)
-	return reached == g.NumVertices()
-}

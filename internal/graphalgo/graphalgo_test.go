@@ -102,16 +102,6 @@ func TestComponentSizes(t *testing.T) {
 	}
 }
 
-func TestIsConnected(t *testing.T) {
-	if !IsConnected(path04(t)) {
-		t.Error("path reported disconnected")
-	}
-	g := mustGraph(t, false, [][2]int64{{0, 1}, {2, 3}})
-	if IsConnected(g) {
-		t.Error("two islands reported connected")
-	}
-}
-
 func TestExactDistancesPath(t *testing.T) {
 	g := path04(t)
 	st := ExactDistances(g)

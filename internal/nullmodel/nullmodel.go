@@ -1,10 +1,8 @@
 // Package nullmodel implements the Newman–Girvan null model used by the
 // Modularity scoring function (Eq. 4): random graphs with the same degree
 // sequence as the original graph. Randomization follows the approach of
-// Viger and Latapy — start from a valid realization and apply
-// degree-preserving double-edge swaps, optionally preserving connectivity
-// with windowed rollback — plus a Havel–Hakimi constructor for building a
-// realization directly from a degree sequence.
+// Viger and Latapy: start from the observed graph and apply
+// degree-preserving double-edge swaps.
 package nullmodel
 
 import (
@@ -12,22 +10,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"gpluscircles/internal/graph"
-	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/obs"
 	"gpluscircles/internal/par"
 )
 
-var (
-	// ErrNoRNG is returned when a nil random source is supplied.
-	ErrNoRNG = errors.New("nullmodel: nil RNG")
-	// ErrNotGraphical is returned by FromDegreeSequence when no simple
-	// graph realizes the sequence.
-	ErrNotGraphical = errors.New("nullmodel: degree sequence is not graphical")
-)
+// ErrNoRNG is returned when a nil random source is supplied.
+var ErrNoRNG = errors.New("nullmodel: nil RNG")
 
 // rewirer holds a mutable arc list with O(1) duplicate detection for the
 // swap Markov chain. Its storage (edge slice, presence set) is reusable
@@ -35,7 +26,6 @@ var (
 // allocation per sample.
 type rewirer struct {
 	directed bool
-	n        int
 	edges    []graph.Edge
 	present  edgeSet
 }
@@ -46,9 +36,8 @@ func pack(u, v graph.VID) uint64 {
 
 // resetFrom re-initializes r to a copy of the template edge list, reusing
 // r's edge buffer and presence set when their capacity allows.
-func (r *rewirer) resetFrom(directed bool, n int, template []graph.Edge) {
+func (r *rewirer) resetFrom(directed bool, template []graph.Edge) {
 	r.directed = directed
-	r.n = n
 	r.edges = append(r.edges[:0], template...)
 	// trySwap adds both new keys before it deletes the old two.
 	r.present.reset(len(template) + 2)
@@ -59,7 +48,7 @@ func (r *rewirer) resetFrom(directed bool, n int, template []graph.Edge) {
 
 func newRewirer(g *graph.Graph) *rewirer {
 	r := &rewirer{}
-	r.resetFrom(g.Directed(), g.NumVertices(), g.EdgeList())
+	r.resetFrom(g.Directed(), g.EdgeList())
 	return r
 }
 
@@ -71,20 +60,14 @@ func (r *rewirer) key(u, v graph.VID) uint64 {
 	return pack(u, v)
 }
 
-// swapRecord remembers one applied swap so a window can be rolled back.
-type swapRecord struct {
-	i, j       int
-	oldI, oldJ graph.Edge
-}
-
-// trySwap attempts one double-edge swap on edge indices i and j, returning
-// the record if the swap was applied. Directed swap:
+// trySwap attempts one double-edge swap on edge indices i and j,
+// reporting whether the swap was applied. Directed swap:
 // (a→b),(c→d) ⇒ (a→d),(c→b). Undirected swap: {a,b},{c,d} ⇒ {a,c},{b,d}
 // or {a,d},{b,c} chosen at random. Swaps creating self-loops or duplicate
 // edges are rejected.
-func (r *rewirer) trySwap(i, j int, rng *rand.Rand) (swapRecord, bool) {
+func (r *rewirer) trySwap(i, j int, rng *rand.Rand) bool {
 	if i == j {
-		return swapRecord{}, false
+		return false
 	}
 	e1, e2 := r.edges[i], r.edges[j]
 	var n1, n2 graph.Edge
@@ -101,36 +84,23 @@ func (r *rewirer) trySwap(i, j int, rng *rand.Rand) (swapRecord, bool) {
 		}
 	}
 	if n1.From == n1.To || n2.From == n2.To {
-		return swapRecord{}, false
+		return false
 	}
 	k1, k2 := r.key(n1.From, n1.To), r.key(n2.From, n2.To)
 	if k1 == k2 {
-		return swapRecord{}, false
+		return false
 	}
 	if r.present.add(k1) {
-		return swapRecord{}, false
+		return false
 	}
 	if r.present.add(k2) {
 		r.present.del(k1)
-		return swapRecord{}, false
+		return false
 	}
 	r.present.del(r.key(e1.From, e1.To))
 	r.present.del(r.key(e2.From, e2.To))
 	r.edges[i], r.edges[j] = n1, n2
-	return swapRecord{i: i, j: j, oldI: e1, oldJ: e2}, true
-}
-
-// undo reverses a sequence of applied swaps (most recent first).
-func (r *rewirer) undo(records []swapRecord) {
-	for k := len(records) - 1; k >= 0; k-- {
-		rec := records[k]
-		cur1, cur2 := r.edges[rec.i], r.edges[rec.j]
-		r.present.del(r.key(cur1.From, cur1.To))
-		r.present.del(r.key(cur2.From, cur2.To))
-		r.present.add(r.key(rec.oldI.From, rec.oldI.To))
-		r.present.add(r.key(rec.oldJ.From, rec.oldJ.To))
-		r.edges[rec.i], r.edges[rec.j] = rec.oldI, rec.oldJ
-	}
+	return true
 }
 
 // build materializes the current edge list as an immutable graph with the
@@ -143,12 +113,22 @@ func (r *rewirer) build(src *graph.Graph) (*graph.Graph, error) {
 	return g, nil
 }
 
-// mix runs the plain (connectivity-agnostic) swap chain: swapsPerEdge·m
-// attempted double-edge swaps, returning how many were attempted and how
-// many were applied (the rest were rejected as self-loops, duplicates or
-// degenerate pairs). The RNG draw sequence is the contract the
-// overlay-based estimator's determinism tests rely on; change it only
-// with a migration plan for recorded expectations.
+// buildFromEdges materializes edges (dense indices of src) into a new
+// graph carrying src's external IDs.
+func buildFromEdges(src *graph.Graph, edges []graph.Edge) (*graph.Graph, error) {
+	from, to := make([]graph.VID, len(edges)), make([]graph.VID, len(edges))
+	for i, e := range edges {
+		from[i], to[i] = e.From, e.To
+	}
+	return graph.FromArcs(src.Directed(), src.ExternalIDs(), from, to)
+}
+
+// mix runs the swap chain: swapsPerEdge·m attempted double-edge swaps,
+// returning how many were attempted and how many were applied (the rest
+// were rejected as self-loops, duplicates or degenerate pairs). The RNG
+// draw sequence is the contract the overlay-based estimator's determinism
+// tests rely on; change it only with a migration plan for recorded
+// expectations.
 func (r *rewirer) mix(swapsPerEdge float64, rng *rand.Rand) (attempts, accepted int) {
 	m := len(r.edges)
 	if m < 2 {
@@ -156,7 +136,7 @@ func (r *rewirer) mix(swapsPerEdge float64, rng *rand.Rand) (attempts, accepted 
 	}
 	attempts = int(swapsPerEdge * float64(m))
 	for k := 0; k < attempts; k++ {
-		if _, ok := r.trySwap(rng.Intn(m), rng.Intn(m), rng); ok {
+		if r.trySwap(rng.Intn(m), rng.Intn(m), rng) {
 			accepted++
 		}
 	}
@@ -174,142 +154,6 @@ func Rewire(g *graph.Graph, swapsPerEdge float64, rng *rand.Rand) (*graph.Graph,
 	r := newRewirer(g)
 	r.mix(swapsPerEdge, rng)
 	return r.build(g)
-}
-
-// RewireConnected behaves like Rewire but preserves weak connectivity via
-// the Viger–Latapy windowed strategy: swaps are applied in windows, and a
-// window leaving the graph disconnected is rolled back wholesale. g must
-// be connected.
-func RewireConnected(g *graph.Graph, swapsPerEdge float64, rng *rand.Rand) (*graph.Graph, error) {
-	if rng == nil {
-		return nil, ErrNoRNG
-	}
-	if !graphalgo.IsConnected(g) {
-		return nil, errors.New("nullmodel: RewireConnected requires a connected graph")
-	}
-	r := newRewirer(g)
-	m := len(r.edges)
-	if m < 2 {
-		return r.build(g)
-	}
-	attempts := int(swapsPerEdge * float64(m))
-	window := m / 10
-	if window < 8 {
-		window = 8
-	}
-	records := make([]swapRecord, 0, window)
-	for done := 0; done < attempts; {
-		records = records[:0]
-		for k := 0; k < window && done < attempts; k++ {
-			done++
-			if rec, ok := r.trySwap(rng.Intn(m), rng.Intn(m), rng); ok {
-				records = append(records, rec)
-			}
-		}
-		if len(records) == 0 {
-			continue
-		}
-		if !r.connected() {
-			r.undo(records)
-		}
-	}
-	return r.build(g)
-}
-
-// connected checks weak connectivity of the current edge list with a
-// union-find pass, avoiding a full graph rebuild per window.
-func (r *rewirer) connected() bool {
-	parent := make([]int32, r.n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	comps := r.n
-	for _, e := range r.edges {
-		a, b := find(int32(e.From)), find(int32(e.To))
-		if a != b {
-			parent[a] = b
-			comps--
-		}
-	}
-	return comps == 1
-}
-
-// FromDegreeSequence constructs a simple undirected graph realizing the
-// degree sequence via Havel–Hakimi, then randomizes it with swapsPerEdge
-// double-edge swaps. Vertices receive external IDs 0..n-1 matching the
-// sequence positions.
-func FromDegreeSequence(deg []int, swapsPerEdge float64, rng *rand.Rand) (*graph.Graph, error) {
-	if rng == nil {
-		return nil, ErrNoRNG
-	}
-	base, err := havelHakimi(deg)
-	if err != nil {
-		return nil, err
-	}
-	return Rewire(base, swapsPerEdge, rng)
-}
-
-// havelHakimi deterministically realizes an undirected degree sequence or
-// reports it non-graphical.
-func havelHakimi(deg []int) (*graph.Graph, error) {
-	type node struct {
-		id  int
-		rem int
-	}
-	nodes := make([]node, len(deg))
-	var sum int
-	for i, d := range deg {
-		if d < 0 || d >= len(deg) {
-			return nil, fmt.Errorf("%w: degree %d at position %d", ErrNotGraphical, d, i)
-		}
-		nodes[i] = node{id: i, rem: d}
-		sum += d
-	}
-	if sum%2 != 0 {
-		return nil, fmt.Errorf("%w: odd degree sum %d", ErrNotGraphical, sum)
-	}
-
-	var from, to []graph.VID
-	for {
-		sort.Slice(nodes, func(i, j int) bool {
-			if nodes[i].rem != nodes[j].rem {
-				return nodes[i].rem > nodes[j].rem
-			}
-			return nodes[i].id < nodes[j].id
-		})
-		if nodes[0].rem == 0 {
-			break
-		}
-		d := nodes[0].rem
-		if d >= len(nodes) {
-			return nil, fmt.Errorf("%w: residual degree %d too large", ErrNotGraphical, d)
-		}
-		nodes[0].rem = 0
-		for k := 1; k <= d; k++ {
-			if nodes[k].rem == 0 {
-				return nil, fmt.Errorf("%w: ran out of attachable vertices", ErrNotGraphical)
-			}
-			nodes[k].rem--
-			from, to = append(from, graph.VID(nodes[0].id)), append(to, graph.VID(nodes[k].id))
-		}
-	}
-	ids := make([]int64, len(deg))
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	g, err := graph.FromArcs(false, ids, from, to)
-	if err != nil {
-		return nil, fmt.Errorf("havel-hakimi build: %w", err)
-	}
-	return g, nil
 }
 
 // sampleScratch is the reusable per-worker state for overlay sampling:
@@ -436,7 +280,7 @@ func NewEmpiricalEstimatorCtx(ctx context.Context, g *graph.Graph, opts Estimato
 	}
 
 	template := g.EdgeList()
-	directed, n := g.Directed(), g.NumVertices()
+	directed := g.Directed()
 	overlays := make([]*graph.Overlay, samples)
 	errs := make([]error, samples)
 	sampleInto := func(i int, scr *sampleScratch) {
@@ -444,7 +288,7 @@ func NewEmpiricalEstimatorCtx(ctx context.Context, g *graph.Graph, opts Estimato
 			errs[i] = fmt.Errorf("sampling cancelled: %w", err)
 			return
 		}
-		scr.rw.resetFrom(directed, n, template)
+		scr.rw.resetFrom(directed, template)
 		attempts, accepted := scr.rw.mix(opts.SwapsPerEdge, rand.New(rand.NewSource(seeds[i])))
 		mAttempts.Add(int64(attempts))
 		mRejects.Add(int64(attempts - accepted))

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"gpluscircles/internal/graph"
-	"gpluscircles/internal/graphalgo"
 	"gpluscircles/internal/par/partest"
 	"gpluscircles/internal/score"
 )
@@ -121,66 +120,6 @@ func TestRewireNilRNG(t *testing.T) {
 	g := randomConnectedGraph(t, 7, 10, 10, false)
 	if _, err := Rewire(g, 1, nil); !errors.Is(err, ErrNoRNG) {
 		t.Errorf("err = %v, want ErrNoRNG", err)
-	}
-}
-
-func TestRewireConnectedStaysConnected(t *testing.T) {
-	g := randomConnectedGraph(t, 8, 80, 120, false)
-	rg, err := RewireConnected(g, 8, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphalgo.IsConnected(rg) {
-		t.Error("RewireConnected produced a disconnected graph")
-	}
-	if !degreesEqual(g, rg) {
-		t.Error("degree sequence changed")
-	}
-}
-
-func TestRewireConnectedRejectsDisconnected(t *testing.T) {
-	g, err := graph.FromEdges(false, [][2]int64{{0, 1}, {2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RewireConnected(g, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("disconnected input accepted")
-	}
-}
-
-func TestHavelHakimiRegular(t *testing.T) {
-	// 3-regular on 6 vertices is graphical.
-	g, err := FromDegreeSequence([]int{3, 3, 3, 3, 3, 3}, 5, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Degree(graph.VID(v)) != 3 {
-			t.Errorf("degree(%d) = %d, want 3", v, g.Degree(graph.VID(v)))
-		}
-	}
-}
-
-func TestHavelHakimiStar(t *testing.T) {
-	g, err := FromDegreeSequence([]int{3, 1, 1, 1}, 0, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 3 {
-		t.Errorf("edges = %d, want 3", g.NumEdges())
-	}
-}
-
-func TestHavelHakimiNotGraphical(t *testing.T) {
-	cases := [][]int{
-		{1},          // odd sum
-		{3, 1},       // degree exceeds n-1
-		{3, 3, 1, 1}, // fails HH recursion
-	}
-	for _, deg := range cases {
-		if _, err := FromDegreeSequence(deg, 0, rand.New(rand.NewSource(1))); !errors.Is(err, ErrNotGraphical) {
-			t.Errorf("sequence %v: err = %v, want ErrNotGraphical", deg, err)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // SchemaV1 identifies the manifest line format written by this package.
@@ -149,21 +148,6 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: empty input", ErrManifestSchema)
 	}
 	return m, nil
-}
-
-// SpanNames returns the distinct span names in the manifest, sorted.
-func (m *Manifest) SpanNames() []string {
-	seen := make(map[string]struct{})
-	for _, sp := range m.Spans {
-		seen[sp.Name] = struct{}{}
-	}
-	names := make([]string, 0, len(seen))
-	//lint:ignore maporder names are sorted immediately below
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // SpansNamed returns the manifest's spans with the given name, in

@@ -125,11 +125,6 @@ func TestManifestPartialPrefix(t *testing.T) {
 
 func TestSpanQueries(t *testing.T) {
 	m := buildManifest()
-	names := m.SpanNames()
-	want := []string{"experiment", "run", "sample-batch"}
-	if !reflect.DeepEqual(names, want) {
-		t.Errorf("SpanNames = %v, want %v", names, want)
-	}
 	exps := m.SpansNamed("experiment")
 	if len(exps) != 2 {
 		t.Fatalf("got %d experiment spans, want 2", len(exps))

@@ -168,12 +168,6 @@ type Group struct {
 	Members []graph.VID
 }
 
-// Result holds one group's score under one function.
-type Result struct {
-	Group string
-	Score float64
-}
-
 // Evaluate scores a single group under the given functions, returning
 // scores keyed by function name. The cut statistics are computed once and
 // shared by every function.

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -61,8 +62,9 @@ func TestBootstrapCICustomStatistic(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	xs := []float64{1, 2, 3, 4, 100}
 	median := func(v []float64) float64 {
-		q, _ := Quantile(v, 0.5)
-		return q
+		sorted := append([]float64(nil), v...)
+		sort.Float64s(sorted)
+		return quantileSorted(sorted, 0.5)
 	}
 	ci, err := BootstrapCI(xs, median, 200, 0.9, rng)
 	if err != nil {

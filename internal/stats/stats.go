@@ -1,7 +1,7 @@
 // Package stats provides the empirical-statistics utilities shared by the
-// evaluation pipeline: summary statistics, empirical CDFs, linear and
-// logarithmic histograms, quantiles and two-sample Kolmogorov–Smirnov
-// distance. All functions are deterministic and allocation-conscious.
+// evaluation pipeline: summary statistics, empirical CDFs, quantiles and
+// two-sample Kolmogorov–Smirnov distance. All functions are deterministic
+// and allocation-conscious.
 package stats
 
 import (
@@ -105,30 +105,8 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanInts returns the arithmetic mean of an integer sample.
-func MeanInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, x := range xs {
-		sum += int64(x)
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the sample using linear
-// interpolation between order statistics.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmptySample
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
+// quantileSorted returns the q-quantile (0 <= q <= 1) of an ascending,
+// non-empty sample using linear interpolation between order statistics.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
@@ -213,90 +191,6 @@ func KSDistance(a, b CDF) float64 {
 		}
 	}
 	return d
-}
-
-// Bin is one histogram bucket over [Lo, Hi) holding Count samples.
-type Bin struct {
-	Lo, Hi float64
-	Count  int
-}
-
-// Histogram bins the sample into k equal-width bins spanning [min, max].
-// The final bin is closed on the right so the maximum is counted.
-func Histogram(xs []float64, k int) ([]Bin, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	if k < 1 {
-		return nil, errors.New("stats: histogram needs k >= 1")
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	//lint:ignore floateq a constant sample has exactly equal extremes and gets a single degenerate bin
-	if lo == hi {
-		return []Bin{{Lo: lo, Hi: hi, Count: len(xs)}}, nil
-	}
-	width := (hi - lo) / float64(k)
-	bins := make([]Bin, k)
-	for i := range bins {
-		bins[i].Lo = lo + float64(i)*width
-		bins[i].Hi = lo + float64(i+1)*width
-	}
-	bins[k-1].Hi = hi
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i >= k {
-			i = k - 1
-		}
-		bins[i].Count++
-	}
-	return bins, nil
-}
-
-// LogBins bins strictly positive integer-valued data into multiplicative
-// bins of the given ratio (> 1), as used for log-log degree plots. Values
-// <= 0 are skipped. Each bin holds [Lo, Hi) with Hi = Lo*ratio (rounded
-// up to progress at least by 1).
-func LogBins(xs []float64, ratio float64) ([]Bin, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	if ratio <= 1 {
-		return nil, errors.New("stats: log bin ratio must be > 1")
-	}
-	var positive []float64
-	for _, x := range xs {
-		if x > 0 {
-			positive = append(positive, x)
-		}
-	}
-	if len(positive) == 0 {
-		return nil, ErrEmptySample
-	}
-	sort.Float64s(positive)
-	maxV := positive[len(positive)-1]
-
-	var bins []Bin
-	lo := 1.0
-	for lo <= maxV {
-		hi := lo * ratio
-		if hi < lo+1 {
-			hi = lo + 1
-		}
-		bins = append(bins, Bin{Lo: lo, Hi: hi})
-		lo = hi
-	}
-	for _, x := range positive {
-		// Binary search for the bin containing x.
-		i := sort.Search(len(bins), func(i int) bool { return bins[i].Hi > x })
-		if i < len(bins) {
-			bins[i].Count++
-		}
-	}
-	return bins, nil
 }
 
 // CountsToFloats converts an integer sample (e.g. a degree sequence) to

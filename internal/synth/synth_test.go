@@ -246,7 +246,7 @@ func TestGenerateCrawlStructure(t *testing.T) {
 	if !g.Directed() {
 		t.Error("crawl graph must be directed")
 	}
-	if !graphalgo.IsConnected(g) {
+	if count, _ := graphalgo.ComponentSizes(g); count != 1 {
 		t.Error("crawl graph must be weakly connected (spanning thread)")
 	}
 	if g.MeanDegree() > 60 {
