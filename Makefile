@@ -1,10 +1,11 @@
 GO        ?= go
 DATE      := $(shell date +%Y-%m-%d)
 BENCH_OUT ?= BENCH_$(DATE).json
-# Hot paths of the concurrent experiment engine plus data-set generation,
+# Hot paths of the concurrent experiment engine plus data-set generation
+# (per data set, and circled's concurrent warm-up),
 # the scoring and degree-fitting kernels, and the disabled-instrumentation
 # fast path (must stay at 0 allocs/op).
-BENCH     ?= RunAll|SuiteGenerate|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder|Fig3DegreeFit|PowerLawFit
+BENCH     ?= RunAll|SuiteGenerate|SuiteWarm|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder|Fig3DegreeFit|PowerLawFit
 BENCHTIME ?= 1x
 # make profile output directory.
 PROFILE_DIR ?= profile
@@ -37,7 +38,8 @@ lint:
 # The full static-analysis gate CI runs: go vet (the root module and
 # the separate perfbench module, which ./... does not reach), circlelint
 # with every check (one shared module load for all ten), and a -race
-# smoke over the packages the concurrency analyzers guard. ANALYZE_JSON (optional)
+# smoke over the packages the concurrency analyzers guard plus the
+# suite's concurrent data-set warm-up. ANALYZE_JSON (optional)
 # additionally records the machine-readable findings array — CI uploads
 # it as a workflow artifact so annotators can consume scope + import
 # chains without re-running the analysis.
@@ -49,6 +51,7 @@ analyze: vet
 	fi
 	$(GO) run ./cmd/circlelint .
 	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./internal/detect/ ./internal/ncp/ ./internal/par/
+	$(GO) test -race -count=1 -run 'TestWarm' ./internal/core/
 
 # Emits machine-readable benchmark records (one JSON event per line) so
 # runs on different machines/dates can be diffed with benchstat-style

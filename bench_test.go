@@ -425,6 +425,21 @@ func BenchmarkSuiteGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkSuiteWarm times circled's start-up warm-up: each iteration
+// hands a fresh suite at circled's default scale to Suite.Warm, which
+// generates the five registry data sets concurrently over GOMAXPROCS.
+// Run it with -cpu 1,2: at one proc Warm makes the serial calls in
+// registry order, so the pair shows what the fan-out saves.
+func BenchmarkSuiteWarm(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := core.NewSuite(core.SuiteOptions{Scale: 1, Seed: 1})
+		if err := s.Warm(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGraphBuild measures CSR construction throughput on the
 // Google+-like edge multiset: dense keeps the generator's external IDs,
 // which Builder ranks through its flat table; sparse spreads them over

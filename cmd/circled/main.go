@@ -39,6 +39,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -76,7 +77,7 @@ func run() error {
 		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound after SIGTERM")
 		maxNullSamples = flag.Int("max-null-samples", 128, "cap on the per-request null_samples parameter")
 		manifest       = flag.String("manifest", "circled.manifest.jsonl", "write the final run manifest (JSONL) to this file on exit (empty = disabled)")
-		warm           = flag.Bool("warm", true, "generate every data set before accepting traffic")
+		warm           = flag.Bool("warm", true, "generate every data set before accepting traffic, concurrently over GOMAXPROCS")
 		exps           = cliflag.Experiments(flag.CommandLine)
 	)
 	// Parse through CommandLine directly so tests (ContinueOnError) see
@@ -99,13 +100,8 @@ func run() error {
 	})
 
 	if *warm {
-		for _, name := range core.DatasetNames() {
-			if _, err := suite.DatasetByName(name); err != nil {
-				return fmt.Errorf("warm %s: %w", name, err)
-			}
-			if *verbose {
-				fmt.Fprintf(os.Stderr, "circled: warmed %s\n", name)
-			}
+		if err := warmSuite(os.Stderr, suite, *verbose); err != nil {
+			return err
 		}
 	}
 
@@ -154,6 +150,21 @@ func run() error {
 		}
 	}
 	return serveErr
+}
+
+// warmSuite generates every data set before the server accepts traffic
+// (core.Suite.Warm fans the generations out over GOMAXPROCS) and, when
+// verbose, then reports each one to w in registry order.
+func warmSuite(w io.Writer, suite *core.Suite, verbose bool) error {
+	if err := suite.Warm(); err != nil {
+		return err
+	}
+	if verbose {
+		for _, name := range core.DatasetNames() {
+			fmt.Fprintf(w, "circled: warmed %s\n", name)
+		}
+	}
+	return nil
 }
 
 // runMeta assembles the final manifest header for this service run.

@@ -1,13 +1,39 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"gpluscircles/internal/core"
 	"gpluscircles/internal/obs"
 )
+
+// TestWarmSuiteVerbose: -warm -v reports the five data sets in registry
+// order once they are all generated, whatever order the concurrent
+// generations finished in; without -v it prints nothing.
+func TestWarmSuiteVerbose(t *testing.T) {
+	var want strings.Builder
+	for _, name := range core.DatasetNames() {
+		want.WriteString("circled: warmed " + name + "\n")
+	}
+	for _, verbose := range []bool{true, false} {
+		suite := core.NewSuite(core.SuiteOptions{Scale: 0.1, Seed: 1})
+		var out bytes.Buffer
+		if err := warmSuite(&out, suite, verbose); err != nil {
+			t.Fatal(err)
+		}
+		if verbose && out.String() != want.String() {
+			t.Errorf("-v output:\n%s\nwant:\n%s", out.String(), want.String())
+		}
+		if !verbose && out.Len() != 0 {
+			t.Errorf("quiet output: %q", out.String())
+		}
+	}
+}
 
 func TestRunMeta(t *testing.T) {
 	rec := obs.NewRecorder()

@@ -9,6 +9,7 @@ import (
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/obs"
+	"gpluscircles/internal/par"
 	"gpluscircles/internal/powerlaw"
 	"gpluscircles/internal/score"
 	"gpluscircles/internal/synth"
@@ -120,13 +121,18 @@ func (s *Suite) Options() SuiteOptions { return s.opts }
 // (estimator options, score contexts) — all of which treat nil as "off".
 func (s *Suite) Recorder() *obs.Recorder { return s.opts.Recorder }
 
-// stageSpan opens a root-level span for a memoized suite stage
-// (data-set generation, graph profiling). Stages are triggered by
-// whichever experiment needs them first and are shared by all others,
-// so they are recorded flat rather than under any one experiment span;
-// the dataset attr ties them back to their artifact.
-func (s *Suite) stageSpan(stage, dataset string) *obs.Span {
-	sp := s.opts.Recorder.StartSpan(stage)
+// stageSpan opens a span for a memoized suite stage (data-set
+// generation, graph profiling) under parent, or at the root when parent
+// is nil. Stages are triggered by whichever experiment needs them first
+// and are shared by all others, so experiments pass nil and the stage is
+// recorded flat rather than under any one experiment span; only Warm,
+// which owns the generations it starts, passes its own span. The dataset
+// attr ties a stage back to its artifact.
+func (s *Suite) stageSpan(stage, dataset string, parent *obs.Span) *obs.Span {
+	sp := parent.StartChild(stage)
+	if parent == nil {
+		sp = s.opts.Recorder.StartSpan(stage)
+	}
 	sp.SetAttr("dataset", dataset)
 	return sp
 }
@@ -146,100 +152,96 @@ func (s *Suite) scaleInt(v int, floor int) int {
 	return scaled
 }
 
-// GPlus returns the Google+-like ego data set.
-func (s *Suite) GPlus() (*synth.Dataset, error) {
-	s.gplus.once.Do(func() {
-		defer s.stageSpan("generate", "gplus").End()
-		cfg := synth.DefaultEgoConfig()
-		cfg.NumEgos = s.scaleInt(cfg.NumEgos, 6)
-		cfg.PoolSize = s.scaleInt(cfg.PoolSize, 200)
-		cfg.MeanEgoSize = s.scaleInt(cfg.MeanEgoSize, 30)
-		cfg.Seed = s.opts.Seed
-		ds, err := synth.GenerateEgo(cfg)
-		if err != nil {
-			s.gplus.err = fmt.Errorf("generate Google+ data set: %w", err)
-			return
-		}
-		s.gplus.ds = ds
+// generate fills c from gen exactly once, under a "generate" span for
+// the named data set: a child of parent, or a root span when parent is
+// nil. Every later call returns the memoized result.
+func (s *Suite) generate(c *datasetCache, name string, parent *obs.Span, gen func() (*synth.Dataset, error)) (*synth.Dataset, error) {
+	c.once.Do(func() {
+		defer s.stageSpan("generate", name, parent).End()
+		c.ds, c.err = gen()
 	})
-	return s.gplus.ds, s.gplus.err
+	return c.ds, c.err
 }
+
+// GPlus returns the Google+-like ego data set.
+func (s *Suite) GPlus() (*synth.Dataset, error) { return s.dataset("gplus", nil) }
 
 // Twitter returns the Twitter-like follower data set.
-func (s *Suite) Twitter() (*synth.Dataset, error) {
-	s.twitter.once.Do(func() {
-		defer s.stageSpan("generate", "twitter").End()
-		cfg := synth.DefaultFollowerConfig()
-		cfg.NumVertices = s.scaleInt(cfg.NumVertices, 400)
-		cfg.NumLists = s.scaleInt(cfg.NumLists, 20)
-		cfg.Seed = s.opts.Seed + 1
-		ds, err := synth.GenerateFollower(cfg)
-		if err != nil {
-			s.twitter.err = fmt.Errorf("generate Twitter data set: %w", err)
-			return
-		}
-		s.twitter.ds = ds
-	})
-	return s.twitter.ds, s.twitter.err
-}
+func (s *Suite) Twitter() (*synth.Dataset, error) { return s.dataset("twitter", nil) }
 
 // LiveJournal returns the LiveJournal-like community data set.
-func (s *Suite) LiveJournal() (*synth.Dataset, error) {
-	s.lj.once.Do(func() {
-		defer s.stageSpan("generate", "livejournal").End()
-		cfg := synth.DefaultLiveJournalConfig()
-		cfg.NumVertices = s.scaleInt(cfg.NumVertices, 1500)
-		cfg.NumCommunities = s.scaleInt(cfg.NumCommunities, 60)
-		if cfg.MaxCommunitySize > cfg.NumVertices/4 {
-			cfg.MaxCommunitySize = cfg.NumVertices / 4
-		}
-		cfg.Seed = s.opts.Seed + 2
-		ds, err := synth.GenerateAGM("LiveJournal", cfg)
-		if err != nil {
-			s.lj.err = fmt.Errorf("generate LiveJournal data set: %w", err)
-			return
-		}
-		s.lj.ds = ds
-	})
-	return s.lj.ds, s.lj.err
-}
+func (s *Suite) LiveJournal() (*synth.Dataset, error) { return s.dataset("livejournal", nil) }
 
 // Orkut returns the Orkut-like community data set.
-func (s *Suite) Orkut() (*synth.Dataset, error) {
-	s.orkut.once.Do(func() {
-		defer s.stageSpan("generate", "orkut").End()
-		cfg := synth.DefaultOrkutConfig()
-		cfg.NumVertices = s.scaleInt(cfg.NumVertices, 1500)
-		cfg.NumCommunities = s.scaleInt(cfg.NumCommunities, 60)
-		if cfg.MaxCommunitySize > cfg.NumVertices/4 {
-			cfg.MaxCommunitySize = cfg.NumVertices / 4
-		}
-		cfg.Seed = s.opts.Seed + 3
-		ds, err := synth.GenerateAGM("Orkut", cfg)
-		if err != nil {
-			s.orkut.err = fmt.Errorf("generate Orkut data set: %w", err)
-			return
-		}
-		s.orkut.ds = ds
-	})
-	return s.orkut.ds, s.orkut.err
-}
+func (s *Suite) Orkut() (*synth.Dataset, error) { return s.dataset("orkut", nil) }
 
 // Crawl returns the Magno-like BFS-crawl data set used by Table II.
-func (s *Suite) Crawl() (*synth.Dataset, error) {
-	s.crawl.once.Do(func() {
-		defer s.stageSpan("generate", "crawl").End()
-		cfg := synth.DefaultCrawlConfig()
-		cfg.NumVertices = s.scaleInt(cfg.NumVertices, 2000)
-		cfg.Seed = s.opts.Seed + 4
-		ds, err := synth.GenerateCrawl(cfg)
-		if err != nil {
-			s.crawl.err = fmt.Errorf("generate crawl data set: %w", err)
-			return
-		}
-		s.crawl.ds = ds
-	})
-	return s.crawl.ds, s.crawl.err
+func (s *Suite) Crawl() (*synth.Dataset, error) { return s.dataset("crawl", nil) }
+
+func (s *Suite) generateGPlus() (*synth.Dataset, error) {
+	cfg := synth.DefaultEgoConfig()
+	cfg.NumEgos = s.scaleInt(cfg.NumEgos, 6)
+	cfg.PoolSize = s.scaleInt(cfg.PoolSize, 200)
+	cfg.MeanEgoSize = s.scaleInt(cfg.MeanEgoSize, 30)
+	cfg.Seed = s.opts.Seed
+	ds, err := synth.GenerateEgo(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("generate Google+ data set: %w", err)
+	}
+	return ds, nil
+}
+
+func (s *Suite) generateTwitter() (*synth.Dataset, error) {
+	cfg := synth.DefaultFollowerConfig()
+	cfg.NumVertices = s.scaleInt(cfg.NumVertices, 400)
+	cfg.NumLists = s.scaleInt(cfg.NumLists, 20)
+	cfg.Seed = s.opts.Seed + 1
+	ds, err := synth.GenerateFollower(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("generate Twitter data set: %w", err)
+	}
+	return ds, nil
+}
+
+func (s *Suite) generateLiveJournal() (*synth.Dataset, error) {
+	cfg := synth.DefaultLiveJournalConfig()
+	cfg.NumVertices = s.scaleInt(cfg.NumVertices, 1500)
+	cfg.NumCommunities = s.scaleInt(cfg.NumCommunities, 60)
+	if cfg.MaxCommunitySize > cfg.NumVertices/4 {
+		cfg.MaxCommunitySize = cfg.NumVertices / 4
+	}
+	cfg.Seed = s.opts.Seed + 2
+	ds, err := synth.GenerateAGM("LiveJournal", cfg)
+	if err != nil {
+		return nil, fmt.Errorf("generate LiveJournal data set: %w", err)
+	}
+	return ds, nil
+}
+
+func (s *Suite) generateOrkut() (*synth.Dataset, error) {
+	cfg := synth.DefaultOrkutConfig()
+	cfg.NumVertices = s.scaleInt(cfg.NumVertices, 1500)
+	cfg.NumCommunities = s.scaleInt(cfg.NumCommunities, 60)
+	if cfg.MaxCommunitySize > cfg.NumVertices/4 {
+		cfg.MaxCommunitySize = cfg.NumVertices / 4
+	}
+	cfg.Seed = s.opts.Seed + 3
+	ds, err := synth.GenerateAGM("Orkut", cfg)
+	if err != nil {
+		return nil, fmt.Errorf("generate Orkut data set: %w", err)
+	}
+	return ds, nil
+}
+
+func (s *Suite) generateCrawl() (*synth.Dataset, error) {
+	cfg := synth.DefaultCrawlConfig()
+	cfg.NumVertices = s.scaleInt(cfg.NumVertices, 2000)
+	cfg.Seed = s.opts.Seed + 4
+	ds, err := synth.GenerateCrawl(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("generate crawl data set: %w", err)
+	}
+	return ds, nil
 }
 
 // ScaleCommunity returns the paper-scale community data set built
@@ -250,8 +252,7 @@ func (s *Suite) Crawl() (*synth.Dataset, error) {
 // LiveJournal-like at 30k vertices; Scale 100 reaches the paper's 3M
 // vertices / ~58M edges.
 func (s *Suite) ScaleCommunity() (*synth.Dataset, error) {
-	s.scale.once.Do(func() {
-		defer s.stageSpan("generate", "scale").End()
+	return s.generate(&s.scale, "scale", nil, func() (*synth.Dataset, error) {
 		cfg := synth.DefaultScaleConfig()
 		cfg.NumVertices = int64(s.scaleInt(int(cfg.NumVertices), 1500))
 		cfg.NumCommunities = s.scaleInt(cfg.NumCommunities, 20)
@@ -260,12 +261,10 @@ func (s *Suite) ScaleCommunity() (*synth.Dataset, error) {
 			Recorder: s.opts.Recorder,
 		})
 		if err != nil {
-			s.scale.err = fmt.Errorf("generate scale data set: %w", err)
-			return
+			return nil, fmt.Errorf("generate scale data set: %w", err)
 		}
-		s.scale.ds = ds
+		return ds, nil
 	})
-	return s.scale.ds, s.scale.err
 }
 
 // DatasetNames returns the registry names accepted by DatasetByName, in
@@ -283,19 +282,53 @@ var ErrUnknownDataset = errors.New("core: unknown dataset")
 // generating it on first use. This is the lookup surface long-lived
 // callers (the serve layer) use to share one Suite across requests.
 func (s *Suite) DatasetByName(name string) (*synth.Dataset, error) {
+	return s.dataset(name, nil)
+}
+
+// dataset is DatasetByName with the generate span placed under parent.
+// Each registry data set has its own cache and draws from its own seed
+// (Seed, Seed+1, …, Seed+4 in registry order), so what it generates does
+// not depend on which other data sets exist yet or are being generated.
+func (s *Suite) dataset(name string, parent *obs.Span) (*synth.Dataset, error) {
 	switch name {
 	case "gplus":
-		return s.GPlus()
+		return s.generate(&s.gplus, name, parent, s.generateGPlus)
 	case "twitter":
-		return s.Twitter()
+		return s.generate(&s.twitter, name, parent, s.generateTwitter)
 	case "livejournal":
-		return s.LiveJournal()
+		return s.generate(&s.lj, name, parent, s.generateLiveJournal)
 	case "orkut":
-		return s.Orkut()
+		return s.generate(&s.orkut, name, parent, s.generateOrkut)
 	case "crawl":
-		return s.Crawl()
+		return s.generate(&s.crawl, name, parent, s.generateCrawl)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+}
+
+// Warm generates every registry data set, fanning the five generations
+// out with par.For over GOMAXPROCS under one "warm" span; their
+// "generate" spans are its children and overlap in time. The data sets
+// equal those of serial accessor calls whatever the scheduling, since
+// each is generated once from its own seed. With one worker the
+// generations run in registry order on the caller's goroutine, exactly
+// as serial calls would. Warm returns the error of the first data set in
+// registry order that failed.
+func (s *Suite) Warm() error {
+	names := DatasetNames()
+	sp := s.opts.Recorder.StartSpan("warm")
+	defer sp.End()
+	errs := make([]error, len(names))
+	par.For(len(names), 0, func(_, i int) {
+		_, errs[i] = s.dataset(names[i], sp)
+	})
+	for i, err := range errs {
+		if err != nil {
+			err = fmt.Errorf("warm %s: %w", names[i], err)
+			sp.Fail(err)
+			return err
+		}
+	}
+	return nil
 }
 
 // AllGroupDatasets returns the four Table III data sets in paper order.
@@ -351,7 +384,7 @@ func (s *Suite) Profile(ds *synth.Dataset) (*GraphProfile, error) {
 	}
 	s.mu.Unlock()
 	c.once.Do(func() {
-		defer s.stageSpan("profile", ds.Name).End()
+		defer s.stageSpan("profile", ds.Name, nil).End()
 		c.profile, c.err = characterizeGraph(ds.Name, ds.Graph, s.profileOptions(), s.RNG(profileStream(ds.Name)),
 			func() (*powerlaw.FitResult, error) { return s.degreeFit(ds.Graph) })
 	})

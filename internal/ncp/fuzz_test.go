@@ -19,7 +19,8 @@ import (
 //
 //   - a request whose fields all lie within the endpoint's bounds (a
 //     named data set, seeds, max_size and null_samples within their
-//     caps, alpha in [0, 1), eps 0 or at least minEps); or
+//     caps, alpha in [0, 1), eps 0 or at least minEps, and a push-work
+//     bound within maxPushWork); or
 //   - a 400 whose writeNCPError body decodes as the api error envelope
 //     with the invalid_request code and a message.
 func FuzzNCPBody(f *testing.F) {
@@ -27,6 +28,9 @@ func FuzzNCPBody(f *testing.F) {
 		`{"dataset":"gplus"}`,
 		`{"dataset":"gplus","seeds":8,"eps":1e-5,"alpha":0.2,"max_size":50,"seed":3,"null_samples":1}`,
 		`{"dataset":"gplus","eps":1e-8}`,
+		`{"dataset":"gplus","seeds":5,"eps":1e-8,"alpha":0.5}`,
+		`{"dataset":"gplus","seeds":6,"eps":1e-8,"alpha":0.5}`,
+		`{"dataset":"gplus","alpha":5e-324}`,
 		`{"dataset":"gplus","eps":9.99e-9}`,
 		`{"dataset":"gplus","eps":5e-324}`,
 		`{"dataset":"gplus","eps":-0}`,
@@ -78,6 +82,8 @@ func FuzzNCPBody(f *testing.F) {
 			t.Fatalf("accepted max_size %d", req.MaxSize)
 		case req.NullSamples < 0 || req.NullSamples > maxNullSamples:
 			t.Fatalf("accepted null_samples %d", req.NullSamples)
+		case !(pushWork(req) <= maxPushWork):
+			t.Fatalf("accepted push-work bound %g", pushWork(req))
 		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 )
 
 // Request bounds: the endpoint runs inline (no worker-pool admission, no
-// result cache — it is experimental), so the knobs are capped to keep a
-// single request's work proportionate.
+// result cache — it is experimental), so the knobs are capped, and their
+// combined push-work bound is held to a budget, to keep a single
+// request's work proportionate.
 const (
 	maxBodyBytes   = 1 << 20
 	maxSeeds       = 512
@@ -27,6 +28,13 @@ const (
 	// (GOMAXPROCS=1, 2-core Xeon VM), and a request may carry maxSeeds
 	// seeds.
 	minEps = 1e-8
+	// maxPushWork is the budget on a request's push-work bound (see
+	// pushWork). On scale-1 Google+ a sweep cost at most about 2 ns per
+	// unit of the bound (the worst ratio measured, at eps 1e-6; it falls
+	// to 0.05 ns at 1e-8, where one seed's push reaches every vertex;
+	// GOMAXPROCS=1, 2-core Xeon VM), so the budget keeps one request near
+	// two seconds of one core. The request defaults bound at 2.1e6.
+	maxPushWork = 1e9
 )
 
 // Handler answers POST /v1/ncp with a network community profile sweep
@@ -124,7 +132,20 @@ func resolveNCP(body io.Reader) (api.NCPRequest, error) {
 	case req.NullSamples < 0 || req.NullSamples > maxNullSamples:
 		return req, fmt.Errorf("null_samples must be in [0, %d], got %d", maxNullSamples, req.NullSamples)
 	}
+	if work := pushWork(req); work > maxPushWork {
+		return req, fmt.Errorf("push-work bound seeds*(1+null_samples)/(alpha*eps) = %.4g exceeds the budget of %.4g", work, float64(maxPushWork))
+	}
 	return req, nil
+}
+
+// pushWork is the Andersen–Chung–Lang bound on the push work of a
+// request, with its defaults applied: one push does at most 1/(alpha·eps)
+// work, and each seed is pushed on the graph and on every null sample.
+// It needs only the request (the seed count is capped at the vertex
+// count later), so resolveNCP can refuse a request before any push runs.
+func pushWork(req api.NCPRequest) float64 {
+	o := Options{Seeds: req.Seeds, Eps: req.Eps, Alpha: req.Alpha}.withDefaults()
+	return float64(o.Seeds) * float64(1+req.NullSamples) / (o.Alpha * o.Eps)
 }
 
 func apiPoints(c *Curve) []api.NCPPoint {

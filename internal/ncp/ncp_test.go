@@ -424,12 +424,58 @@ func TestHandlerValidation(t *testing.T) {
 			}
 		})
 	}
-	// The floor itself, the default (0) and trailing whitespace are
-	// accepted.
-	for _, body := range []string{`{"dataset":"gplus","eps":1e-8}`, `{"dataset":"gplus","eps":0}`, "{\"dataset\":\"gplus\"} \n\t"} {
+	// The floor itself (at one seed, inside the push-work budget), the
+	// default (0) and trailing whitespace are accepted.
+	for _, body := range []string{`{"dataset":"gplus","seeds":1,"eps":1e-8}`, `{"dataset":"gplus","eps":0}`, "{\"dataset\":\"gplus\"} \n\t"} {
 		if _, err := resolveNCP(strings.NewReader(body)); err != nil {
 			t.Errorf("%s: %v", body, err)
 		}
+	}
+}
+
+// TestHandlerPushBudget: a request whose push-work bound
+// seeds·(1+null_samples)/(alpha·eps) reaches the budget exactly is
+// accepted, and one beyond it is refused with 400 invalid_request
+// naming the bound, before its data set is looked up or any push runs.
+// Accepted bodies go through resolveNCP alone, so no case runs a sweep.
+func TestHandlerPushBudget(t *testing.T) {
+	h := Handler(testSuite(), experiments.Set{experiments.NCPSweep.Name: true})
+	cases := []struct {
+		name string
+		body string
+		ok   bool
+	}{
+		{"defaults", `{"dataset":"gplus"}`, true},
+		{"at budget", `{"dataset":"gplus","seeds":5,"eps":1e-8,"alpha":0.5}`, true},
+		{"at budget with nulls", `{"dataset":"gplus","seeds":2,"null_samples":4,"eps":2e-8,"alpha":0.5}`, true},
+		{"one seed over", `{"dataset":"gplus","seeds":6,"eps":1e-8,"alpha":0.5}`, false},
+		{"one null sample over", `{"dataset":"gplus","seeds":2,"null_samples":5,"eps":2e-8,"alpha":0.5}`, false},
+		{"default seeds at the eps floor", `{"dataset":"gplus","eps":1e-8}`, false},
+		{"every cap at once", `{"dataset":"gplus","seeds":512,"null_samples":8,"eps":1e-8,"alpha":0.01}`, false},
+		{"alpha underflows the product", `{"dataset":"gplus","alpha":5e-324}`, false},
+		{"unknown dataset over budget", `{"dataset":"nope","eps":1e-8}`, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := resolveNCP(strings.NewReader(tc.body))
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			rec := postNCP(t, h, tc.body)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", rec.Code, rec.Body.String())
+			}
+			apiErr, ok := api.DecodeError(rec.Body.Bytes())
+			if !ok || apiErr.Code != api.CodeInvalidRequest || !strings.Contains(apiErr.Message, "push-work bound") {
+				t.Fatalf("error = %+v (ok=%v), want code %s naming the push-work bound", apiErr, ok, api.CodeInvalidRequest)
+			}
+		})
 	}
 }
 
