@@ -28,8 +28,8 @@ vet:
 
 # Project-specific determinism, concurrency & architecture checks
 # (internal/lint): file-scoped (maporder, globalrng, walltime, floateq,
-# goroutineleak, ctxfirst, unboundedgoroutine) plus module-scoped
-# (layering, expboundary, atomicmisuse) over the shared import graph.
+# ctxfirst) plus module-scoped (layering, atomicmisuse, gostmt) over the
+# shared import graph.
 # Exits non-zero with file:line diagnostics on any finding; suppress
 # individual lines with `//lint:ignore <check> <reason>`.
 lint:
@@ -37,9 +37,10 @@ lint:
 
 # The full static-analysis gate CI runs: go vet (the root module and
 # the separate perfbench module, which ./... does not reach), circlelint
-# with every check (one shared module load for all ten), and a -race
-# smoke over the packages the concurrency analyzers guard plus the
-# suite's concurrent data-set warm-up. ANALYZE_JSON (optional)
+# with every check (one shared module load for all eight), and a -race
+# smoke over the packages gostmt allows to start goroutines and their
+# main users, plus the suite's concurrent data-set warm-up and graph
+# profile. ANALYZE_JSON (optional)
 # additionally records the machine-readable findings array — CI uploads
 # it as a workflow artifact so annotators can consume scope + import
 # chains without re-running the analysis.
@@ -51,7 +52,7 @@ analyze: vet
 	fi
 	$(GO) run ./cmd/circlelint .
 	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./internal/detect/ ./internal/ncp/ ./internal/par/
-	$(GO) test -race -count=1 -run 'TestWarm' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestWarm|TestCharacterize' ./internal/core/
 
 # Emits machine-readable benchmark records (one JSON event per line) so
 # runs on different machines/dates can be diffed with benchstat-style

@@ -10,10 +10,9 @@
 // dir defaults to the current directory; the module root is located by
 // walking upward to the nearest go.mod. The module is parsed and
 // type-checked exactly once; file-scoped checks run per package and
-// module-scoped checks (expboundary, layering, atomicmisuse) run once
-// over the shared module view with the repo's layer map
-// (lint.DefaultConfig) plus the experiments registry's gated-package
-// list. With -json, findings are emitted as a single JSON array of
+// module-scoped checks (layering, atomicmisuse, gostmt) run once over
+// the shared module view with the repo's layer map and goroutine
+// allowlist (lint.DefaultConfig). With -json, findings are emitted as a single JSON array of
 // {file, line, col, check, scope, message, chain} objects (an empty
 // array for a clean tree; chain only on import-graph findings) for
 // machine consumers such as CI annotators. Findings are suppressed with
@@ -34,7 +33,6 @@ import (
 	"strings"
 
 	"gpluscircles/internal/cliflag"
-	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/lint"
 )
 
@@ -86,14 +84,7 @@ func run(w *os.File, args []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// The architecture config: the repo's layer map plus the experiment
-	// registry's package gating, so GatePackage declarations and
-	// //experiments:package markers are enforced identically.
-	cfg := lint.DefaultConfig()
-	for path, name := range experiments.GatedPackages() {
-		cfg.GatedPackages[path] = name
-	}
-	diags := lint.NewModule(pkgs).Run(analyzers, cfg)
+	diags := lint.NewModule(pkgs).Run(analyzers, lint.DefaultConfig())
 	if *jsonMode {
 		if err := writeJSON(w, root, diags); err != nil {
 			return 0, err
@@ -121,7 +112,7 @@ type jsonDiagnostic struct {
 	Scope   string `json:"scope"`
 	Message string `json:"message"`
 	// Chain is the offending import chain (importer first) on
-	// import-graph findings (layering, expboundary); empty otherwise.
+	// import-graph findings (layering); empty otherwise.
 	Chain []string `json:"chain,omitempty"`
 }
 

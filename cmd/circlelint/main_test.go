@@ -66,7 +66,7 @@ func Bad(m map[string]int) {
 		t.Fatal(err)
 	}
 	text := string(data)
-	for _, check := range []string{"maporder", "globalrng", "walltime", "floateq", "goroutineleak"} {
+	for _, check := range []string{"maporder", "globalrng", "walltime", "floateq", "gostmt"} {
 		if !strings.Contains(text, check+":") {
 			t.Errorf("output missing %s diagnostic:\n%s", check, text)
 		}
@@ -177,33 +177,32 @@ func Bad() int { return rand.Intn(10) }
 	}
 }
 
-// TestRunModuleScopedJSON: a module with a marker-gated package
-// imported from stable code produces an expboundary finding whose JSON
-// carries scope "module" and the offending import chain, while a
-// file-scoped finding in the same tree carries scope "file" and no
-// chain.
+// TestRunModuleScopedJSON: a module laid out like this one, where
+// internal/graph imports internal/core against the default layer map,
+// produces a layering finding whose JSON carries scope "module" and the
+// offending import chain, while a file-scoped finding in the same tree
+// carries scope "file" and no chain.
 func TestRunModuleScopedJSON(t *testing.T) {
 	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module example.com/violating\n\ngo 1.22\n")
-	if err := os.Mkdir(filepath.Join(dir, "exp"), 0o755); err != nil {
-		t.Fatal(err)
+	writeFile(t, filepath.Join(dir, "go.mod"), "module gpluscircles\n\ngo 1.22\n")
+	for _, sub := range []string{"core", "graph"} {
+		if err := os.MkdirAll(filepath.Join(dir, "internal", sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
-	writeFile(t, filepath.Join(dir, "exp", "exp.go"), `// Package exp is experimental.
-//
-//experiments:package turbo
-package exp
+	writeFile(t, filepath.Join(dir, "internal", "core", "core.go"), `package core
 
-func Turbo() int { return 1 }
+func Orchestrate() int { return 1 }
 `)
-	writeFile(t, filepath.Join(dir, "stable.go"), `package violating
+	writeFile(t, filepath.Join(dir, "internal", "graph", "graph.go"), `package graph
 
 import (
 	"math/rand"
 
-	"example.com/violating/exp"
+	"gpluscircles/internal/core"
 )
 
-func Leak() int { return exp.Turbo() + rand.Intn(10) }
+func Leak() int { return core.Orchestrate() + rand.Intn(10) }
 `)
 
 	out, err := os.CreateTemp(t.TempDir(), "lintout")
@@ -229,16 +228,16 @@ func Leak() int { return exp.Turbo() + rand.Intn(10) }
 	var sawModule, sawFile bool
 	for _, d := range diags {
 		switch d.Check {
-		case "expboundary":
+		case "layering":
 			sawModule = true
 			if d.Scope != "module" {
-				t.Errorf("expboundary scope = %q, want module", d.Scope)
+				t.Errorf("layering scope = %q, want module", d.Scope)
 			}
-			wantChain := []string{"example.com/violating", "example.com/violating/exp"}
+			wantChain := []string{"gpluscircles/internal/graph", "gpluscircles/internal/core"}
 			if len(d.Chain) != 2 || d.Chain[0] != wantChain[0] || d.Chain[1] != wantChain[1] {
-				t.Errorf("expboundary chain = %v, want %v", d.Chain, wantChain)
+				t.Errorf("layering chain = %v, want %v", d.Chain, wantChain)
 			}
-			if d.File != "stable.go" {
+			if d.File != filepath.Join("internal", "graph", "graph.go") {
 				t.Errorf("finding anchored at %s, want the importing file", d.File)
 			}
 		case "globalrng":
@@ -252,7 +251,7 @@ func Leak() int { return exp.Turbo() + rand.Intn(10) }
 		}
 	}
 	if !sawModule {
-		t.Errorf("no expboundary finding in:\n%s", data)
+		t.Errorf("no layering finding in:\n%s", data)
 	}
 	if !sawFile {
 		t.Errorf("no globalrng finding in:\n%s", data)

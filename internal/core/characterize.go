@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"gpluscircles/internal/graph"
 	"gpluscircles/internal/graphalgo"
+	"gpluscircles/internal/par"
 	"gpluscircles/internal/powerlaw"
 	"gpluscircles/internal/stats"
 )
@@ -97,9 +97,10 @@ func (o ProfileOptions) withDefaults() ProfileOptions {
 // CharacterizeGraph computes a GraphProfile, the building block of
 // Tables II and III. The independent sections — the distance BFS sweep,
 // the clustering samples, the degree fit, and the structural scalars
-// (assortativity, k-core, Gini, reciprocity) — run concurrently; each
-// sampled section owns a child RNG seeded from rng up front, so the
-// profile is deterministic for a given rng regardless of scheduling.
+// (assortativity, k-core, Gini, reciprocity) — run as one par.For
+// batch; each sampled section owns a child RNG seeded from rng up
+// front, so the profile is deterministic for a given rng regardless of
+// scheduling.
 func CharacterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *rand.Rand) (*GraphProfile, error) {
 	return characterizeGraph(name, g, opts, rng, func() (*powerlaw.FitResult, error) {
 		return fitInDegree(g, opts.FitXmin)
@@ -129,76 +130,65 @@ func characterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *ra
 		MeanOutDegree: g.MeanOutDegree(),
 	}
 
-	var wg sync.WaitGroup
-	var distErr, fitErr, ccErr error
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dist, err := graphalgo.SampledDistances(g, opts.DistanceSources, distRNG)
-		if err != nil {
-			distErr = fmt.Errorf("distance sampling: %w", err)
-			return
-		}
-		p.Diameter = dist.Diameter
-		p.ASP = dist.ASP
-	}()
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if g.NumEdges() > 0 {
-			p.Reciprocity = float64(graph.ReciprocalEdgeCount(g)) / float64(2*g.NumEdges())
-			if g.Directed() {
-				p.Reciprocity = float64(graph.ReciprocalEdgeCount(g)) / float64(g.NumEdges())
+	// The four sections write disjoint fields of p and their own error
+	// slots; the errors are checked in this fixed order afterwards.
+	var errs [4]error
+	par.For(len(errs), 0, func(_, i int) {
+		switch i {
+		case 0:
+			dist, err := graphalgo.SampledDistances(g, opts.DistanceSources, distRNG)
+			if err != nil {
+				errs[i] = fmt.Errorf("distance sampling: %w", err)
+				return
 			}
-		}
-		p.Assortativity = graphalgo.DegreeAssortativity(g)
-		p.Degeneracy = graphalgo.MaxCore(g)
-		if gini, err := stats.Gini(stats.CountsToFloats(g.DegreeSequence())); err == nil {
-			p.DegreeGini = gini
-		}
-	}()
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		fit, err := degreeFit()
-		if err != nil {
-			// Degenerate degree data (e.g. regular graphs) is not fatal
-			// for a profile; the fit is simply absent.
-			if !errors.Is(err, powerlaw.ErrDegenerate) && !errors.Is(err, powerlaw.ErrEmptyTail) {
-				fitErr = fmt.Errorf("degree fit: %w", err)
+			p.Diameter = dist.Diameter
+			p.ASP = dist.ASP
+		case 1:
+			if m := g.NumEdges(); m > 0 {
+				// An undirected edge is two arcs, each with its reverse.
+				arcs := 2 * m
+				if g.Directed() {
+					arcs = m
+				}
+				p.Reciprocity = float64(graph.ReciprocalEdgeCount(g)) / float64(arcs)
 			}
-			return
+			p.Assortativity = graphalgo.DegreeAssortativity(g)
+			p.Degeneracy = graphalgo.MaxCore(g)
+			if gini, err := stats.Gini(stats.CountsToFloats(g.DegreeSequence())); err == nil {
+				p.DegreeGini = gini
+			}
+		case 2:
+			fit, err := degreeFit()
+			if err != nil {
+				// Degenerate degree data (e.g. regular graphs) is not fatal
+				// for a profile; the fit is simply absent.
+				if !errors.Is(err, powerlaw.ErrDegenerate) && !errors.Is(err, powerlaw.ErrEmptyTail) {
+					errs[i] = fmt.Errorf("degree fit: %w", err)
+				}
+				return
+			}
+			p.DegreeFit = fit
+		case 3:
+			cc, err := graphalgo.SampledClustering(g, opts.ClusteringSamples, ccRNG)
+			if err != nil {
+				errs[i] = fmt.Errorf("clustering sampling: %w", err)
+				return
+			}
+			summary, err := stats.Summarize(cc)
+			if err != nil {
+				errs[i] = fmt.Errorf("clustering summary: %w", err)
+				return
+			}
+			cdf, err := stats.NewCDF(cc)
+			if err != nil {
+				errs[i] = fmt.Errorf("clustering CDF: %w", err)
+				return
+			}
+			p.Clustering = summary
+			p.ClusteringCDF = cdf
 		}
-		p.DegreeFit = fit
-	}()
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cc, err := graphalgo.SampledClustering(g, opts.ClusteringSamples, ccRNG)
-		if err != nil {
-			ccErr = fmt.Errorf("clustering sampling: %w", err)
-			return
-		}
-		summary, err := stats.Summarize(cc)
-		if err != nil {
-			ccErr = fmt.Errorf("clustering summary: %w", err)
-			return
-		}
-		cdf, err := stats.NewCDF(cc)
-		if err != nil {
-			ccErr = fmt.Errorf("clustering CDF: %w", err)
-			return
-		}
-		p.Clustering = summary
-		p.ClusteringCDF = cdf
-	}()
-
-	wg.Wait()
-	for _, err := range []error{distErr, fitErr, ccErr} {
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}

@@ -449,6 +449,22 @@ func TestGraphProfileReciprocityUndirected(t *testing.T) {
 	}
 }
 
+// TestGraphProfileReciprocityDirected: of the arcs 1→2, 2→1 and 2→3,
+// two have their reverse, so reciprocity is 2/3 of the arc count.
+func TestGraphProfileReciprocityDirected(t *testing.T) {
+	g, err := graph.FromEdges(true, [][2]int64{{1, 2}, {2, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CharacterizeGraph("d", g, ProfileOptions{DistanceSources: 4, ClusteringSamples: 4}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2.0 / 3.0; p.Reciprocity != want {
+		t.Errorf("directed reciprocity = %v, want %v", p.Reciprocity, want)
+	}
+}
+
 func TestCrossNetworkExtendedFuncs(t *testing.T) {
 	s := testSuite()
 	datasets, err := s.AllGroupDatasets()

@@ -18,9 +18,9 @@
 // concluded table with a pointer at the replacement). GetCurrent
 // distinguishes the three outcomes with typed errors: UnavailableError
 // for names that were never registered, DefunctError for retired ones.
-// circlelint's expboundary analyzer closes the loop statically: a
-// package declared experiment-gated (here, or with an
-// //experiments:package marker) must not be imported from stable code.
+//
+// The gate is a runtime one: every experimental surface checks
+// Set.Require at its entry point. No package is gated as a whole.
 package experiments
 
 import (
@@ -70,7 +70,6 @@ func (e DefunctError) Error() string { return e.msg }
 var (
 	current   = make(map[string]Experiment)
 	concluded = make(map[string]string)
-	gated     = make(map[string]string)
 )
 
 // Register adds a current experiment to the registry and returns it.
@@ -97,19 +96,6 @@ func Conclude(name, msg string) {
 	concluded[name] = msg
 }
 
-// GatePackage declares that an entire package is owned by the named
-// experiment. circlelint's expboundary analyzer forbids stable packages
-// from importing it; cmd binaries may import it only alongside this
-// registry (so the gate is checkable at the call site). The equivalent
-// in-source form is an //experiments:package <name> marker comment in
-// the gated package.
-func GatePackage(importPath, name string) {
-	if _, ok := current[name]; !ok {
-		panic(fmt.Sprintf("experiments: gated package %s names unregistered experiment %q", importPath, name))
-	}
-	gated[importPath] = name
-}
-
 // GetCurrent resolves a name to its current experiment. Unknown names
 // return UnavailableError (Unknown=true); concluded names return
 // DefunctError with the recorded retirement message.
@@ -130,16 +116,6 @@ func All() []Experiment {
 		out = append(out, exp)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// GatedPackages returns the registry-declared experiment-gated packages
-// as importPath -> experiment name, sorted iteration left to callers.
-func GatedPackages() map[string]string {
-	out := make(map[string]string, len(gated))
-	for p, n := range gated {
-		out[p] = n
-	}
 	return out
 }
 

@@ -134,8 +134,8 @@ func TestSetString(t *testing.T) {
 }
 
 // TestRegisterPanics checks the static-misconfiguration guards: dup
-// registration, concluding a current name, re-registering a concluded
-// one, and gating a package under an unknown experiment.
+// registration, concluding a current name, and re-registering a
+// concluded one.
 func TestRegisterPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -149,21 +149,4 @@ func TestRegisterPanics(t *testing.T) {
 	mustPanic("duplicate Register", func() { Register("triangle-cohesion", "dup") })
 	mustPanic("Conclude current", func() { Conclude("triangle-cohesion", "retired") })
 	mustPanic("Register concluded", func() { Register("scale-edgelist", "zombie") })
-	mustPanic("GatePackage unknown", func() { GatePackage("gpluscircles/internal/nope", "warp-drive") })
-}
-
-// TestGatePackage registers a throwaway experiment, gates a package
-// under it, and checks GatedPackages returns a defensive copy.
-func TestGatePackage(t *testing.T) {
-	exp := Register("test-gate-exp", "test-only experiment")
-	t.Cleanup(func() { delete(current, exp.Name); delete(gated, "example.com/mod/internal/expstuff") })
-	GatePackage("example.com/mod/internal/expstuff", exp.Name)
-	got := GatedPackages()
-	if got["example.com/mod/internal/expstuff"] != exp.Name {
-		t.Fatalf("GatedPackages() = %v", got)
-	}
-	got["example.com/mod/internal/expstuff"] = "mutated"
-	if GatedPackages()["example.com/mod/internal/expstuff"] != exp.Name {
-		t.Error("GatedPackages returned the live map, not a copy")
-	}
 }

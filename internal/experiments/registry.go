@@ -1,8 +1,8 @@
 package experiments
 
 // The project's experiment registry. Keep this file the single place
-// current, concluded and package-gated experiments are declared, so a
-// reviewer can read the whole experimental surface at a glance.
+// current and concluded experiments are declared, so a reviewer can
+// read the whole experimental surface at a glance.
 var (
 	// TriangleCohesion gates the triangle-density scoring surface: the
 	// `cohesion` scoring function over HTTP and in the explicit
@@ -16,12 +16,11 @@ var (
 
 	// NCPSweep gates the network-community-profile surface: the ncp
 	// experiment selection in circlebench and POST /v1/ncp on circled,
-	// both backed by internal/ncp (the first package-level gate, marked
-	// with //experiments:package so expboundary keeps it out of stable
-	// imports). The PPR push and sweep-cut kernels underneath live in
-	// stable packages; the gate covers the sweep driver's knobs — seed
-	// stratification, eps/size defaults, the curve wire shape — which
-	// may change while the NCP reading of the paper settles.
+	// both backed by internal/ncp. The PPR push and sweep-cut kernels
+	// underneath live in stable packages; the gate covers the sweep
+	// driver's knobs — seed stratification, eps/size defaults, the curve
+	// wire shape — which may change while the NCP reading of the paper
+	// settles.
 	NCPSweep = Register("ncp-sweep",
 		"network community profile sweep (circlebench -experiment ncp, POST /v1/ncp)")
 )
@@ -43,11 +42,4 @@ func init() {
 	// endpoint, and unary requests reach the same cache and coalescer.
 	Conclude("batch-scoring",
 		`the "batch-scoring" experiment is defunct: the NDJSON batch endpoint was removed; send one POST /v1/score per request instead`)
-
-	// The NCP sweep package is the first package-level gate. The package
-	// also carries an //experiments:package marker (which is what
-	// circlelint's expboundary analyzer reads); registering it here too
-	// keeps the registry the single human-readable inventory of the
-	// gated surface.
-	GatePackage("gpluscircles/internal/ncp", NCPSweep.Name)
 }

@@ -3,22 +3,17 @@ package lint
 import "strings"
 
 // Config is the architecture description the module-scoped analyzers
-// check: the layer map for layering, and the experiment-gate wiring for
-// expboundary. DefaultConfig returns the repo's own map; fixture tests
+// check: the layer map for layering, and the goroutine allowlist for
+// gostmt. DefaultConfig returns the repo's own map; fixture tests
 // construct custom ones.
 type Config struct {
-	// ExperimentsPath is the import path of the experiments registry. A
-	// command package importing an experiment-gated package must also
-	// import the registry, so the gate is checkable at the call site.
-	ExperimentsPath string
 	// CommandPrefix marks command packages (the binaries), which get the
-	// registry-mediated exception in expboundary and the Allow list in
-	// layering. Matched as a path prefix, e.g. "gpluscircles/cmd/".
+	// CommandAllow list in layering. Matched as a path prefix, e.g.
+	// "gpluscircles/cmd/".
 	CommandPrefix string
-	// GatedPackages is the registry-declared experiment-gated package
-	// list, import path -> experiment name. Merged with in-source
-	// //experiments:package markers (markers win).
-	GatedPackages map[string]string
+	// GoPackages are the only packages whose non-test code may contain
+	// go statements (patterns as in ForbidRule).
+	GoPackages []string
 	// Forbid are the layer rules: no import chain may lead from a From
 	// package to a To package.
 	Forbid []ForbidRule
@@ -95,9 +90,10 @@ func DefaultConfig() *Config {
 		"graph", "score", "graphalgo", "sample",
 		"synth", "nullmodel", "detect", "feature", "dataset")
 	return &Config{
-		ExperimentsPath: mod + "/internal/experiments",
-		CommandPrefix:   mod + "/cmd/",
-		GatedPackages:   map[string]string{},
+		CommandPrefix: mod + "/cmd/",
+		// par.For's workers and the serving pool, plus perfbench's load
+		// clients (a separate module the walk loads under this path).
+		GoPackages: []string{mod + "/internal/par", mod + "/internal/serve", mod + "/perfbench"},
 		Forbid: []ForbidRule{
 			{
 				Name: "no-upward-imports",

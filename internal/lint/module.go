@@ -8,38 +8,26 @@ import (
 	"strings"
 )
 
-// experimentsMarker opens the in-source package-gating directive:
-//
-//	//experiments:package <name>
-//
-// A package carrying the marker is owned by the named experiment; the
-// expboundary analyzer forbids stable packages from importing it. The
-// registry-declared equivalent is Config.GatedPackages.
-const experimentsMarker = "//experiments:package"
-
 // Module is the whole-module view the module-scoped analyzers run over:
-// every loaded package, the module-internal import graph, and the
-// experiment-gating markers, all derived from one LoadModule call so a
-// run parses and type-checks the source exactly once.
+// every loaded package and the module-internal import graph, both
+// derived from one LoadModule call so a run parses and type-checks the
+// source exactly once.
 type Module struct {
 	// Pkgs holds every loaded package in load (dependency) order.
 	Pkgs []*Package
 
 	byPath  map[string]*Package
 	imports map[string][]string // module-internal direct imports, sorted
-	markers map[string]string   // import path -> experiment name
 }
 
 // NewModule indexes loaded packages into the module view. The import
 // graph comes from the shared type information (only edges between the
-// given packages are kept); //experiments:package markers are scanned
-// from every file's comments.
+// given packages are kept).
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:    pkgs,
 		byPath:  make(map[string]*Package, len(pkgs)),
 		imports: make(map[string][]string, len(pkgs)),
-		markers: make(map[string]string),
 	}
 	for _, pkg := range pkgs {
 		m.byPath[pkg.Path] = pkg
@@ -55,33 +43,9 @@ func NewModule(pkgs []*Package) *Module {
 		}
 		sort.Strings(deps)
 		m.imports[pkg.Path] = deps
-		if name, ok := packageMarker(pkg); ok {
-			m.markers[pkg.Path] = name
-		}
 	}
 	return m
 }
-
-// packageMarker scans a package's comments for //experiments:package.
-func packageMarker(pkg *Package) (string, bool) {
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, experimentsMarker)
-				if !ok {
-					continue
-				}
-				if name := strings.TrimSpace(rest); name != "" {
-					return name, true
-				}
-			}
-		}
-	}
-	return "", false
-}
-
-// Package returns the loaded package at the import path, or nil.
-func (m *Module) Package(path string) *Package { return m.byPath[path] }
 
 // Imports returns a package's direct module-internal imports, sorted.
 func (m *Module) Imports(path string) []string { return m.imports[path] }
@@ -95,20 +59,6 @@ func (m *Module) Paths() []string {
 	}
 	sort.Strings(paths)
 	return paths
-}
-
-// GatedExperiment resolves a package's owning experiment: the in-source
-// marker wins, then the config's registry-declared list.
-func (m *Module) GatedExperiment(path string, cfg *Config) (string, bool) {
-	if name, ok := m.markers[path]; ok {
-		return name, true
-	}
-	if cfg != nil {
-		if name, ok := cfg.GatedPackages[path]; ok {
-			return name, true
-		}
-	}
-	return "", false
 }
 
 // Chain returns the shortest module-internal import chain from one
@@ -213,8 +163,8 @@ func (p *ModulePass) report(pos token.Pos, chain []string, format string, args .
 // Run executes the full analyzer suite — file-scoped per package,
 // module-scoped once over the whole module — applies //lint:ignore
 // directives from every package, and returns the surviving diagnostics
-// in the stable sorted order. cfg may be nil for marker-only gating and
-// no layer rules.
+// in the stable sorted order. cfg may be nil for no layer rules and an
+// empty goroutine allowlist.
 func (m *Module) Run(analyzers []*Analyzer, cfg *Config) []Diagnostic {
 	if cfg == nil {
 		cfg = &Config{}

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -78,52 +79,6 @@ func runModuleFixture(t *testing.T, check, name string, cfg *Config) []Diagnosti
 	return diags
 }
 
-// expboundaryFixtureConfig describes the expboundary mini-module: exp
-// is gated by its in-source marker, exp2 by this registry-declared
-// list.
-func expboundaryFixtureConfig() *Config {
-	return &Config{
-		ExperimentsPath: "example.com/expmod/experiments",
-		CommandPrefix:   "example.com/expmod/cmd/",
-		GatedPackages:   map[string]string{"example.com/expmod/exp2": "listed"},
-	}
-}
-
-func TestExpboundaryFixture(t *testing.T) {
-	diags := runModuleFixture(t, "expboundary", "expboundary", expboundaryFixtureConfig())
-	// Every expboundary finding is a direct edge: importer, then dep.
-	for _, d := range diags {
-		if len(d.Chain) != 2 {
-			t.Errorf("want 2-element chain, got %v", d.Chain)
-		}
-		if d.Scope != ScopeModule {
-			t.Errorf("want module scope, got %v", d.Scope)
-		}
-	}
-}
-
-// TestExpboundaryMarkerVsRegistry pins which gating mechanism caught
-// each package: the marker names the experiment, the registry list
-// names its own entry.
-func TestExpboundaryMarkerVsRegistry(t *testing.T) {
-	diags := runModuleFixture(t, "expboundary", "expboundary", expboundaryFixtureConfig())
-	var sawMarker, sawRegistry bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, `(experiment "turbo")`) {
-			sawMarker = true
-		}
-		if strings.Contains(d.Message, `(experiment "listed")`) {
-			sawRegistry = true
-		}
-	}
-	if !sawMarker {
-		t.Error("no diagnostic attributed to the //experiments:package marker")
-	}
-	if !sawRegistry {
-		t.Error("no diagnostic attributed to the registry-declared gated package")
-	}
-}
-
 func layeringFixtureConfig() *Config {
 	return &Config{
 		CommandPrefix: "example.com/layermod/cmd/",
@@ -184,8 +139,74 @@ func TestAtomicmisuseFixture(t *testing.T) {
 	}
 }
 
+// TestGostmtFixture: every go statement outside the allowlist is a
+// finding, joined and bounded or not, while the allowlisted pool
+// package and the _test.go file stay silent.
+func TestGostmtFixture(t *testing.T) {
+	cfg := &Config{GoPackages: []string{"example.com/gomod/pool"}}
+	diags := runModuleFixture(t, "gostmt", "gostmt", cfg)
+	for _, d := range diags {
+		if d.Scope != ScopeModule {
+			t.Errorf("want module scope, got %v", d.Scope)
+		}
+	}
+}
+
+// TestGoroutineleakFixture: gostmt replaced goroutineleak, so every
+// shape the old leak fixture flagged is still a finding, and so are the
+// joins it accepted (WaitGroup, channel receive, select).
+func TestGoroutineleakFixture(t *testing.T) {
+	checkGostmtShapes(t, "BadFireAndForget", "BadDetachedProducer", "BadCtxWorker",
+		"WaitGroupJoin", "ChannelJoin", "SelectJoin")
+}
+
+// TestUnboundedgoroutineFixture: gostmt replaced unboundedgoroutine, so
+// the per-item and condition-loop spawns are still findings, and so are
+// the bounded shapes it accepted (counter pool, semaphore).
 func TestUnboundedgoroutineFixture(t *testing.T) {
-	runFixture(t, "unboundedgoroutine", "unboundedgoroutine", "fixture/unboundedgoroutine")
+	checkGostmtShapes(t, "perItem", "condLoop", "counterPool", "semaphore")
+}
+
+// checkGostmtShapes runs gostmt over the gostmt fixture and checks that
+// each named function in its work package holds at least one finding.
+func checkGostmtShapes(t *testing.T, funcs ...string) {
+	t.Helper()
+	m := loadFixtureModule(t, "gostmt")
+	cfg := &Config{GoPackages: []string{"example.com/gomod/pool"}}
+	diags := m.Run([]*Analyzer{ByName("gostmt")}, cfg)
+	spans := make(map[string][2]int) // func name -> first and last line
+	for _, pkg := range m.Pkgs {
+		if pkg.Path != "example.com/gomod/work" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					spans[fd.Name.Name] = [2]int{
+						pkg.Fset.Position(fd.Pos()).Line,
+						pkg.Fset.Position(fd.End()).Line,
+					}
+				}
+			}
+		}
+	}
+	for _, name := range funcs {
+		span, ok := spans[name]
+		if !ok {
+			t.Errorf("fixture has no function %s", name)
+			continue
+		}
+		found := false
+		for _, d := range diags {
+			if d.Check == "gostmt" && filepath.Base(d.Pos.Filename) == "work.go" &&
+				d.Pos.Line >= span[0] && d.Pos.Line <= span[1] {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: want a gostmt finding, got none", name)
+		}
+	}
 }
 
 // TestModuleRunSingleLoad pins the engine's core property: running the
@@ -235,37 +256,18 @@ func TestModuleChain(t *testing.T) {
 // TestModuleImportGraph checks the graph is module-internal only and
 // sorted.
 func TestModuleImportGraph(t *testing.T) {
-	m := loadFixtureModule(t, "expboundary")
-	deps := m.Imports("example.com/expmod/stable")
-	want := []string{"example.com/expmod/exp", "example.com/expmod/exp2"}
+	m := loadFixtureModule(t, "layering")
+	deps := m.Imports("example.com/layermod/cmd/tool")
+	want := []string{"example.com/layermod/graph", "example.com/layermod/mid", "example.com/layermod/serveish"}
 	if !reflect.DeepEqual(deps, want) {
-		t.Errorf("Imports(stable) = %v, want %v", deps, want)
+		t.Errorf("Imports(cmd/tool) = %v, want %v", deps, want)
 	}
-	// sync/atomic and friends never appear: stdlib edges are filtered.
+	// core's strings import never appears: stdlib edges are filtered.
 	for _, p := range m.Paths() {
 		for _, dep := range m.Imports(p) {
 			if !strings.HasPrefix(dep, "example.com/") {
 				t.Errorf("non-module edge %s -> %s leaked into the graph", p, dep)
 			}
 		}
-	}
-}
-
-// TestGatedExperimentPrecedence: the in-source marker wins over the
-// registry-declared list.
-func TestGatedExperimentPrecedence(t *testing.T) {
-	m := loadFixtureModule(t, "expboundary")
-	cfg := &Config{GatedPackages: map[string]string{
-		"example.com/expmod/exp":  "overridden",
-		"example.com/expmod/exp2": "listed",
-	}}
-	if name, ok := m.GatedExperiment("example.com/expmod/exp", cfg); !ok || name != "turbo" {
-		t.Errorf("marker should win: got %q, %v", name, ok)
-	}
-	if name, ok := m.GatedExperiment("example.com/expmod/exp2", cfg); !ok || name != "listed" {
-		t.Errorf("registry gating: got %q, %v", name, ok)
-	}
-	if _, ok := m.GatedExperiment("example.com/expmod/stable", cfg); ok {
-		t.Error("stable package reported as gated")
 	}
 }

@@ -2,5 +2,8 @@
 // it may reach back up.
 package core
 
-// Orchestrate stands in for the run-everything layer.
-func Orchestrate() string { return "core" }
+import "strings"
+
+// Orchestrate stands in for the run-everything layer. Its standard
+// library import must stay out of the module import graph.
+func Orchestrate() string { return strings.ToLower("core") }

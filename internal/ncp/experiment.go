@@ -25,8 +25,8 @@ type ExperimentOptions struct {
 // with the curated groups overlaid as points — a Fig. 6-style reading
 // against the best conductance the graph admits at each size. circlebench
 // lists it after the core registry and runs it when selected with the
-// ncp-sweep gate open; the core registry itself never imports this
-// package (the layer map forbids stable→gated imports).
+// ncp-sweep gate open; the core registry cannot import this package,
+// which is built on core.
 func Experiment(opts ExperimentOptions) core.Experiment {
 	return core.Experiment{
 		ID:    "ncp",

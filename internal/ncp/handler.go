@@ -39,9 +39,9 @@ const (
 
 // Handler answers POST /v1/ncp with a network community profile sweep
 // of the requested data set. The route is mounted on circled through
-// serve.Options.ExtraRoutes, which keeps the stable serving layer free
-// of imports of this gated package; the handler gates every request on
-// the ncp-sweep experiment, so mounting it unconditionally is safe.
+// serve.Options.ExtraRoutes, so the serving layer does not import this
+// package; the handler gates every request on the ncp-sweep experiment
+// (Set.Require), so mounting it unconditionally is safe.
 //
 // Responses are deterministic for a fixed suite: the sweep merges its
 // parallel minima in seed order, so the body bytes are a pure function

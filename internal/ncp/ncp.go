@@ -15,8 +15,6 @@
 // identical between a parent graph and a pooled overlay of it.
 package ncp
 
-//experiments:package ncp-sweep
-
 import (
 	"errors"
 	"fmt"

@@ -99,9 +99,9 @@ type Options struct {
 	Experiments experiments.Set
 
 	// ExtraRoutes mounts additional handlers on the server's mux, keyed
-	// by ServeMux pattern (e.g. "POST /v1/ncp"). This is the seam gated
-	// packages use to add endpoints without the stable serving layer
-	// importing them — the owning binary wires the handler in. Extra
+	// by ServeMux pattern (e.g. "POST /v1/ncp"). This is the seam other
+	// packages (internal/ncp) use to add endpoints without the serving
+	// layer importing them — the owning binary wires the handler in. Extra
 	// routes bypass the worker pool, queue and request table; handlers
 	// are responsible for their own bounds and gating.
 	ExtraRoutes map[string]http.Handler
@@ -222,14 +222,14 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Recorder() *obs.Recorder { return s.rec }
 
 // Start launches the worker pool. Idempotent; must be called before the
-// handler can answer pooled endpoints.
+// handler can answer pooled endpoints. The pool outlives Start by
+// design: Shutdown joins the workers through wg.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
 	}
 	for i := 0; i < s.opts.Workers; i++ {
 		s.wg.Add(1)
-		//lint:ignore goroutineleak workers are joined by Shutdown via wg.Wait; the pool outlives Start by design
 		go s.worker()
 	}
 }
