@@ -12,10 +12,12 @@ import (
 	"gpluscircles/internal/serve/api"
 )
 
-// Request bounds: the endpoint runs inline (no worker-pool admission, no
-// result cache — it is experimental), so the knobs are capped, and their
+// Request bounds: the endpoint runs inline, without the worker pool's
+// admission or its request table, so the knobs are capped, and their
 // combined push-work bound is held to a budget, to keep a single
-// request's work proportionate.
+// request's work proportionate. The per-graph seed memo (seedMemo) saves
+// repeated work across requests but bounds nothing: a request whose
+// seeds all miss costs what it did without it.
 const (
 	maxBodyBytes   = 1 << 20
 	maxSeeds       = 512
@@ -46,7 +48,15 @@ const (
 // Responses are deterministic for a fixed suite: the sweep merges its
 // parallel minima in seed order, so the body bytes are a pure function
 // of the request, same as the stable /v1 endpoints.
+//
+// The handler keeps one seed memo per data-set graph for as long as it
+// lives: a seed vertex swept by an earlier request under the same
+// (alpha, eps, max_size) is read back instead of swept again. Null
+// curves are never memoized, since every null sample is a different
+// graph. The memo's hits, misses and flushes count on the suite's
+// recorder as ncp.memo.hits, ncp.memo.misses and ncp.memo.flushes.
 func Handler(suite *core.Suite, set experiments.Set) http.Handler {
+	memos := newMemoTable(suite.Recorder())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if err := set.Require(experiments.NCPSweep); err != nil {
 			writeNCPError(w, http.StatusBadRequest, api.CodeExperimentGated, err.Error())
@@ -74,7 +84,7 @@ func Handler(suite *core.Suite, set experiments.Set) http.Handler {
 			MaxSize: req.MaxSize,
 			Seed:    req.Seed,
 		}
-		curve, err := Sweep(ds.Graph, opts)
+		curve, err := sweep(ds.Graph, opts, memos.of(ds.Graph))
 		if err != nil {
 			writeNCPError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 			return

@@ -121,14 +121,18 @@ func (c *Curve) BestAtMost(size int) (float64, bool) {
 // parallelism starts. The draw is therefore a pure function of
 // (degree sequence, k, seed).
 func StratifiedSeeds(g *graph.Graph, k int, seed int64) []graph.VID {
-	n := g.NumVertices()
+	return drawSeeds(rankByDegree(g), k, seed)
+}
+
+// drawSeeds is StratifiedSeeds on a ready degree ranking.
+func drawSeeds(ranked []graph.VID, k int, seed int64) []graph.VID {
+	n := len(ranked)
 	if k > n {
 		k = n
 	}
 	if k <= 0 {
 		return nil
 	}
-	ranked := rankByDegree(g)
 	rng := rand.New(rand.NewSource(seed*1000003 + 7))
 	seeds := make([]graph.VID, k)
 	for j := 0; j < k; j++ {
@@ -186,24 +190,36 @@ var workspaces = sync.Pool{New: func() any {
 // fan-out joins, so the curve is byte-identical at every GOMAXPROCS —
 // asserted by the package tests and the core golden.
 func Sweep(g *graph.Graph, opts Options) (*Curve, error) {
+	return sweep(g, opts, nil)
+}
+
+// sweep is Sweep with an optional seed memo for g (nil sweeps every
+// seed): seeds the memo holds are read from it, only the rest are
+// swept, and those are stored once every seed has succeeded. The memo
+// changes which vectors are computed, never their values or the merge
+// order, so the curve is the same bit for bit.
+func sweep(g *graph.Graph, opts Options, memo *seedMemo) (*Curve, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, ErrEmptyGraph
 	}
 	opts = opts.withDefaults()
-	seeds := StratifiedSeeds(g, opts.Seeds, opts.Seed)
+	seeds := drawSeeds(memo.ranking(g), opts.Seeds, opts.Seed)
+	results := make([][]float64, len(seeds))
+	key := keyOf(opts)
+	miss := memo.lookup(key, seeds, results)
 
 	pprOpts := detect.PPROptions{Alpha: opts.Alpha, Eps: opts.Eps}
-	results := make([][]float64, len(seeds))
 	errs := make([]error, len(seeds))
 	// Each worker slot owns a pooled workspace for the fan-out; results
 	// land in per-seed slots, so nothing here races or depends on
 	// scheduling.
-	wss := make([]*workspace, par.Workers(len(seeds), 0))
+	wss := make([]*workspace, par.Workers(len(miss), 0))
 	for w := range wss {
 		wss[w] = workspaces.Get().(*workspace)
 	}
-	par.For(len(seeds), len(wss), func(w, i int) {
+	par.For(len(miss), len(wss), func(w, j int) {
+		i := miss[j]
 		results[i], errs[i] = sweepSeed(g, seeds[i], wss[w].ppr, wss[w].cutter, pprOpts, opts.MaxSize)
 	})
 	for _, ws := range wss {
@@ -215,6 +231,7 @@ func Sweep(g *graph.Graph, opts Options) (*Curve, error) {
 			return nil, fmt.Errorf("seed %d (vertex %d): %w", i, seeds[i], err)
 		}
 	}
+	memo.insert(key, seeds, miss, results)
 
 	// Serial merge in seed order; strict < keeps the first seed's value
 	// on ties, so the result is independent of worker count twice over.
@@ -248,13 +265,9 @@ func sweepSeed(g *graph.Graph, seed graph.VID, ppr *detect.PPR, cutter *graphalg
 	if len(order) > maxSize {
 		order = order[:maxSize]
 	}
-	conds, err := cutter.Conductances(g, order, nil)
-	if err != nil {
-		return nil, err
-	}
-	// conds aliases the cutter's reuse buffer contract: Conductances
-	// appended into a nil dst, so the slice is private already.
-	return conds, nil
+	// An exact-length vector: the handler's memo keeps it, and hands it
+	// to later requests to read only.
+	return cutter.Conductances(g, order, make([]float64, 0, len(order)))
 }
 
 // NullCurve sweeps samples degree-preserving rewired null graphs of g
