@@ -39,8 +39,10 @@ lint:
 # the separate perfbench module, which ./... does not reach), circlelint
 # with every check (one shared module load for all eight), and a -race
 # smoke over the packages gostmt allows to start goroutines and their
-# main users, plus the suite's concurrent data-set warm-up and graph
-# profile. ANALYZE_JSON (optional)
+# main users, plus the suite's concurrent data-set warm-up, graph
+# profile and shared once-cells (TestSuite*: data sets, per-graph
+# record, and the figure memos read by the report, its CSV series and
+# the scorecard). ANALYZE_JSON (optional)
 # additionally records the machine-readable findings array — CI uploads
 # it as a workflow artifact so annotators can consume scope + import
 # chains without re-running the analysis.
@@ -52,7 +54,7 @@ analyze: vet
 	fi
 	$(GO) run ./cmd/circlelint .
 	$(GO) test -race -count=1 ./internal/lint/ ./internal/experiments/ ./internal/serve/... ./internal/detect/ ./internal/ncp/ ./internal/par/
-	$(GO) test -race -count=1 -run 'TestWarm|TestCharacterize' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestWarm|TestCharacterize|TestSuite' ./internal/core/
 
 # Emits machine-readable benchmark records (one JSON event per line) so
 # runs on different machines/dates can be diffed with benchstat-style

@@ -169,23 +169,13 @@ func characterizeGraph(name string, g *graph.Graph, opts ProfileOptions, rng *ra
 			}
 			p.DegreeFit = fit
 		case 3:
-			cc, err := graphalgo.SampledClustering(g, opts.ClusteringSamples, ccRNG)
+			cl, err := MeasureClustering(g, opts.ClusteringSamples, ccRNG)
 			if err != nil {
 				errs[i] = fmt.Errorf("clustering sampling: %w", err)
 				return
 			}
-			summary, err := stats.Summarize(cc)
-			if err != nil {
-				errs[i] = fmt.Errorf("clustering summary: %w", err)
-				return
-			}
-			cdf, err := stats.NewCDF(cc)
-			if err != nil {
-				errs[i] = fmt.Errorf("clustering CDF: %w", err)
-				return
-			}
-			p.Clustering = summary
-			p.ClusteringCDF = cdf
+			p.Clustering = cl.Summary
+			p.ClusteringCDF = cl.CDF
 		}
 	})
 	for _, err := range errs {

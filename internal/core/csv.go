@@ -14,7 +14,10 @@ import (
 // regenerated with external tooling: fig2.csv (membership counts),
 // fig3.csv (in-degree CCDF + fit), fig4.csv (clustering CDF), fig5.csv
 // (per-function circle/random CDFs) and fig6.csv (per-function
-// per-data-set CDFs).
+// per-data-set CDFs). Every series comes from the suite's memoized
+// result of its figure (the overlap analysis, degree fit, graph profile
+// and the Fig. 5 and Fig. 6 draws), so it is the series the report
+// prints.
 func WriteFigureCSVs(s *Suite, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("create %s: %w", dir, err)
@@ -25,7 +28,7 @@ func WriteFigureCSVs(s *Suite, dir string) error {
 	}
 
 	// fig2: membership counts.
-	overlap, err := AnalyzeOverlap(gp)
+	overlap, err := s.overlapResult()
 	if err != nil {
 		return err
 	}
@@ -55,18 +58,18 @@ func WriteFigureCSVs(s *Suite, dir string) error {
 	}
 
 	// fig4: clustering CDF.
-	cl, err := MeasureClustering(gp.Graph, s.opts.ClusteringSamples, s.RNG(30))
+	prof, err := s.Profile(gp)
 	if err != nil {
 		return err
 	}
 	if err := writeCSVFile(filepath.Join(dir, "fig4.csv"), []report.Series{
-		report.CDFSeries("clustering", cl.CDF),
+		report.CDFSeries("clustering", prof.ClusteringCDF),
 	}); err != nil {
 		return err
 	}
 
 	// fig5: per-function circle vs random CDFs.
-	fig5, err := CirclesVsRandom(gp, Fig5Options{NullModelSamples: s.opts.NullModelSamples}, s.RNG(31))
+	fig5, err := s.fig5Result()
 	if err != nil {
 		return err
 	}
@@ -82,11 +85,7 @@ func WriteFigureCSVs(s *Suite, dir string) error {
 	}
 
 	// fig6: per-function per-data-set CDFs.
-	datasets, err := s.AllGroupDatasets()
-	if err != nil {
-		return err
-	}
-	fig6, err := CrossNetwork(datasets, nil)
+	fig6, err := s.fig6Result()
 	if err != nil {
 		return err
 	}
@@ -102,6 +101,10 @@ func WriteFigureCSVs(s *Suite, dir string) error {
 	}
 
 	// groupsizes.csv: size CDFs per data set.
+	datasets, err := s.AllGroupDatasets()
+	if err != nil {
+		return err
+	}
 	var sizeSeries []report.Series
 	for _, ds := range datasets {
 		cdf, err := stats.NewCDF(stats.CountsToFloats(ds.GroupSizes()))

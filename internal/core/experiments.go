@@ -152,11 +152,7 @@ func runTable3(s *Suite, w io.Writer) error {
 }
 
 func runFig2(s *Suite, w io.Writer) error {
-	gp, err := s.GPlus()
-	if err != nil {
-		return err
-	}
-	res, err := AnalyzeOverlap(gp)
+	res, err := s.overlapResult()
 	if err != nil {
 		return err
 	}
@@ -289,16 +285,7 @@ func runFig4(s *Suite, w io.Writer) error {
 }
 
 func runFig5(s *Suite, w io.Writer) error {
-	gp, err := s.GPlus()
-	if err != nil {
-		return err
-	}
-	res, err := CirclesVsRandom(gp, Fig5Options{
-		NullModelSamples: s.opts.NullModelSamples,
-		Context:          s.ScoreContext(gp.Graph),
-		NullArena:        s.NullArena(gp.Graph),
-		Recorder:         s.Recorder(),
-	}, s.RNG(13))
+	res, err := s.fig5Result()
 	if err != nil {
 		return err
 	}
@@ -344,11 +331,7 @@ func renderFig5(w io.Writer, res *Fig5Result, rng *rand.Rand) error {
 }
 
 func runFig6(s *Suite, w io.Writer) error {
-	datasets, err := s.AllGroupDatasets()
-	if err != nil {
-		return err
-	}
-	res, err := crossNetworkWith(datasets, nil, s.ScoreContext)
+	res, err := s.fig6Result()
 	if err != nil {
 		return err
 	}
@@ -395,11 +378,7 @@ func runDirectedness(s *Suite, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		und, err := s.UndirectedProjection(ds)
-		if err != nil {
-			return err
-		}
-		res, err := directednessWith(ds, und, s.ScoreContext(ds.Graph), s.ScoreContext(und), nil)
+		res, err := s.directedness(ds)
 		if err != nil {
 			return err
 		}

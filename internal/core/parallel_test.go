@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -223,6 +225,74 @@ func TestSuiteMemoizedProfileAndContext(t *testing.T) {
 	}
 	if undA.Directed() {
 		t.Error("projection still directed")
+	}
+}
+
+// TestSuiteFiguresOnce: the scorecard, the fig5 and fig6 sections and
+// the CSV writer, running at once (under -race in make analyze), read
+// one Fig. 5 and one Fig. 6 result from the suite, and the scorecard's
+// Fig. 5 claim is measured on that result.
+func TestSuiteFiguresOnce(t *testing.T) {
+	s := NewSuite(SuiteOptions{Scale: 0.15, Seed: 5, DistanceSources: 4, ClusteringSamples: 50})
+	const goroutines = 8
+	dirs := make([]string, goroutines)
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	fig5s := make([]*Fig5Result, goroutines)
+	fig6s := make([]*Fig6Result, goroutines)
+	var card []Claim
+	var wg sync.WaitGroup
+	for gi := 0; gi < goroutines; gi++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			var err error
+			switch slot % 4 {
+			case 0:
+				var claims []Claim
+				if claims, err = Scorecard(s); slot == 0 {
+					card = claims
+				}
+			case 1:
+				err = runFig5(s, io.Discard)
+			case 2:
+				err = runFig6(s, io.Discard)
+			case 3:
+				err = WriteFigureCSVs(s, dirs[slot])
+			}
+			if err != nil {
+				t.Errorf("reader %d: %v", slot, err)
+				return
+			}
+			if fig5s[slot], err = s.fig5Result(); err != nil {
+				t.Errorf("reader %d: fig5: %v", slot, err)
+			}
+			if fig6s[slot], err = s.fig6Result(); err != nil {
+				t.Errorf("reader %d: fig6: %v", slot, err)
+			}
+		}(gi)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for gi := 1; gi < goroutines; gi++ {
+		if fig5s[gi] != fig5s[0] || fig6s[gi] != fig6s[0] {
+			t.Fatalf("reader %d read another Fig. 5 or Fig. 6 result than reader 0", gi)
+		}
+	}
+	minKS := 1.0
+	for _, p := range fig5s[0].Panels {
+		minKS = min(minKS, p.KS)
+	}
+	want := fmt.Sprintf("min KS separation %.2f", minKS)
+	i := slices.IndexFunc(card, func(c Claim) bool { return c.ID == "fig5" })
+	if i < 0 {
+		t.Fatal("scorecard has no fig5 claim")
+	}
+	if card[i].Measured != want {
+		t.Errorf("scorecard fig5 measured %q, the memoized draw gives %q", card[i].Measured, want)
 	}
 }
 

@@ -21,7 +21,10 @@ type Claim struct {
 
 // Scorecard evaluates every headline claim of the paper programmatically
 // and returns the checklist. This is the one-stop verification the
-// integration tests assert piecewise; RunAllCtx renders it last.
+// integration tests assert piecewise; RunAllCtx renders it last. Each
+// claim reads the suite's memoized result of its figure (degree fits,
+// profile, overlap, the Fig. 5 and Fig. 6 draws, the directedness
+// result), so it judges exactly what the report prints.
 func Scorecard(s *Suite) ([]Claim, error) {
 	var claims []Claim
 
@@ -30,10 +33,6 @@ func Scorecard(s *Suite) ([]Claim, error) {
 		return nil, err
 	}
 	crawl, err := s.Crawl()
-	if err != nil {
-		return nil, err
-	}
-	datasets, err := s.AllGroupDatasets()
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +65,7 @@ func Scorecard(s *Suite) ([]Claim, error) {
 	})
 
 	// Claim 3 (Fig. 2): most ego networks overlap.
-	overlap, err := AnalyzeOverlap(gp)
+	overlap, err := s.overlapResult()
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +97,7 @@ func Scorecard(s *Suite) ([]Claim, error) {
 
 	// Claim 5 (Fig. 5): all four functions separate circles from random
 	// walks.
-	fig5, err := CirclesVsRandom(gp, Fig5Options{Context: s.ScoreContext(gp.Graph)}, s.RNG(91))
+	fig5, err := s.fig5Result()
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +116,7 @@ func Scorecard(s *Suite) ([]Claim, error) {
 
 	// Claim 6 (Fig. 6): circles ≫ communities on Ratio Cut; communities
 	// below circles on conductance.
-	fig6, err := crossNetworkWith(datasets, nil, s.ScoreContext)
+	fig6, err := s.fig6Result()
 	if err != nil {
 		return nil, err
 	}
@@ -173,11 +172,7 @@ func Scorecard(s *Suite) ([]Claim, error) {
 	})
 
 	// Claim 7 (directedness): projection changes no conclusion.
-	und, err := s.UndirectedProjection(gp)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := directednessWith(gp, und, s.ScoreContext(gp.Graph), s.ScoreContext(und), nil)
+	dir, err := s.directedness(gp)
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +210,5 @@ func runScorecard(s *Suite, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("scorecard summary: %w", err)
 	}
-	// Guard against silently passing a broken reproduction.
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"gpluscircles/internal/graph"
@@ -53,64 +54,63 @@ func (o SuiteOptions) withDefaults() SuiteOptions {
 	return o
 }
 
-// datasetCache memoizes one lazily generated data set.
-type datasetCache struct {
+// memo is a once-cell: the value and error of one computation, made by
+// the first caller and shared by every later one.
+type memo[T any] struct {
 	once sync.Once
-	ds   *synth.Dataset
+	val  T
 	err  error
 }
 
-// profileCache memoizes one CharacterizeGraph run.
-type profileCache struct {
-	once    sync.Once
-	profile *GraphProfile
-	err     error
+// get runs f on the first call and returns its result to every call.
+func (m *memo[T]) get(f func() (T, error)) (T, error) {
+	m.once.Do(func() { m.val, m.err = f() })
+	return m.val, m.err
 }
 
-// fitCache memoizes one in-degree fit.
-type fitCache struct {
-	once sync.Once
-	fit  *powerlaw.FitResult
-	err  error
-}
+// graphState is the derived state a Suite keeps for one graph. ctx is
+// made with the record and arena on first use, both under the suite
+// mutex; the memos run their computation outside it.
+type graphState struct {
+	ctx   *score.Context
+	arena *graph.OverlayArena
 
-// projectionCache memoizes one undirected projection.
-type projectionCache struct {
-	once sync.Once
-	g    *graph.Graph
-	err  error
+	profile      memo[*GraphProfile]
+	fit          memo[*powerlaw.FitResult]
+	projection   memo[*graph.Graph]
+	directedness memo[*DirectednessResult]
 }
 
 // Suite generates and caches the synthetic data sets shared by the
-// experiments, plus the derived per-data-set state the experiments would
-// otherwise recompute: graph profiles (Table II / Fig. 4), in-degree fits
-// (Table II / Fig. 3 / scorecard), analytic scoring contexts, and
-// undirected projections (Section IV-B).
+// experiments, and owns every result derived from them that more than
+// one reader uses. Per graph it keeps one record: the graph profile
+// (Table II / Fig. 4), the in-degree fit (Table II / Fig. 3 /
+// scorecard), the analytic scoring context, the null-model arena, the
+// undirected projection and the directedness result (Section IV-B).
+// Per suite it keeps the Fig. 2 overlap analysis and the Fig. 5 and
+// Fig. 6 results, so the report, its CSV series and the scorecard read
+// one draw of each figure.
 //
-// A Suite is safe for concurrent use: every lazy cache is guarded by a
-// sync.Once (or the suite mutex), so concurrent experiments generate each
-// data set and each derived artifact exactly once.
+// A Suite is safe for concurrent use: every lazy result is a once-cell
+// (or created under the suite mutex), so concurrent experiments
+// generate each data set and each derived result exactly once.
 type Suite struct {
 	opts SuiteOptions
 
-	gplus   datasetCache
-	twitter datasetCache
-	lj      datasetCache
-	orkut   datasetCache
-	crawl   datasetCache
-	scale   datasetCache
+	datasets [5]memo[*synth.Dataset] // in DatasetNames order
+	scale    memo[*synth.Dataset]
 
-	mu          sync.Mutex
-	profiles    map[*synth.Dataset]*profileCache
-	fits        map[*graph.Graph]*fitCache
-	contexts    map[*graph.Graph]*score.Context
-	projections map[*synth.Dataset]*projectionCache
-	arenas      map[*graph.Graph]*graph.OverlayArena
+	overlap memo[*OverlapResult]
+	fig5    memo[*Fig5Result]
+	fig6    memo[*Fig6Result]
+
+	mu     sync.Mutex
+	graphs map[*graph.Graph]*graphState
 }
 
 // NewSuite creates a Suite; data sets are generated lazily.
 func NewSuite(opts SuiteOptions) *Suite {
-	return &Suite{opts: opts.withDefaults()}
+	return &Suite{opts: opts.withDefaults(), graphs: make(map[*graph.Graph]*graphState)}
 }
 
 // Options returns the effective (defaulted) options.
@@ -155,12 +155,11 @@ func (s *Suite) scaleInt(v int, floor int) int {
 // generate fills c from gen exactly once, under a "generate" span for
 // the named data set: a child of parent, or a root span when parent is
 // nil. Every later call returns the memoized result.
-func (s *Suite) generate(c *datasetCache, name string, parent *obs.Span, gen func() (*synth.Dataset, error)) (*synth.Dataset, error) {
-	c.once.Do(func() {
+func (s *Suite) generate(c *memo[*synth.Dataset], name string, parent *obs.Span, gen func() (*synth.Dataset, error)) (*synth.Dataset, error) {
+	return c.get(func() (*synth.Dataset, error) {
 		defer s.stageSpan("generate", name, parent).End()
-		c.ds, c.err = gen()
+		return gen()
 	})
-	return c.ds, c.err
 }
 
 // GPlus returns the Google+-like ego data set.
@@ -290,19 +289,14 @@ func (s *Suite) DatasetByName(name string) (*synth.Dataset, error) {
 // (Seed, Seed+1, …, Seed+4 in registry order), so what it generates does
 // not depend on which other data sets exist yet or are being generated.
 func (s *Suite) dataset(name string, parent *obs.Span) (*synth.Dataset, error) {
-	switch name {
-	case "gplus":
-		return s.generate(&s.gplus, name, parent, s.generateGPlus)
-	case "twitter":
-		return s.generate(&s.twitter, name, parent, s.generateTwitter)
-	case "livejournal":
-		return s.generate(&s.lj, name, parent, s.generateLiveJournal)
-	case "orkut":
-		return s.generate(&s.orkut, name, parent, s.generateOrkut)
-	case "crawl":
-		return s.generate(&s.crawl, name, parent, s.generateCrawl)
+	i := slices.Index(DatasetNames(), name)
+	if i < 0 {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
+	gen := [...]func() (*synth.Dataset, error){
+		s.generateGPlus, s.generateTwitter, s.generateLiveJournal, s.generateOrkut, s.generateCrawl,
+	}[i]
+	return s.generate(&s.datasets[i], name, parent, gen)
 }
 
 // Warm generates every registry data set, fanning the five generations
@@ -333,23 +327,16 @@ func (s *Suite) Warm() error {
 
 // AllGroupDatasets returns the four Table III data sets in paper order.
 func (s *Suite) AllGroupDatasets() ([]*synth.Dataset, error) {
-	gp, err := s.GPlus()
-	if err != nil {
-		return nil, err
+	names := DatasetNames()[:4]
+	out := make([]*synth.Dataset, len(names))
+	for i, name := range names {
+		ds, err := s.dataset(name, nil)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ds
 	}
-	tw, err := s.Twitter()
-	if err != nil {
-		return nil, err
-	}
-	lj, err := s.LiveJournal()
-	if err != nil {
-		return nil, err
-	}
-	ok, err := s.Orkut()
-	if err != nil {
-		return nil, err
-	}
-	return []*synth.Dataset{gp, tw, lj, ok}, nil
+	return out, nil
 }
 
 // profileOptions derives ProfileOptions from the suite options.
@@ -369,44 +356,36 @@ func profileStream(name string) int64 {
 	return int64(h.Sum64() >> 1)
 }
 
-// Profile returns the memoized CharacterizeGraph result for the data
-// set. Table II and Fig. 4 share one profile per graph instead of
-// re-running the BFS sweeps and clustering samples.
-func (s *Suite) Profile(ds *synth.Dataset) (*GraphProfile, error) {
+// state returns g's record, creating it on first use.
+func (s *Suite) state(g *graph.Graph) *graphState {
 	s.mu.Lock()
-	if s.profiles == nil {
-		s.profiles = make(map[*synth.Dataset]*profileCache)
+	defer s.mu.Unlock()
+	st := s.graphs[g]
+	if st == nil {
+		st = &graphState{ctx: score.NewContext(g)}
+		st.ctx.Recorder = s.opts.Recorder
+		s.graphs[g] = st
 	}
-	c := s.profiles[ds]
-	if c == nil {
-		c = &profileCache{}
-		s.profiles[ds] = c
-	}
-	s.mu.Unlock()
-	c.once.Do(func() {
+	return st
+}
+
+// Profile returns the memoized CharacterizeGraph result for the data
+// set's graph. Table II, Fig. 4, its CSV series and the scorecard share
+// one profile per graph instead of re-running the BFS sweeps and
+// clustering samples.
+func (s *Suite) Profile(ds *synth.Dataset) (*GraphProfile, error) {
+	return s.state(ds.Graph).profile.get(func() (*GraphProfile, error) {
 		defer s.stageSpan("profile", ds.Name, nil).End()
-		c.profile, c.err = characterizeGraph(ds.Name, ds.Graph, s.profileOptions(), s.RNG(profileStream(ds.Name)),
+		return characterizeGraph(ds.Name, ds.Graph, s.profileOptions(), s.RNG(profileStream(ds.Name)),
 			func() (*powerlaw.FitResult, error) { return s.degreeFit(ds.Graph) })
 	})
-	return c.profile, c.err
 }
 
 // degreeFit returns the memoized fitInDegree(g, 0) result. The profile
 // (Table II), Fig. 3, its CSV export and the scorecard share one CSN fit
 // per graph instead of refitting the same degree sequence.
 func (s *Suite) degreeFit(g *graph.Graph) (*powerlaw.FitResult, error) {
-	s.mu.Lock()
-	if s.fits == nil {
-		s.fits = make(map[*graph.Graph]*fitCache)
-	}
-	c := s.fits[g]
-	if c == nil {
-		c = &fitCache{}
-		s.fits[g] = c
-	}
-	s.mu.Unlock()
-	c.once.Do(func() { c.fit, c.err = fitInDegree(g, 0) })
-	return c.fit, c.err
+	return s.state(g).fit.get(func() (*powerlaw.FitResult, error) { return fitInDegree(g, 0) })
 }
 
 // fitDegrees is FitDegrees(g, 0) over the memoized fit.
@@ -424,18 +403,7 @@ func (s *Suite) fitDegrees(g *graph.Graph) (*DegreeFitExperiment, error) {
 // Experiments that need an empirical null model must build their own
 // context instead of mutating this shared one.
 func (s *Suite) ScoreContext(g *graph.Graph) *score.Context {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.contexts == nil {
-		s.contexts = make(map[*graph.Graph]*score.Context)
-	}
-	ctx := s.contexts[g]
-	if ctx == nil {
-		ctx = score.NewContext(g)
-		ctx.Recorder = s.opts.Recorder
-		s.contexts[g] = ctx
-	}
-	return ctx
+	return s.state(g).ctx
 }
 
 // NullArena returns the memoized overlay arena pooling null-model sample
@@ -444,41 +412,83 @@ func (s *Suite) ScoreContext(g *graph.Graph) *score.Context {
 // null-model sampling against the same graph is allocation-free after
 // warm-up.
 func (s *Suite) NullArena(g *graph.Graph) *graph.OverlayArena {
+	st := s.state(g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.arenas == nil {
-		s.arenas = make(map[*graph.Graph]*graph.OverlayArena)
-	}
-	a := s.arenas[g]
-	if a == nil {
-		a = graph.NewOverlayArena(g)
-		a.Instrument(
+	if st.arena == nil {
+		st.arena = graph.NewOverlayArena(g)
+		st.arena.Instrument(
 			s.opts.Recorder.Counter("graph.arena.hits"),
 			s.opts.Recorder.Counter("graph.arena.misses"))
-		s.arenas[g] = a
 	}
-	return a
+	return st.arena
 }
 
 // UndirectedProjection returns the memoized undirected projection of the
 // data set's graph (Section IV-B). The projection preserves the vertex
 // set and external IDs, so groups carry over unchanged.
 func (s *Suite) UndirectedProjection(ds *synth.Dataset) (*graph.Graph, error) {
-	s.mu.Lock()
-	if s.projections == nil {
-		s.projections = make(map[*synth.Dataset]*projectionCache)
-	}
-	c := s.projections[ds]
-	if c == nil {
-		c = &projectionCache{}
-		s.projections[ds] = c
-	}
-	s.mu.Unlock()
-	c.once.Do(func() {
-		c.g, c.err = graph.Undirected(ds.Graph)
-		if c.err != nil {
-			c.err = fmt.Errorf("projection %s: %w", ds.Name, c.err)
+	return s.state(ds.Graph).projection.get(func() (*graph.Graph, error) {
+		und, err := graph.Undirected(ds.Graph)
+		if err != nil {
+			return nil, fmt.Errorf("projection %s: %w", ds.Name, err)
 		}
+		return und, nil
 	})
-	return c.g, c.err
+}
+
+// directedness returns the memoized Section IV-B deviation of the data
+// set, scored through the memoized projection and contexts. The
+// directedness section and the scorecard read it.
+func (s *Suite) directedness(ds *synth.Dataset) (*DirectednessResult, error) {
+	return s.state(ds.Graph).directedness.get(func() (*DirectednessResult, error) {
+		und, err := s.UndirectedProjection(ds)
+		if err != nil {
+			return nil, err
+		}
+		return directednessWith(ds, und, s.ScoreContext(ds.Graph), s.ScoreContext(und), nil)
+	})
+}
+
+// overlapResult returns the memoized Fig. 2 overlap analysis of the
+// Google+ data set. The fig2 section, fig2.csv and the scorecard read it.
+func (s *Suite) overlapResult() (*OverlapResult, error) {
+	return s.overlap.get(func() (*OverlapResult, error) {
+		gp, err := s.GPlus()
+		if err != nil {
+			return nil, err
+		}
+		return AnalyzeOverlap(gp)
+	})
+}
+
+// fig5Result returns the memoized Fig. 5 draw: circles against
+// size-matched random-walk sets on Google+, with the suite's null-model
+// setting. The fig5 section, fig5.csv and the scorecard read it.
+func (s *Suite) fig5Result() (*Fig5Result, error) {
+	return s.fig5.get(func() (*Fig5Result, error) {
+		gp, err := s.GPlus()
+		if err != nil {
+			return nil, err
+		}
+		return CirclesVsRandom(gp, Fig5Options{
+			NullModelSamples: s.opts.NullModelSamples,
+			Context:          s.ScoreContext(gp.Graph),
+			NullArena:        s.NullArena(gp.Graph),
+			Recorder:         s.Recorder(),
+		}, s.RNG(13))
+	})
+}
+
+// fig6Result returns the memoized Fig. 6 comparison of the four group
+// data sets under the paper's functions. The fig6 section, fig6.csv and
+// the scorecard read it.
+func (s *Suite) fig6Result() (*Fig6Result, error) {
+	return s.fig6.get(func() (*Fig6Result, error) {
+		datasets, err := s.AllGroupDatasets()
+		if err != nil {
+			return nil, err
+		}
+		return crossNetworkWith(datasets, nil, s.ScoreContext)
+	})
 }

@@ -35,9 +35,10 @@ type memoCounters struct {
 // the merged curve is bit for bit the one Sweep computes.
 //
 // The memo holds at most limit floats, counting memoEntryCost extra per
-// entry for its slice header. An insert that would pass the limit drops
-// every entry first, and so does a request under a different key. The
-// stored vectors are shared read-only by every request that hits them.
+// entry for its slice header. Once an insert would pass the limit, the
+// memo stores no more vectors and keeps those it holds; a request under
+// a different key drops every entry. The stored vectors are shared
+// read-only by every request that hits them.
 type seedMemo struct {
 	mu     sync.Mutex
 	ranked []graph.VID // nil until the first request
@@ -78,8 +79,9 @@ func (m *seedMemo) ranking(g *graph.Graph) []graph.VID {
 
 // lookup fills results[i] with the stored vector of seeds[i] under key
 // and returns the indices, ascending, of the seeds it does not hold. A
-// key other than the memo's drops every entry and takes its place. A nil
-// memo holds nothing.
+// key other than the memo's drops every entry (a flush, counted when
+// there was an entry to drop) and takes its place. A nil memo holds
+// nothing.
 func (m *seedMemo) lookup(key memoKey, seeds []graph.VID, results [][]float64) []int {
 	miss := make([]int, 0, len(seeds))
 	if m == nil {
@@ -90,7 +92,11 @@ func (m *seedMemo) lookup(key memoKey, seeds []graph.VID, results [][]float64) [
 	}
 	m.mu.Lock()
 	if key != m.key {
-		m.flush()
+		if len(m.conds) > 0 {
+			clear(m.conds)
+			m.held = 0
+			m.flushes.Inc()
+		}
 		m.key = key
 	}
 	for i, v := range seeds {
@@ -106,10 +112,10 @@ func (m *seedMemo) lookup(key memoKey, seeds []graph.VID, results [][]float64) [
 	return miss
 }
 
-// insert stores the vectors the indices in miss computed. If another
-// request moved the memo to a different key meanwhile, it stores
-// nothing, and so does a nil memo. A vector too long for an empty memo
-// is not stored.
+// insert stores the vectors the indices in miss computed, up to the
+// limit: a vector that would pass it is not stored. If another request
+// moved the memo to a different key meanwhile, it stores nothing, and
+// so does a nil memo.
 func (m *seedMemo) insert(key memoKey, seeds []graph.VID, miss []int, results [][]float64) {
 	if m == nil {
 		return
@@ -126,24 +132,11 @@ func (m *seedMemo) insert(key memoKey, seeds []graph.VID, miss []int, results []
 		}
 		cost := len(c) + memoEntryCost
 		if m.held+cost > m.limit {
-			m.flush()
+			continue
 		}
-		if cost <= m.limit {
-			m.conds[v] = c
-			m.held += cost
-		}
+		m.conds[v] = c
+		m.held += cost
 	}
-}
-
-// flush drops every entry; it counts only when there was one to drop.
-// The caller holds m.mu.
-func (m *seedMemo) flush() {
-	if len(m.conds) == 0 {
-		return
-	}
-	clear(m.conds)
-	m.held = 0
-	m.flushes.Inc()
 }
 
 // memoTable holds one seedMemo per graph a handler has swept. Its

@@ -91,8 +91,8 @@ func BenchmarkPPRPush(b *testing.B) {
 // per-graph seed memo answers the seeds earlier ops swept. On this
 // benchmark's Google+ (431 vertices, 9,307 arcs) the memo's bound of one
 // float per arc holds under a third of the vectors the cycle draws, so
-// it flushes often and about one seed in six hits; on the query-ncp
-// graph (scale 1) the whole memo fits and most seeds hit.
+// it fills and about one seed in three hits; on the query-ncp graph
+// (scale 1) the whole memo fits and most seeds hit.
 func BenchmarkNCPHandler(b *testing.B) {
 	benchNCPHandler(b, false)
 }
