@@ -69,8 +69,8 @@ func (m *memo[T]) get(f func() (T, error)) (T, error) {
 }
 
 // graphState is the derived state a Suite keeps for one graph. ctx is
-// made with the record and arena on first use, both under the suite
-// mutex; the memos run their computation outside it.
+// made with the record and arena by the first NullArena call, both
+// under the suite mutex; the memos run their computation outside it.
 type graphState struct {
 	ctx   *score.Context
 	arena *graph.OverlayArena
