@@ -3,9 +3,10 @@ DATE      := $(shell date +%Y-%m-%d)
 BENCH_OUT ?= BENCH_$(DATE).json
 # Hot paths of the concurrent experiment engine plus data-set generation
 # (per data set, and circled's concurrent warm-up),
-# the scoring and degree-fitting kernels, and the disabled-instrumentation
+# the scoring and degree-fitting kernels, whole in-process /v1/score
+# requests (result-cache hits and misses), and the disabled-instrumentation
 # fast path (must stay at 0 allocs/op).
-BENCH     ?= RunAll|SuiteGenerate|SuiteWarm|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|Recorder|Fig3DegreeFit|PowerLawFit
+BENCH     ?= RunAll|SuiteGenerate|SuiteWarm|EmpiricalExpectation|Characterize|PaperScores|ParallelScores|ScoreRequest|Recorder|Fig3DegreeFit|PowerLawFit
 BENCHTIME ?= 1x
 # make profile output directory.
 PROFILE_DIR ?= profile

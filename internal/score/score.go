@@ -223,13 +223,21 @@ func EvaluateGroups(ctx *Context, groups []Group, fns []Func) map[string][]float
 	return out
 }
 
-// ByName resolves function names against the full registry.
-func ByName(names ...string) ([]Func, error) {
+// registry indexes AllFuncs by name. It is built once and only read
+// after that: ByName runs on every /v1/score request.
+var registry = sync.OnceValue(func() map[string]Func {
 	all := AllFuncs()
 	idx := make(map[string]Func, len(all))
 	for _, f := range all {
 		idx[f.Name] = f
 	}
+	return idx
+})
+
+// ByName resolves function names against the full registry, returning
+// copies in the order of names.
+func ByName(names ...string) ([]Func, error) {
+	idx := registry()
 	out := make([]Func, 0, len(names))
 	for _, name := range names {
 		f, ok := idx[name]

@@ -2,15 +2,14 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
 
 	"gpluscircles/internal/experiments"
 	"gpluscircles/internal/graph"
@@ -40,13 +39,64 @@ func errorBody(code, format string, args ...any) []byte {
 	return api.ErrorBody(code, fmt.Sprintf(format, args...))
 }
 
+// defaultFuncs are the paper's four functions, scored when a request
+// names none. Shared by every such request and never written.
+var defaultFuncs = []string{"avgdeg", "ratiocut", "conductance", "modularity"}
+
 // scoreJob is a validated, resolved score request ready for the pool.
 type scoreJob struct {
 	req     api.ScoreRequest
 	ds      *synth.Dataset
-	members []graph.VID // sorted, deduplicated dense indices
+	idx     *datasetIndex
+	members []graph.VID // sorted, deduplicated dense indices; read-only
 	funcs   []score.Func
 	key     string
+}
+
+// datasetIndex is what /v1/score needs of one data set that no request
+// changes. It is built on the first request to its data set and only
+// read after that, so requests share it without a lock.
+type datasetIndex struct {
+	groups map[string]groupEntry
+	// sets holds *graph.Set bitmaps sized for the data set's graph, so a
+	// pool worker fills a reused set instead of allocating one per job.
+	sets sync.Pool
+}
+
+// groupEntry is one named group in canonical form.
+type groupEntry struct {
+	members []graph.VID // private sorted, deduplicated copy; read-only
+	hash    uint64      // setHash(members)
+}
+
+// lazyIndex builds one data set's index once.
+type lazyIndex struct {
+	once sync.Once
+	idx  *datasetIndex
+}
+
+// newDatasetIndex canonicalizes and hashes every group of ds. Each
+// entry owns a copy of the group's members, so the data set's ground
+// truth is never touched by request handling.
+func newDatasetIndex(ds *synth.Dataset) *datasetIndex {
+	n := ds.Graph.NumVertices()
+	idx := &datasetIndex{
+		groups: make(map[string]groupEntry, len(ds.Groups)),
+		sets:   sync.Pool{New: func() any { return graph.NewSet(n) }},
+	}
+	for _, grp := range ds.Groups {
+		members := canonicalMembers(slices.Clone(grp.Members))
+		idx.groups[grp.Name] = groupEntry{members: members, hash: setHash(members)}
+	}
+	return idx
+}
+
+// datasetIndex returns the index of the registry data set name, building
+// it from ds on first use.
+func (s *Server) datasetIndex(name string, ds *synth.Dataset) *datasetIndex {
+	l := s.indexes[name]
+	l.once.Do(func() { l.idx = newDatasetIndex(ds) })
+	return l.idx
 }
 
 // handleScore validates the request in the handler goroutine (cheap, no
@@ -57,7 +107,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, api.CodeDraining, "draining")
 		return
 	}
-	job, herr := s.resolveScore(http.MaxBytesReader(nil, r.Body, maxScoreBodyBytes))
+	job, herr := s.resolveScore(http.MaxBytesReader(w, r.Body, maxScoreBodyBytes))
 	if herr != nil {
 		writeError(w, herr.status, herr.code, herr.msg)
 		return
@@ -71,8 +121,9 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 // and resolves every name (dataset, group, members, functions) against
 // the suite. It is the only path by which request bytes reach scoring.
 func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
-	var req api.ScoreRequest
-	if err := api.DecodeRequest(body, &req); err != nil {
+	job := &scoreJob{}
+	req := &job.req
+	if err := api.DecodeRequest(body, req); err != nil {
 		return nil, badRequest(api.CodeInvalidRequest, "invalid request body: %v", err)
 	}
 	if req.Dataset == "" {
@@ -99,17 +150,18 @@ func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
 		return nil, herr
 	}
 
+	idx := s.datasetIndex(req.Dataset, ds)
 	var members []graph.VID
+	var hash uint64
 	if req.Group != "" {
-		shared, ok := s.groupMembers(req.Dataset, ds, req.Group)
+		// The entry is already canonical and hashed; jobs share its
+		// members read-only.
+		grp, ok := idx.groups[req.Group]
 		if !ok {
 			return nil, &httpErr{status: http.StatusNotFound, code: api.CodeUnknownGroup,
 				msg: fmt.Sprintf("group %q: not in dataset %s", req.Group, req.Dataset)}
 		}
-		// Clone: the index hands out the data set's own membership slice
-		// and canonicalMembers sorts in place; concurrent requests for
-		// one group must never mutate the shared ground truth.
-		members = append([]graph.VID(nil), shared...)
+		members, hash = grp.members, grp.hash
 	} else {
 		members = make([]graph.VID, 0, len(req.Members))
 		for _, id := range req.Members {
@@ -119,14 +171,15 @@ func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
 			}
 			members = append(members, v)
 		}
+		members = canonicalMembers(members)
+		hash = setHash(members)
 	}
-	members = canonicalMembers(members)
 	if len(members) == 0 {
 		return nil, badRequest(api.CodeInvalidRequest, "empty vertex set")
 	}
 
 	if len(req.Funcs) == 0 {
-		req.Funcs = []string{"avgdeg", "ratiocut", "conductance", "modularity"}
+		req.Funcs = defaultFuncs
 	}
 	fns, err := score.ByName(req.Funcs...)
 	if err != nil {
@@ -143,73 +196,67 @@ func (s *Server) resolveScore(body io.Reader) (*scoreJob, *httpErr) {
 		}
 	}
 
-	return &scoreJob{
-		req:     req,
-		ds:      ds,
-		members: members,
-		funcs:   fns,
-		key:     scoreKey(&req, members),
-	}, nil
+	job.ds, job.idx, job.members, job.funcs = ds, idx, members, fns
+	job.key = scoreKey(req, hash, len(members))
+	return job, nil
 }
 
-// canonicalMembers sorts and deduplicates the dense vertex set so
-// requests naming the same set in any order share one coalescing key.
+// canonicalMembers sorts and deduplicates the dense vertex set in place
+// so requests naming the same set in any order share one set hash.
 func canonicalMembers(members []graph.VID) []graph.VID {
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	w := 0
-	for i, v := range members {
-		if i == 0 || v != members[w-1] {
-			members[w] = v
-			w++
-		}
-	}
-	return members[:w]
+	slices.Sort(members)
+	return slices.Compact(members)
 }
 
-// scoreKey derives the coalescing and cache key: dataset + group +
-// canonical set hash + functions + null-model parameters. Two requests
-// with equal keys are guaranteed byte-identical responses, which is
-// what makes answering both from one execution — or from the result
-// cache — sound.
-func scoreKey(req *api.ScoreRequest, members []graph.VID) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeField := func(s string) {
-		_, _ = h.Write([]byte(s))
-		_, _ = h.Write([]byte{0})
-	}
-	writeField(req.Dataset)
-	writeField(req.Group)
+// setHash is the 64-bit FNV-1a hash of a canonical member set, read as
+// eight little-endian bytes per member.
+func setHash(members []graph.VID) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, v := range members {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		_, _ = h.Write(buf[:])
+		x := uint64(v)
+		for i := 0; i < 8; i++ {
+			h ^= x & 0xff
+			h *= prime64
+			x >>= 8
+		}
 	}
-	writeField(strings.Join(req.Funcs, ","))
-	binary.LittleEndian.PutUint64(buf[:], uint64(req.NullSamples))
-	_, _ = h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(req.Seed))
-	_, _ = h.Write(buf[:])
-	return fmt.Sprintf("score/%016x/%s/%d", h.Sum64(), req.Dataset, len(members))
+	return h
 }
 
-// groupMembers resolves a group name within a data set through a lazily
-// built per-dataset index (linear scans would be O(groups) per request).
-func (s *Server) groupMembers(name string, ds *synth.Dataset, group string) ([]graph.VID, bool) {
-	s.groupsMu.Lock()
-	defer s.groupsMu.Unlock()
-	if s.groups == nil {
-		s.groups = make(map[string]map[string][]graph.VID)
-	}
-	idx, ok := s.groups[name]
-	if !ok {
-		idx = make(map[string][]graph.VID, len(ds.Groups))
-		for _, grp := range ds.Groups {
-			idx[grp.Name] = grp.Members
+// scoreKey derives the coalescing and cache key of a request whose
+// canonical member set has hash setHash and n members. Every other field
+// the response depends on (dataset, functions, null-model parameters,
+// group) is spelled out in full, the free-form group last so no field
+// can run into the next. Two requests with equal keys therefore get
+// byte-identical responses unless two sets of one size collide in
+// setHash, which is what makes answering both from one execution — or
+// from the result cache — sound.
+func scoreKey(req *api.ScoreRequest, setHash uint64, n int) string {
+	b := make([]byte, 0, 128)
+	b = append(b, "score/"...)
+	b = append(b, req.Dataset...)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, setHash, 16)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(req.NullSamples), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, req.Seed, 10)
+	b = append(b, '/')
+	for i, f := range req.Funcs {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		s.groups[name] = idx
+		b = append(b, f...)
 	}
-	members, ok := idx[group]
-	return members, ok
+	b = append(b, '/')
+	b = append(b, req.Group...)
+	return string(b)
 }
 
 // runScore executes one resolved score job on a pool worker. ctx is the
@@ -252,7 +299,8 @@ func (s *Server) runScore(ctx context.Context, job *scoreJob) ([]byte, int) {
 		resp.Seed = job.req.Seed
 	}
 
-	set := graph.SetOf(g, job.members)
+	set := job.idx.sets.Get().(*graph.Set)
+	set.Fill(job.members)
 	cut := graph.Cut(g, set)
 	resp.N = cut.N
 	resp.InternalEdges = cut.Internal
@@ -261,6 +309,7 @@ func (s *Server) runScore(ctx context.Context, job *scoreJob) ([]byte, int) {
 	for _, f := range job.funcs {
 		resp.Scores[f.Name] = f.Eval(sctx, set, cut)
 	}
+	job.idx.sets.Put(set)
 
 	body, err := json.Marshal(resp)
 	if err != nil {

@@ -59,7 +59,6 @@ import (
 
 	"gpluscircles/internal/core"
 	"gpluscircles/internal/experiments"
-	"gpluscircles/internal/graph"
 	"gpluscircles/internal/obs"
 	"gpluscircles/internal/serve/api"
 	"gpluscircles/internal/synth"
@@ -158,8 +157,10 @@ type Server struct {
 	started  atomic.Bool
 	draining atomic.Bool
 
-	groupsMu sync.Mutex
-	groups   map[string]map[string][]graph.VID // dataset -> group -> members
+	// indexes holds one lazily built /v1/score index per registry data
+	// set. The map is filled by NewServer and never written after, so
+	// requests read it without a lock.
+	indexes map[string]*lazyIndex
 
 	mRequests  *obs.Counter
 	mScored    *obs.Counter
@@ -184,6 +185,8 @@ func NewServer(opts Options) (*Server, error) {
 		table: newTable(opts.CacheSize, opts.RequestTimeout, opts.Recorder),
 		queue: make(chan *call, opts.QueueDepth),
 
+		indexes: make(map[string]*lazyIndex, len(core.DatasetNames())),
+
 		mRequests:  opts.Recorder.Counter("serve.requests"),
 		mScored:    opts.Recorder.Counter("serve.scored"),
 		mCoalesced: opts.Recorder.Counter("serve.coalesced"),
@@ -192,6 +195,9 @@ func NewServer(opts Options) (*Server, error) {
 		gQueue:     opts.Recorder.Gauge("serve.queue.depth"),
 		tRequest:   opts.Recorder.Timer("serve/request"),
 		tScore:     opts.Recorder.Timer("serve/score"),
+	}
+	for _, name := range core.DatasetNames() {
+		s.indexes[name] = &lazyIndex{}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/score", s.handleScore)
