@@ -2,9 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/fnv"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +13,6 @@ import (
 	"testing"
 
 	"gpluscircles/internal/core"
-	"gpluscircles/internal/graph"
 	"gpluscircles/internal/serve/api"
 )
 
@@ -127,22 +125,34 @@ func TestDatasetIndex(t *testing.T) {
 	}
 }
 
-// TestSetHashIsFNV: setHash is 64-bit FNV-1a over eight little-endian
-// bytes per member, the set hash the coalescing key always used.
-func TestSetHashIsFNV(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 7, 100} {
-		members := make([]graph.VID, n)
-		h := fnv.New64a()
-		var buf [8]byte
-		for i := range members {
-			members[i] = graph.VID(rng.Int31())
-			binary.LittleEndian.PutUint64(buf[:], uint64(members[i]))
-			h.Write(buf[:])
-		}
-		if got, want := setHash(members), h.Sum64(); got != want {
-			t.Errorf("n=%d: setHash %x, fnv %x", n, got, want)
-		}
+// TestScoreKeyBounded: the key's length does not grow with the request.
+// Names may repeat in funcs, so a body just under the 1 MiB limit can
+// list one function about 116,000 times; its key must be no longer than
+// that of a request naming it once.
+func TestScoreKeyBounded(t *testing.T) {
+	s := newTestServer(t, Options{CacheSize: -1})
+	group, _ := firstGroup(t, "gplus")
+	one := resolveBody(t, s, api.ScoreRequest{Dataset: "gplus", Group: group, Funcs: []string{"avgdeg"}})
+
+	prefix := fmt.Sprintf(`{"dataset":"gplus","group":%q,"funcs":["avgdeg"`, group)
+	const more, suffix = `,"avgdeg"`, `]}`
+	body := []byte(prefix)
+	for len(body)+len(more)+len(suffix) <= maxScoreBodyBytes {
+		body = append(body, more...)
+	}
+	body = append(body, suffix...)
+	job, herr := s.resolveScore(bytes.NewReader(body))
+	if herr != nil {
+		t.Fatalf("resolve a %d-byte body: %d %s %s", len(body), herr.status, herr.code, herr.msg)
+	}
+	if len(job.req.Funcs) < 100_000 {
+		t.Fatalf("body lists %d funcs, want over 100,000", len(job.req.Funcs))
+	}
+	if len(job.key) > len(one.key) {
+		t.Errorf("key of %d funcs is %d bytes, of one func %d: %q", len(job.req.Funcs), len(job.key), len(one.key), job.key)
+	}
+	if job.key == one.key {
+		t.Errorf("different function lists share key %q", job.key)
 	}
 }
 

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"slices"
@@ -211,32 +214,41 @@ func canonicalMembers(members []graph.VID) []graph.VID {
 // setHash is the 64-bit FNV-1a hash of a canonical member set, read as
 // eight little-endian bytes per member.
 func setHash(members []graph.VID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := fnv.New64a()
+	var buf [8]byte
 	for _, v := range members {
-		x := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		_, _ = h.Write(buf[:])
 	}
-	return h
+	return h.Sum64()
 }
 
+// keySeed seeds the hash of a request's group and function list in
+// scoreKey. Keys never leave the process's request table, so a seed
+// drawn at start-up serves.
+var keySeed = maphash.MakeSeed()
+
 // scoreKey derives the coalescing and cache key of a request whose
-// canonical member set has hash setHash and n members. Every other field
-// the response depends on (dataset, functions, null-model parameters,
-// group) is spelled out in full, the free-form group last so no field
-// can run into the next. Two requests with equal keys therefore get
-// byte-identical responses unless two sets of one size collide in
-// setHash, which is what makes answering both from one execution — or
-// from the result cache — sound.
+// canonical member set has hash setHash and n members. The dataset (a
+// registry name, checked before) and the integer fields are spelled
+// out; the group and the function list, which a client may make as long
+// as its body allows, enter as one 64-bit hash, so a key's length is
+// bounded whatever the request holds. Two requests with equal keys
+// therefore get byte-identical responses unless two sets of one size
+// collide in setHash or two (group, functions) pairs collide in the
+// seeded hash, which is what makes answering both from one execution —
+// or from the result cache — sound.
 func scoreKey(req *api.ScoreRequest, setHash uint64, n int) string {
-	b := make([]byte, 0, 128)
+	var h maphash.Hash
+	h.SetSeed(keySeed)
+	_, _ = h.WriteString(req.Group)
+	for _, f := range req.Funcs {
+		// Neither group nor function names hold a NUL, so the stream
+		// splits back into its fields.
+		_ = h.WriteByte(0)
+		_, _ = h.WriteString(f)
+	}
+	b := make([]byte, 0, 96)
 	b = append(b, "score/"...)
 	b = append(b, req.Dataset...)
 	b = append(b, '/')
@@ -248,14 +260,7 @@ func scoreKey(req *api.ScoreRequest, setHash uint64, n int) string {
 	b = append(b, '/')
 	b = strconv.AppendInt(b, req.Seed, 10)
 	b = append(b, '/')
-	for i, f := range req.Funcs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, f...)
-	}
-	b = append(b, '/')
-	b = append(b, req.Group...)
+	b = strconv.AppendUint(b, h.Sum64(), 16)
 	return string(b)
 }
 
